@@ -244,8 +244,8 @@ class FilterEngine:
                         "FROM result_objects ro "
                         "WHERE EXISTS (SELECT 1 FROM rule_dependencies rd "
                         "              WHERE rd.source_rule = ro.rule_id) "
-                        "   OR ro.rule_id IN "
-                        "(SELECT end_rule FROM subscriptions)"
+                        "   OR EXISTS (SELECT 1 FROM subscriptions s "
+                        "              WHERE s.end_rule = ro.rule_id)"
                     )
                 result.pairs = self._collect(collect)
         self.runs_executed += 1
@@ -383,10 +383,14 @@ class FilterEngine:
         if mode == "none":
             return set()
         if mode == "end":
+            # One idx_subs_end_rule probe per result row; an
+            # uncorrelated IN may be planned as a scan of every
+            # subscription instead (docs/FILTER_ALGORITHM.md).
             rows = self._db.query_all(
                 "SELECT DISTINCT ro.rule_id, ro.uri_reference "
-                "FROM result_objects ro WHERE ro.rule_id IN "
-                "(SELECT DISTINCT end_rule FROM subscriptions)"
+                "FROM result_objects ro WHERE EXISTS "
+                "(SELECT 1 FROM subscriptions s "
+                " WHERE s.end_rule = ro.rule_id)"
             )
         else:
             rows = self._db.query_all(
@@ -429,10 +433,19 @@ class FilterEngine:
                     input_atoms=atoms, materialize=True, collect=collect
                 )
         outcome.passes.append(run)
-        if collect != "none":
-            end_ids = self._registry.end_rule_ids()
-            outcome.matched = run.matches_of(end_ids)
+        # "end" pairs are end-rule pairs already.
+        outcome.matched = (
+            run.by_rule if collect == "end" else self._end_matches(run)
+        )
         return outcome
+
+    def _end_matches(self, run: FilterRunResult) -> dict[int, set[URIRef]]:
+        """The end-rule pairs among everything a run derived, by rule."""
+        return run.matches_of(
+            self._registry.end_rules_among(
+                {rule_id for rule_id, __ in run.pairs}
+            )
+        )
 
     def result_count(self) -> int:
         """Distinct ``(rule, resource)`` hits of the last run (SQL-side)."""
@@ -456,7 +469,6 @@ class FilterEngine:
         if not old_changed:
             return self.process_insertions(diff.inserted)
 
-        end_ids = self._registry.end_rule_ids()
         outcome = PublishOutcome()
         outcome.deleted = {resource.uri for resource in diff.deleted}
         changed_uris = [str(r.uri) for r in old_changed]
@@ -470,7 +482,7 @@ class FilterEngine:
                 materialize=False,
                 collect="all",
             )
-            candidates = pass1.matches_of(end_ids)
+            candidates = self._end_matches(pass1)
 
             # Every pass-1 derivation depended on the old state of the
             # changed resources; drop it from the materialized results.
@@ -505,7 +517,7 @@ class FilterEngine:
         outcome.passes = [pass1, pass2, pass3]
         final: dict[int, set[URIRef]] = {}
         for run in (pass2, pass3):
-            for rule_id, uris in run.matches_of(end_ids).items():
+            for rule_id, uris in run.by_rule.items():
                 final.setdefault(rule_id, set()).update(uris)
         outcome.matched = final
         for rule_id, uris in candidates.items():

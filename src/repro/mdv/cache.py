@@ -26,6 +26,7 @@ cycles, which pure reference counting cannot reclaim.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.pubsub.notifications import ResourcePayload
@@ -131,6 +132,28 @@ class CacheStore:
             if target is not None:
                 target.strong_refcount += count
         self._pending_edges = {}
+
+    def apply_matches(
+        self, matches: Iterable[tuple[int, ResourcePayload]], now: int = 0
+    ) -> None:
+        """Apply one batch's ``(sub_id, payload)`` matches, in order,
+        upserting each distinct payload resource once.
+
+        A batch describes one provider state, so every payload of a URI
+        carries the same content (the very object in-process, a decoded
+        copy per notification over the socket).  Upserting equal content
+        again changes nothing unless an entry has left the cache since
+        the previous upsert began; otherwise the notification only adds
+        its subscription.
+        """
+        upserted_at: dict[URIRef, int] = {}  # URI -> evictions before it
+        for sub_id, payload in matches:
+            uri = payload.resource.uri
+            if upserted_at.get(uri) == self.evictions:
+                self._entries[uri].matched_subs.add(sub_id)
+                continue
+            upserted_at[uri] = self.evictions
+            self.apply_match(sub_id, payload, now)
 
     def insert_local(self, resource: Resource, now: int = 0) -> CacheEntry:
         """Insert local metadata (not subject to notification eviction)."""

@@ -22,7 +22,14 @@ Public surface:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+import json
+from collections.abc import (
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Sequence,
+)
 from contextlib import contextmanager
 from typing import Any
 
@@ -323,7 +330,7 @@ class MetadataProvider:
                 raise ValueError("document_uri is required for XML input")
             document = parse_document(document, document_uri, self.schema)
         self.schema.validate_document(document)
-        self._check_uri_ownership(document)
+        self._check_uri_ownership([document])
         with self._op():
             old = self._documents.get(document.uri)
             diff = diff_documents(old, document)
@@ -366,31 +373,61 @@ class MetadataProvider:
         to process several documents in one batch" — and finds batching
         amortizes the per-run cost for most rule types.  This is the
         batching entry point: brand-new documents share a single filter
-        run; re-registrations (updates) fall back to the per-document
+        run; re-registrations (updates — of a stored document or of an
+        earlier document of this batch) fall back to the per-document
         three-pass algorithm.  Returns the merged outcome.
         """
-        fresh: list[Document] = []
+        #: The pending group of brand-new documents, by URI.
+        fresh: dict[str, Document] = {}
         merged = PublishOutcome()
         with self._op():
             for document in documents:
-                self.schema.validate_document(document)
-                self._check_uri_ownership(document)
+                if document.uri in fresh:
+                    # A later version of a document of this very batch
+                    # updates the earlier one, as two calls would.
+                    _merge_outcomes(
+                        merged, self._register_fresh(fresh.values())
+                    )
+                    fresh = {}
                 if document.uri in self._documents:
-                    outcome = self.register_document(document)
-                    _merge_outcomes(merged, outcome)
+                    _merge_outcomes(merged, self.register_document(document))
                 else:
-                    fresh.append(document)
+                    self.schema.validate_document(document)
+                    fresh[document.uri] = document
             if fresh:
-                resources = [resource for doc in fresh for resource in doc]
-                outcome = self.engine.process_insertions(resources)
-                for document in fresh:
-                    self._store_document(document, [])
-                    version = self._next_version(document.uri)
-                    if self._replication_hook is not None:
-                        self._replication_hook(document.uri, document, version)
-                _merge_outcomes(merged, outcome)
-                self._publish(outcome)
+                _merge_outcomes(merged, self._register_fresh(fresh.values()))
         return merged
+
+    def _register_fresh(
+        self, documents: Collection[Document]
+    ) -> PublishOutcome:
+        """Register brand-new documents: one filter run, and one
+        statement per table to store them and their versions."""
+        self._check_uri_ownership(documents)
+        outcome = self.engine.process_insertions(
+            [resource for document in documents for resource in document]
+        )
+        versions = {}
+        for document in documents:
+            self._documents[document.uri] = document
+            versions[document.uri] = self._bump_version(document.uri)
+        with self.db.transaction():
+            self._document_table.upsert_many(
+                (document.uri, to_rdfxml(document)) for document in documents
+            )
+            self._resource_table.insert_many(
+                (str(resource.uri), resource.rdf_class, document.uri)
+                for document in documents
+                for resource in document
+            )
+            self._persist_versions(versions.items())
+        if self._replication_hook is not None:
+            for document in documents:
+                self._replication_hook(
+                    document.uri, document, versions[document.uri]
+                )
+        self._publish(outcome)
+        return outcome
 
     def delete_document(
         self, document_uri: str, _replicated: bool = False
@@ -413,13 +450,17 @@ class MetadataProvider:
                     self._replication_hook(document_uri, None, version)
         return outcome
 
-    def _check_uri_ownership(self, document: Document) -> None:
+    def _check_uri_ownership(self, documents: Iterable[Document]) -> None:
         """A resource URI may not be claimed by two different documents."""
-        for resource in document:
-            owner = self._resource_table.document_of(str(resource.uri))
-            if owner is not None and owner != document.uri:
+        claimed = {
+            str(resource.uri): document.uri
+            for document in documents
+            for resource in document
+        }
+        for uri, owner in self._resource_table.owners_of(claimed).items():
+            if owner != claimed[uri]:
                 raise SchemaValidationError(
-                    f"resource <{resource.uri}> is already registered by "
+                    f"resource <{uri}> is already registered by "
                     f"document {owner!r}"
                 )
 
@@ -643,17 +684,29 @@ class MetadataProvider:
 
     def unsubscribe(self, subscriber: str, rule_text: str) -> None:
         """Remove every subscription registered under ``rule_text``."""
-        removed = False
-        for subscription in self.registry.subscriptions_of(subscriber):
-            base_text = subscription.rule_text.split("#or")[0]
-            if subscription.rule_text == rule_text or base_text == rule_text:
-                self.registry.unsubscribe(subscriber, subscription.rule_text)
-                removed = True
-        if not removed:
+        # Stored under the text itself or, per or-conjunct, under
+        # ``<text>#or<i>``: an equality and a range probe of the
+        # (subscriber, rule_text) index.
+        conjunct = rule_text + "#or"
+        rows = self.db.query_all(
+            "SELECT rule_text FROM subscriptions WHERE subscriber = ? "
+            "AND (rule_text = ? OR (rule_text >= ? AND rule_text < ?)) "
+            "ORDER BY sub_id",
+            (subscriber, rule_text, conjunct, rule_text + "#os"),
+        )
+        stored = [
+            row["rule_text"]
+            for row in rows
+            if row["rule_text"] == rule_text
+            or row["rule_text"][len(conjunct):].isdigit()
+        ]
+        if not stored:
             raise SubscriptionError(
                 f"subscriber {subscriber!r} has no subscription "
                 f"{rule_text!r}"
             )
+        for stored_text in stored:
+            self.registry.unsubscribe(subscriber, stored_text)
 
     def register_named_rule(self, name: str, rule_text: str) -> None:
         """Register a rule usable as a search extension by later rules."""
@@ -726,6 +779,9 @@ class MetadataProvider:
                 strong_pairs.add((class_name, prop.name))
         if not strong_pairs:
             return
+        # Naming the properties lets idx_fd_prop_value serve the probe;
+        # on ``value`` alone it is a scan of every stored atom.
+        strong_names = json.dumps(sorted({name for __, name in strong_pairs}))
         parents: set[str] = set()
         frontier = list(updated_uris)
         seen = set(frontier)
@@ -733,8 +789,9 @@ class MetadataProvider:
             target = frontier.pop()
             rows = self.db.query_all(
                 "SELECT DISTINCT uri_reference, class, property "
-                "FROM filter_data WHERE value = ?",
-                (target,),
+                "FROM filter_data WHERE property IN "
+                "(SELECT value FROM json_each(?)) AND value = ?",
+                (strong_names, target),
             )
             for row in rows:
                 if (row["class"], row["property"]) not in strong_pairs:
@@ -879,19 +936,25 @@ class MetadataProvider:
         tuple comparison — concurrent writes resolve deterministically
         (last writer wins, origin name breaking counter ties).
         """
+        version = self._bump_version(document_uri)
+        self._persist_versions([(document_uri, version)])
+        return version
+
+    def _bump_version(self, document_uri: str) -> tuple[int, str]:
         current = self._doc_versions.get(document_uri)
         counter = (current[0] if current is not None else 0) + 1
         version = (counter, self.name)
         self._doc_versions[document_uri] = version
-        self._persist_version(document_uri, version)
         return version
 
-    def _persist_version(self, document_uri: str, version: tuple[int, str]) -> None:
+    def _persist_versions(
+        self, versions: Iterable[tuple[str, tuple[int, str]]]
+    ) -> None:
         with self.db.transaction():
-            self.db.execute(
+            self.db.executemany(
                 "INSERT OR REPLACE INTO doc_versions "
                 "(document_uri, counter, origin) VALUES (?, ?, ?)",
-                (document_uri, version[0], version[1]),
+                ((uri, counter, origin) for uri, (counter, origin) in versions),
             )
 
     def document_version(self, document_uri: str) -> tuple[int, str] | None:
@@ -939,7 +1002,7 @@ class MetadataProvider:
                     self._m_stale_replicas.inc()
                     return "stale"
                 self._doc_versions[document_uri] = version
-                self._persist_version(document_uri, version)
+                self._persist_versions([(document_uri, version)])
             if document is None:
                 if document_uri in self._documents:
                     self.delete_document(document_uri, _replicated=True)

@@ -212,10 +212,9 @@ class LocalMetadataRepository:
         matches = [n for n in batch if isinstance(n, MatchNotification)]
         unmatches = [n for n in batch if isinstance(n, UnmatchNotification)]
         deletes = [n for n in batch if isinstance(n, DeleteNotification)]
-        for notification in matches:
-            self.cache.apply_match(
-                notification.sub_id, notification.payload, now=self.clock
-            )
+        self.cache.apply_matches(
+            ((n.sub_id, n.payload) for n in matches), now=self.clock
+        )
         for notification in unmatches:
             self.cache.apply_unmatch(notification.sub_id, notification.uri)
         for notification in deletes:

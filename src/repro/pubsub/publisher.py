@@ -83,14 +83,9 @@ class Publisher:
         if outcome.deleted:
             # Deletions are broadcast: any LMR may hold a copy through a
             # strong reference even without a matching rule (Section 2.4).
-            subscribers = {
-                s.subscriber
-                for s in self._registry.subscriptions_for(
-                    self._registry.end_rule_ids()
-                )
-                if not s.subscriber.startswith("~named~")
-            }
-            for subscriber in sorted(subscribers):
+            for subscriber in self._registry.subscribers():
+                if subscriber.startswith("~named~"):
+                    continue
                 for uri in sorted(outcome.deleted):
                     batch(subscriber).notifications.append(
                         DeleteNotification(uri)

@@ -20,6 +20,7 @@ and materialized results.
 
 from __future__ import annotations
 
+import json
 import sqlite3
 from collections import deque
 from collections.abc import Iterable
@@ -645,23 +646,36 @@ class RuleRegistry:
                 "WHERE rule_id = ?",
                 ((rule_id,) for rule_id in rule_ids),
             )
-            return self._collect_dead_atoms()
+            return self._collect_dead_atoms(rule_ids)
 
-    def _collect_dead_atoms(self) -> list[int]:
-        """Delete unreferenced atoms (zero refcount, no live dependents)."""
+    def _collect_dead_atoms(self, released: list[int]) -> list[int]:
+        """Delete unreferenced atoms (zero refcount, no live dependents).
+
+        Only an atom whose refcount just dropped (``released``) or whose
+        last dependent was just deleted can have died, so each wave
+        probes those ids and the next wave is the inputs of its dead.
+        """
         removed: list[int] = []
-        while True:
+        frontier = set(released)
+        while frontier:
             rows = self._db.query_all(
-                "SELECT rule_id FROM atomic_rules ar WHERE refcount <= 0 "
+                "SELECT rule_id, left_rule, right_rule FROM atomic_rules ar "
+                "WHERE rule_id IN (SELECT value FROM json_each(?)) "
+                "AND refcount <= 0 "
                 "AND NOT EXISTS (SELECT 1 FROM rule_dependencies rd "
-                "WHERE rd.source_rule = ar.rule_id)"
+                "WHERE rd.source_rule = ar.rule_id) ORDER BY rule_id",
+                (json.dumps(sorted(frontier)),),
             )
-            if not rows:
-                return removed
-            dead = [int(r["rule_id"]) for r in rows]
-            for rule_id in dead:
-                self._delete_atom(rule_id)
-            removed.extend(dead)
+            frontier = set()
+            for row in rows:
+                self._delete_atom(int(row["rule_id"]))
+                removed.append(int(row["rule_id"]))
+                frontier.update(
+                    int(row[side])
+                    for side in ("left_rule", "right_rule")
+                    if row[side] is not None
+                )
+        return removed
 
     def _delete_atom(self, rule_id: int) -> None:  # mdv: allow(MDV065): runs inside caller's transaction
         self.mutation_version += 1
@@ -855,18 +869,49 @@ class RuleRegistry:
     # Lookups used by the filter and the publisher
     # ------------------------------------------------------------------
     def end_rule_ids(self) -> set[int]:
+        """Every end rule: a scan of ``subscriptions``, for analysis and
+        the ablation strategies — the publish path asks
+        :meth:`end_rules_among` about the rules a run produced."""
         rows = self._db.query_all("SELECT DISTINCT end_rule FROM subscriptions")
         return {int(row["end_rule"]) for row in rows}
+
+    def end_rules_among(self, rule_ids: set[int]) -> set[int]:
+        """Those of ``rule_ids`` that are some subscription's end rule
+        (one ``idx_subs_end_rule`` probe per id)."""
+        if not rule_ids:
+            return set()
+        rows = self._db.query_all(
+            "SELECT j.value FROM json_each(?) j WHERE EXISTS "
+            "(SELECT 1 FROM subscriptions s WHERE s.end_rule = j.value)",
+            (json.dumps(sorted(rule_ids)),),
+        )
+        return {int(row[0]) for row in rows}
+
+    def subscribers(self) -> list[str]:
+        """Every distinct subscriber name, sorted (``~named~`` ones too).
+
+        A loose index scan: one ``(subscriber, rule_text)`` autoindex
+        seek per distinct name, however many rules each name holds.
+        """
+        rows = self._db.query_all(
+            "WITH RECURSIVE names(name) AS ("
+            " SELECT MIN(subscriber) FROM subscriptions"
+            " UNION ALL"
+            " SELECT (SELECT MIN(subscriber) FROM subscriptions"
+            "         WHERE subscriber > names.name)"
+            " FROM names WHERE names.name IS NOT NULL"
+            ") SELECT name FROM names WHERE name IS NOT NULL"
+        )
+        return [row[0] for row in rows]
 
     def subscriptions_for(self, end_rule_ids: set[int]) -> list[Subscription]:
         if not end_rule_ids:
             return []
-        placeholders = ",".join("?" * len(end_rule_ids))
         rows = self._db.query_all(
-            f"SELECT sub_id, subscriber, rule_text, end_rule FROM "
-            f"subscriptions WHERE end_rule IN ({placeholders}) "
-            f"ORDER BY sub_id",
-            sorted(end_rule_ids),
+            "SELECT sub_id, subscriber, rule_text, end_rule FROM "
+            "subscriptions WHERE end_rule IN "
+            "(SELECT value FROM json_each(?)) ORDER BY sub_id",
+            (json.dumps(sorted(end_rule_ids)),),
         )
         return [
             Subscription(

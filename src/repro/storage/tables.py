@@ -9,6 +9,7 @@ so call sites stay declarative.
 
 from __future__ import annotations
 
+import json
 import time
 from collections.abc import Iterable, Sequence
 
@@ -37,14 +38,19 @@ class DocumentTable:
         self._db = db
 
     def upsert(self, uri: str, xml: str) -> None:
-        self._db.execute(
+        self.upsert_many([(uri, xml)])
+
+    def upsert_many(self, rows: Iterable[tuple[str, str]]) -> None:
+        """Insert or replace ``(uri, xml)`` rows in one statement."""
+        # Registration timestamps are metadata, not control flow;
+        # the lone sanctioned wall-clock read in the storage layer.
+        now = int(time.time())  # mdv: allow(MDV062)
+        self._db.executemany(
             "INSERT INTO documents (uri, xml, registered_at) "
             "VALUES (?, ?, ?) "
             "ON CONFLICT (uri) DO UPDATE SET xml = excluded.xml, "
             "registered_at = excluded.registered_at",
-            # Registration timestamps are metadata, not control flow;
-            # the lone sanctioned wall-clock read in the storage layer.
-            (uri, xml, int(time.time())),  # mdv: allow(MDV062)
+            ((uri, xml, now) for uri, xml in rows),
         )
 
     def get_xml(self, uri: str) -> str | None:
@@ -95,6 +101,16 @@ class ResourceTable:
         return self._db.scalar(
             "SELECT document_uri FROM resources WHERE uri_reference = ?", (uri,)
         )
+
+    def owners_of(self, uris: Iterable[str]) -> dict[str, str]:
+        """Resource → owning document for those of ``uris`` that are
+        stored; one statement however many are asked for."""
+        rows = self._db.query_all(
+            "SELECT uri_reference, document_uri FROM resources "
+            "WHERE uri_reference IN (SELECT value FROM json_each(?))",
+            (json.dumps(list(uris)),),
+        )
+        return {row["uri_reference"]: row["document_uri"] for row in rows}
 
     def by_document(self, document_uri: str) -> list[URIRef]:
         rows = self._db.query_all(

@@ -134,3 +134,66 @@ class TestBatchRegistration:
         mdp = MetadataProvider(schema)
         outcome = mdp.register_documents([])
         assert not outcome.has_notifications
+
+    def test_same_uri_twice_in_one_batch_equals_two_calls(self, schema):
+        """Regression: both versions used to be ingested as fresh, which
+        left the first one's atoms and materialized rows behind."""
+
+        def system():
+            mdp = MetadataProvider(schema)
+            lmr = LocalMetadataRepository("lmr", mdp)
+            stream = []
+
+            def record(batch):
+                stream.append(list(batch.notifications))
+                return lmr.apply_batch(batch)
+
+            mdp.connect_subscriber("lmr", record)
+            for memory in (1, 2):
+                lmr.subscribe(
+                    "search CycleProvider c register c "
+                    f"where c.serverInformation.memory = {memory}"
+                )
+            return mdp, lmr, stream
+
+        def state(mdp, lmr):
+            tables = {
+                table: sorted(
+                    tuple(row) for row in mdp.db.query_all(
+                        f"SELECT {columns} FROM {table}"
+                    )
+                )
+                for table, columns in (
+                    ("filter_data", "*"), ("materialized", "*"),
+                    ("resources", "*"), ("documents", "uri, xml"),
+                    ("doc_versions", "*"),
+                )
+            }
+            cache = {
+                str(uri): (
+                    lmr.cache.get(uri).resource,
+                    set(lmr.cache.get(uri).matched_subs),
+                    lmr.cache.get(uri).strong_refcount,
+                )
+                for uri in lmr.cache.uris()
+            }
+            return tables, cache
+
+        versions = [
+            make_doc(0, memory=7), make_doc(1, memory=1),
+            make_doc(1, memory=2), make_doc(2, memory=2),
+        ]
+        batched, batched_lmr, batched_stream = system()
+        batched.register_documents(versions)
+        serial, serial_lmr, serial_stream = system()
+        for document in versions:
+            serial.register_document(document)
+
+        assert state(batched, batched_lmr) == state(serial, serial_lmr)
+        flat = [n for batch in batched_stream for n in batch]
+        assert flat == [n for batch in serial_stream for n in batch]
+        browsed = batched.browse(
+            "search ServerInformation s where s.memory = 1"
+        )
+        assert browsed == []
+        assert batched.resource("doc1.rdf#info").get_one("memory").value == 2

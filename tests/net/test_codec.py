@@ -141,6 +141,64 @@ def test_notification_batch_roundtrip():
     assert decoded.ack() == batch.ack()
 
 
+def test_decoded_batch_applies_like_the_shared_payload_one(schema):
+    """Over the wire every notification decodes a payload copy of its
+    own; the LMR still upserts each distinct resource once (by URI) and
+    ends in the state the in-process batch leaves."""
+    from repro.mdv.provider import MetadataProvider
+    from repro.mdv.repository import LocalMetadataRepository
+
+    mdp = MetadataProvider(schema)
+    direct = LocalMetadataRepository("lmr", mdp)
+    sent = []
+
+    def record(batch):
+        sent.append(batch)
+        return direct.apply_batch(batch)
+
+    mdp.connect_subscriber("lmr", record)
+    for port in (1, 2, 3):
+        direct.subscribe(
+            f"search CycleProvider c register c where c.serverPort > {port}"
+        )
+    mdp.register_document(figure1_document())
+    updated = figure1_document()
+    updated.get("doc.rdf#info").set("memory", 1)
+    mdp.register_document(updated)
+
+    remote = LocalMetadataRepository("remote", MetadataProvider(schema))
+    upserts = []
+    upsert = remote.cache._upsert_content
+
+    def counted_upsert(resource, now):
+        upserts.append(resource.uri)
+        return upsert(resource, now)
+
+    remote.cache._upsert_content = counted_upsert
+    for batch in sent:
+        decoded = roundtrip(batch)
+        payloads = [n.payload for n in decoded.notifications]
+        assert len(payloads) == 3
+        assert len({id(payload) for payload in payloads}) == 3
+        remote.apply_batch(decoded)
+    # Two batches, each: the host and its strong child, once.
+    assert sorted(upserts) == ["doc.rdf#host"] * 2 + ["doc.rdf#info"] * 2
+
+    def state(lmr):
+        return {
+            uri: (
+                lmr.cache.get(uri).resource,
+                lmr.cache.get(uri).matched_subs,
+                lmr.cache.get(uri).strong_refcount,
+            )
+            for uri in lmr.cache.uris()
+        }
+
+    assert state(remote) == state(direct)
+    assert len(state(remote)["doc.rdf#host"][1]) == 3
+    assert remote.notifications_received == direct.notifications_received == 6
+
+
 def test_replica_update_roundtrip():
     update = ReplicaUpdate(
         document_uri="doc.rdf",

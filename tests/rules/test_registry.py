@@ -166,8 +166,10 @@ class TestUnsubscribe:
         registry.register_subscription(
             "lmr", PAPER_RULE, decomposed(PAPER_RULE, schema)
         )
+        end_rule = registry.subscriptions_of("lmr")[0].end_rule
         removed = registry.unsubscribe("lmr", PAPER_RULE)
         assert len(removed) == 5
+        assert removed[0] == end_rule  # dependents go before their inputs
         assert registry.atom_count() == 0
         assert db.count("rule_dependencies") == 0
         assert db.count("filter_rules_con") == 0
@@ -211,6 +213,38 @@ class TestLookups:
         )
         subs = registry.subscriptions_for({first.end_rule})
         assert sorted(s.subscriber for s in subs) == ["lmr1", "lmr2"]
+
+
+    def test_end_rules_among_picks_the_end_rules(self, registry, schema):
+        first = registry.register_subscription(
+            "lmr1", PATH_MEMORY, decomposed(PATH_MEMORY, schema)
+        )
+        second = registry.register_subscription(
+            "lmr2", PATH_CPU, decomposed(PATH_CPU, schema)
+        )
+        every_atom = set(first.all_rule_ids) | set(second.all_rule_ids)
+        assert len(every_atom) == 5
+        assert registry.end_rules_among(every_atom | {999}) == {
+            first.end_rule, second.end_rule
+        }
+        assert registry.end_rules_among({first.end_rule}) == {first.end_rule}
+        assert registry.end_rules_among(set()) == set()
+
+    def test_subscribers_lists_every_name_once_in_order(
+        self, registry, schema
+    ):
+        assert registry.subscribers() == []
+        named = "search CycleProvider c register c"
+        registry.register_named_rule("N", named, decomposed(named, schema))
+        for subscriber in ("lmr2", "lmr10", "lmr1"):
+            for rule in (PATH_MEMORY, PATH_CPU):
+                registry.register_subscription(
+                    subscriber, rule, decomposed(rule, schema)
+                )
+        assert registry.subscribers() == ["lmr1", "lmr10", "lmr2", "~named~N"]
+        registry.unsubscribe("lmr10", PATH_MEMORY)
+        registry.unsubscribe("lmr10", PATH_CPU)
+        assert registry.subscribers() == ["lmr1", "lmr2", "~named~N"]
 
 
 class TestAtomReconstruction:
