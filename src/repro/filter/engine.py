@@ -139,6 +139,8 @@ class FilterEngine:
         self._counting: CountingMatcher | None = None
         #: Total filter runs executed (diagnostics).
         self.runs_executed = 0
+        #: Hits of the last run that never entered ``result_objects``.
+        self._direct_hits = 0
         self.metrics = metrics if metrics is not None else default_registry()
         #: Span tree of every run (``trace.filter.*`` histograms).
         self.tracer = Tracer(registry=self.metrics)
@@ -179,9 +181,14 @@ class FilterEngine:
         with self._db.transaction(), self.tracer.span("filter.run") as run_span:
             self._filter_input.clear()
             self._db.execute("DELETE FROM result_objects")
+            self._direct_hits = 0
+            # Whether result_objects may hold anything: always on the
+            # serial path, whose hits never leave SQL.
+            joins_fed = True
             if self.parallelism > 1 or self.triggering == "counting":
-                atoms_scanned = self._run_triggering_gathered(
-                    result, input_atoms, input_uris, prematched
+                atoms_scanned, joins_fed = self._run_triggering_gathered(
+                    result, input_atoms, input_uris, prematched,
+                    materialize, collect,
                 )
             else:
                 if input_atoms is not None:
@@ -208,7 +215,7 @@ class FilterEngine:
             started = time.perf_counter()
             iteration = 0
             inserted_total = result.triggering_hits
-            while iteration < _MAX_ITERATIONS:
+            while joins_fed and iteration < _MAX_ITERATIONS:
                 with self.tracer.span(
                     "filter.iteration", iteration=iteration
                 ) as iteration_span:
@@ -232,7 +239,7 @@ class FilterEngine:
             run_span.set("iterations", iteration)
             run_span.set("triggering_hits", result.triggering_hits)
             with self.tracer.span("filter.closure"):
-                if materialize:
+                if materialize and joins_fed:
                     # The paper materializes "the results of atomic rules
                     # join rules depend on"; end rules are materialized too,
                     # since new subscriptions and the update algorithm read
@@ -247,7 +254,8 @@ class FilterEngine:
                         "   OR EXISTS (SELECT 1 FROM subscriptions s "
                         "              WHERE s.end_rule = ro.rule_id)"
                     )
-                result.pairs = self._collect(collect)
+                if joins_fed:
+                    result.pairs |= self._collect(collect)
         self.runs_executed += 1
         self._m_runs.inc()
         return result
@@ -258,15 +266,23 @@ class FilterEngine:
         input_atoms: Iterable[AtomRow] | None,
         input_uris: Iterable[str] | None,
         prematched: PendingHits | None,
-    ) -> int:
+        materialize: bool,
+        collect: str,
+    ) -> tuple[int, bool]:
         """Gathered triggering (SQL shards or counting index): dispatch,
         gather, merge into the main run.
 
         Both evaluators compute the same ``(resource, rule)`` hit set as
         the serial joins (see :mod:`repro.filter.shards` and
-        :mod:`repro.filter.counting` for the arguments); merging inserts
-        the hits at iteration 0 so the join closure proceeds exactly as
-        in the serial path.  Returns the atom count scanned.
+        :mod:`repro.filter.counting` for the arguments).  The merge
+        routes each hit by what its rule is for: hits of a rule some
+        join reads enter ``result_objects`` at iteration 0, so the join
+        closure proceeds exactly as in the serial path; hits of a rule
+        nothing joins on are final already — they go straight to
+        ``materialized`` (end rules, when ``materialize``) and into
+        ``result.pairs`` (per ``collect``) without touching the working
+        table.  Returns the atom count scanned and whether any hit
+        feeds a join.
         """
         started = time.perf_counter()
         pending = prematched
@@ -283,18 +299,40 @@ class FilterEngine:
             else "filter.triggering.parallel"
         )
         with self.tracer.span(span_name, shards=self.parallelism):
-            hits = pending.gather()
+            # One rule's index rows in two tables (semantic variants)
+            # can report a hit twice; the serial path's primary key
+            # drops the second.
+            hits = dict.fromkeys(pending.gather())
         with self.tracer.span("filter.shard.merge"):
-            cursor = self._db.executemany(
-                "INSERT OR IGNORE INTO result_objects "
-                "(uri_reference, rule_id, iteration) VALUES (?, ?, 0)",
-                hits,
+            join_inputs, end_rules = self._registry.roles_among(
+                {rule_id for __, rule_id in hits}
             )
-        # Partitioned hits are globally unique, so the insert rowcount
-        # equals the serial sum of per-join rowcounts.
-        result.triggering_hits = max(cursor.rowcount, 0)
+            feeding = [hit for hit in hits if hit[1] in join_inputs]
+            if feeding:
+                self._db.executemany(
+                    "INSERT INTO result_objects "
+                    "(uri_reference, rule_id, iteration) VALUES (?, ?, 0)",
+                    feeding,
+                )
+            direct = [
+                (rule_id, uri)
+                for uri, rule_id in hits
+                if rule_id not in join_inputs
+            ]
+            direct_end = [pair for pair in direct if pair[0] in end_rules]
+            if materialize and direct_end:
+                self._materialized.insert_pairs(direct_end)
+            if collect != "none":
+                result.pairs = {
+                    (rule_id, URIRef(uri))
+                    for rule_id, uri in (
+                        direct if collect == "all" else direct_end
+                    )
+                }
+        self._direct_hits = len(direct)
+        result.triggering_hits = len(hits)
         result.triggering_seconds = time.perf_counter() - started
-        return pending.row_count
+        return pending.row_count, bool(feeding)
 
     def _input_rows_for(self, uris: Iterable[str]) -> list[AtomRow]:
         """Current ``filter_data`` rows of the given resources (pass 2).
@@ -410,8 +448,8 @@ class FilterEngine:
         """Register brand-new resources and run the filter once.
 
         ``collect="none"`` skips reading result pairs back into Python —
-        the benchmark harness uses it and counts hits with an aggregate
-        query instead, because the paper measures the filter up to the
+        the benchmark harness uses it and asks :meth:`result_count`
+        instead, because the paper measures the filter up to the
         production of ``ResultObjects``.
         """
         atoms = resources_atoms(resources)
@@ -448,8 +486,11 @@ class FilterEngine:
         )
 
     def result_count(self) -> int:
-        """Distinct ``(rule, resource)`` hits of the last run (SQL-side)."""
-        return int(
+        """Distinct ``(rule, resource)`` hits of the last run, whichever
+        route they took: the ``result_objects`` rows plus the hits the
+        gathered merge handed on without storing them (disjoint sets —
+        a rule goes one way or the other)."""
+        return self._direct_hits + int(
             self._db.scalar(
                 "SELECT COUNT(*) FROM (SELECT DISTINCT rule_id, "
                 "uri_reference FROM result_objects)"
@@ -551,7 +592,11 @@ class FilterEngine:
         with self._db.transaction():
             for rule_id, atom in created:
                 if isinstance(atom, TriggeringAtom):
-                    produced += initialize_triggering_rule(self._db, rule_id)
+                    produced += initialize_triggering_rule(
+                        self._db,
+                        rule_id,
+                        self._registry.triggering_tables(rule_id, atom),
+                    )
                     continue
                 row = self._db.query_one(
                     "SELECT left_rule, right_rule, group_id FROM atomic_rules "

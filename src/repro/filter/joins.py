@@ -322,6 +322,18 @@ def _evaluate_spec(
     return inserted
 
 
+#: The dependency rows of the *distinct* source rules of one iteration:
+#: the ``IN`` list is built once from ``idx_ro_iter_rule``, each rule
+#: then probes the ``rule_dependencies`` primary key once — a class atom
+#: shared by every member of a group costs its fan-out once per run, not
+#: once per resource that hit it.  (A derived table would do the same
+#: but plans as a ``SCAN`` of its alias.)
+_DEPENDENTS_OF_ITERATION = (
+    "FROM rule_dependencies rd WHERE rd.source_rule IN "
+    "(SELECT rule_id FROM result_objects WHERE iteration = ?)"
+)
+
+
 def evaluate_groups_at(
     db: Database,
     prev_iteration: int,
@@ -345,9 +357,7 @@ def evaluate_groups_at(
     """
     if use_rule_groups:
         rows = db.query_all(
-            "SELECT DISTINCT rd.group_id FROM result_objects ro "
-            "JOIN rule_dependencies rd ON rd.source_rule = ro.rule_id "
-            "WHERE ro.iteration = ?",
+            "SELECT DISTINCT rd.group_id " + _DEPENDENTS_OF_ITERATION,
             (prev_iteration,),
         )
         inserted = 0
@@ -360,9 +370,7 @@ def evaluate_groups_at(
     else:
         rows = db.query_all(
             "SELECT DISTINCT rd.target_rule, rd.group_id "
-            "FROM result_objects ro "
-            "JOIN rule_dependencies rd ON rd.source_rule = ro.rule_id "
-            "WHERE ro.iteration = ?",
+            + _DEPENDENTS_OF_ITERATION,
             (prev_iteration,),
         )
         inserted = 0

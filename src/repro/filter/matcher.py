@@ -32,9 +32,12 @@ exactly.  The default remains the paper's scan.
 
 from __future__ import annotations
 
+from collections.abc import Collection
+
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.rdf.namespaces import RDF_SUBJECT
 from repro.storage.engine import Database
+from repro.storage.schema import TRIGGER_TABLES
 from repro.text.index import CONTAINS_INDEX_MODES, match_contains_indexed
 from repro.text.ngrams import TRIGRAM_LENGTH, contains_sql_condition
 
@@ -201,18 +204,26 @@ def select_triggering_hits(
     return hits
 
 
-def initialize_triggering_rule(db: Database, rule_id: int) -> int:
+def initialize_triggering_rule(
+    db: Database, rule_id: int, tables: Collection[str] = TRIGGER_TABLES
+) -> int:
     """Materialize a newly registered triggering rule over ``filter_data``.
 
     Runs the same matching joins as :func:`match_triggering_rules`, but
     against the persistent atom store and restricted to ``rule_id``,
-    inserting straight into ``materialized``.  Returns the number of
-    matching resources found.  Always uses the scan joins: the trigram
-    index is over rule *needles*, and here the rule side is a single row
-    — the atom store is the big side either way.
+    inserting straight into ``materialized``.  ``tables`` names the
+    index tables that hold rows of the rule when the caller knows them
+    (:meth:`~repro.rules.registry.RuleRegistry.triggering_tables`) —
+    the join against any other table finds nothing and is skipped.
+    Returns the number of matching resources found.  Always uses the
+    scan joins: the trigram index is over rule *needles*, and here the
+    rule side is a single row — the atom store is the big side either
+    way.
     """
     inserted = 0
     for table, condition in TRIGGERING_JOINS:
+        if table not in tables:
+            continue
         # Here the rule side is a single rule and the atom store is the
         # big side — drive from the rule row, probe the atom indexes.
         cursor = db.execute(

@@ -13,11 +13,14 @@ __all__ = ["FilterRunResult", "PublishOutcome"]
 class FilterRunResult:
     """The outcome of one execution of the filter (one pass).
 
-    ``pairs`` holds every distinct ``(rule_id, uri_reference)`` row the
-    run wrote into ``ResultObjects`` across all iterations; ``by_rule``
-    groups them.  ``iterations`` counts join-evaluation waves (the paper
-    bounds it by the longest dependency-graph path); ``triggering_hits``
-    is the size of the initial iteration.
+    ``pairs`` holds the distinct ``(rule_id, uri_reference)`` pairs the
+    run derived — triggering hits and join results of every iteration,
+    whether they passed through ``ResultObjects`` or were handed on
+    directly because no join reads their rule — restricted by the run's
+    ``collect`` mode; ``by_rule`` groups them.  ``iterations`` counts
+    join-evaluation waves (the paper bounds it by the longest
+    dependency-graph path); ``triggering_hits`` is the number of
+    distinct triggering hits.
     """
 
     pairs: set[tuple[int, URIRef]] = field(default_factory=set)

@@ -32,8 +32,10 @@ across workers).  Design:
   whenever index rows change; :meth:`ShardPool.refresh_rules` reloads
   the replicas only when the counter moved, so steady-state publishes
   pay nothing for replication.
-- **Merging is serial.**  The per-shard hit lists are inserted into the
-  main database's ``result_objects`` at iteration 0 by the engine; the
+- **Merging is serial.**  The engine routes the per-shard hit lists on
+  the main database: hits of rules some join reads enter
+  ``result_objects`` at iteration 0, hits of end rules nothing joins
+  on go straight to ``materialized`` and the run's pairs; the
   join-rule/rule-group closure then runs unchanged on the shared
   dependency graph.  Parallel output is byte-identical to serial —
   enforced by ``tests/filter/test_parallel_differential.py``.

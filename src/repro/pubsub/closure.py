@@ -29,14 +29,14 @@ def strong_targets(resource: Resource, schema: Schema) -> list[URIRef]:
     """The URI references this resource strongly references (direct)."""
     if not schema.has_class(resource.rdf_class):
         return []
-    strong_props = {
-        prop.name for prop in schema.strong_reference_properties(resource.rdf_class)
-    }
-    targets: list[URIRef] = []
-    for name, target in resource.references():
-        if name in strong_props:
-            targets.append(target)
-    return targets
+    strong_props = schema.strong_reference_names(resource.rdf_class)
+    if not strong_props:
+        return []
+    return [
+        target
+        for name, target in resource.references()
+        if name in strong_props
+    ]
 
 
 def strong_closure(

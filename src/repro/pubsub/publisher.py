@@ -55,22 +55,27 @@ class Publisher:
                 batches[subscriber] = NotificationBatch(subscriber)
             return batches[subscriber]
 
-        payload_cache: dict[URIRef, ResourcePayload] = {}
+        # One lookup and one payload per distinct resource, however
+        # many subscriptions it matched; None = the reference dangles.
+        payload_cache: dict[URIRef, ResourcePayload | None] = {}
         for subscription in subscriptions:
             if subscription.subscriber.startswith("~named~"):
                 # Named rules are building blocks, not delivery targets.
                 continue
             for uri in sorted(outcome.matched.get(subscription.end_rule, ())):
-                resource = self._lookup(uri)
-                if resource is None:
-                    continue
                 if uri not in payload_cache:
-                    payload_cache[uri] = self.build_payload(resource)
+                    resource = self._lookup(uri)
+                    payload_cache[uri] = (
+                        None
+                        if resource is None
+                        else self.build_payload(resource)
+                    )
+                payload = payload_cache[uri]
+                if payload is None:
+                    continue
                 batch(subscription.subscriber).notifications.append(
                     MatchNotification(
-                        subscription.sub_id,
-                        subscription.rule_text,
-                        payload_cache[uri],
+                        subscription.sub_id, subscription.rule_text, payload
                     )
                 )
             for uri in sorted(outcome.unmatched.get(subscription.end_rule, ())):

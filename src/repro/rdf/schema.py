@@ -137,6 +137,9 @@ class Schema:
 
     def __init__(self, classes: Iterable[ClassDef] = ()):
         self._classes: dict[str, ClassDef] = {}
+        #: class → names of its strong reference properties, filled on
+        #: demand by :meth:`strong_reference_names`.
+        self._strong_names: dict[str, frozenset[str]] = {}
         for class_def in classes:
             self.add_class(class_def)
 
@@ -148,6 +151,7 @@ class Schema:
         if class_def.name in self._classes:
             raise SchemaError(f"class {class_def.name!r} already defined")
         self._classes[class_def.name] = class_def
+        self._strong_names.clear()
         return class_def
 
     def define_class(
@@ -287,6 +291,22 @@ class Schema:
                 if prop.is_strong:
                     result[prop.name] = prop
         return list(result.values())
+
+    def strong_reference_names(self, class_name: str) -> frozenset[str]:
+        """The names of :meth:`strong_reference_properties`, memoised.
+
+        The strong-reference closure asks once per resource it visits;
+        the answer only changes when a class is added.  (Properties
+        are declared before their class is registered — a
+        :meth:`ClassDef.add` afterwards is not seen here.)
+        """
+        names = self._strong_names.get(class_name)
+        if names is None:
+            names = self._strong_names[class_name] = frozenset(
+                prop.name
+                for prop in self.strong_reference_properties(class_name)
+            )
+        return names
 
     # ------------------------------------------------------------------
     # Validation

@@ -33,7 +33,11 @@ from repro.rules.decompose import DecomposedRule
 from repro.semantics.rewrite import SemanticRewriter
 from repro.semantics.store import SEMANTICS_MODES, SemanticStore
 from repro.storage.engine import Database
-from repro.storage.schema import COMPARISON_TABLES, filter_rules_table
+from repro.storage.schema import (
+    COMPARISON_TABLES,
+    TRIGGER_TABLES,
+    filter_rules_table,
+)
 from repro.text.index import drop_contains_rule, index_contains_rule
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
@@ -72,6 +76,15 @@ DEDUPE_MODES = ("off", "report", "merge")
 #: log no longer covers fall back to a full index rebuild, so the bound
 #: only caps memory, never correctness.
 MUTATION_LOG_LIMIT = 4096
+
+
+#: Names the triggering index tables holding a row of ``:rule_id`` —
+#: one primary-key probe per table.
+_TABLES_OF_RULE = " UNION ALL ".join(
+    f"SELECT '{table}' WHERE EXISTS "
+    f"(SELECT 1 FROM {table} WHERE rule_id = :rule_id)"
+    for table in TRIGGER_TABLES
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -886,6 +899,48 @@ class RuleRegistry:
             (json.dumps(sorted(rule_ids)),),
         )
         return {int(row[0]) for row in rows}
+
+    def triggering_tables(
+        self, rule_id: int, atom: TriggeringAtom
+    ) -> list[str]:
+        """The index tables holding rows of one triggering rule.
+
+        The table its operator names; with a semantic degree active the
+        variants of its expansion may sit in other operators' tables
+        (an affine inverse under a negative scale turns ``<`` into
+        ``>``), so the store is asked — one statement, one primary-key
+        probe per table.
+        """
+        if self._rewriter is None:
+            return [
+                "filter_rules_class"
+                if atom.is_class_only
+                else filter_rules_table(str(atom.operator))
+            ]
+        rows = self._db.query_all(_TABLES_OF_RULE, {"rule_id": rule_id})
+        return [row[0] for row in rows]
+
+    def roles_among(self, rule_ids: set[int]) -> tuple[set[int], set[int]]:
+        """``(join inputs, end rules)`` among ``rule_ids``.
+
+        One statement: per id a probe of the ``rule_dependencies``
+        primary key (does any join read this rule?) and one of
+        ``idx_subs_end_rule``.  A rule can be both.
+        """
+        if not rule_ids:
+            return set(), set()
+        rows = self._db.query_all(
+            "SELECT j.value, "
+            "EXISTS (SELECT 1 FROM rule_dependencies rd "
+            "        WHERE rd.source_rule = j.value), "
+            "EXISTS (SELECT 1 FROM subscriptions s "
+            "        WHERE s.end_rule = j.value) "
+            "FROM json_each(?) j",
+            (json.dumps(sorted(rule_ids)),),
+        )
+        join_inputs = {int(row[0]) for row in rows if row[1]}
+        end_rules = {int(row[0]) for row in rows if row[2]}
+        return join_inputs, end_rules
 
     def subscribers(self) -> list[str]:
         """Every distinct subscriber name, sorted (``~named~`` ones too).

@@ -13,6 +13,14 @@ conjuncts over ``memory``/``cpu`` (the sorted-bound arrays plus the
 ``sqlite_cast_real`` replica) and trigram false-positive hosts, so the
 counting index's three predicate families and its verify step are all
 on the hook.
+
+It ends with *role changes*: the gathered merge routes a hit by what
+its rule is for at the time of the run (docs/FILTER_ALGORITHM.md, step
+2), so the scenario holds a rule that is end rule and join input at
+once, an end rule that becomes a join input through a later
+subscription and stops being one when that is unsubscribed, and an
+update and a deletion of documents whose only matches never entered
+``result_objects`` — the sql oracle has no such routing.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import pytest
 
 from repro.filter.engine import FilterEngine
 from repro.rdf.diff import deletion_diff, diff_documents
+from repro.rdf.model import Document
 from repro.rdf.schema import objectglobe_schema
 from repro.rules.decompose import decompose_rule
 from repro.rules.normalize import normalize_rule
@@ -40,15 +49,33 @@ from tests.filter.test_text_differential import (
 )
 
 
+_INFO_HEAD = "search ServerInformation s register s where "
+_HOST_HEAD = "search CycleProvider c register c where c.serverInformation."
+
+
+def _info_document(name: str, memory: int, cpu: int) -> Document:
+    """A document holding one ``ServerInformation`` and no host: nothing
+    in it can reach a join through the ``CycleProvider`` class atom."""
+    doc = Document(f"{name}.rdf")
+    info = doc.new_resource("info", "ServerInformation")
+    info.add("memory", memory)
+    info.add("cpu", cpu)
+    return doc
+
+
 def run_scenario(
-    seed: int, triggering: str, contains_index: str, parallelism: int
+    seed: int,
+    triggering: str,
+    contains_index: str,
+    parallelism: int,
+    dedupe: str = "off",
 ) -> bytes:
     """One seeded publish/subscribe workload; returns a canonical digest."""
     rng = random.Random(seed)
     schema = objectglobe_schema()
     db = Database()
     create_all(db)
-    registry = RuleRegistry(db)
+    registry = RuleRegistry(db, dedupe=dedupe)
     engine = FilterEngine(
         db,
         registry,
@@ -115,6 +142,64 @@ def run_scenario(
             _outcome_key(engine.process_diff(deletion_diff(documents[3])))
         )
 
+        def publish(old, new) -> None:
+            digests.append(
+                _outcome_key(engine.process_diff(diff_documents(old, new)))
+            )
+
+        def unsubscribe(index: int, text: str) -> None:
+            for sub_text in conjunct_texts[text]:
+                registry.unsubscribe(f"lmr{index}", sub_text)
+            del ends[text]
+
+        # End rule and join input at once: the atom `memory > 64` ends
+        # one subscription and feeds the path join of another.
+        both = _INFO_HEAD + "s.memory > 64"
+        ends[both] = subscribe(50, both)
+        over_both = _HOST_HEAD + "memory > 64"
+        ends[over_both] = subscribe(51, over_both)
+        # An end rule nothing joins on, and (what dedupe="merge" folds
+        # into one stored rule) a base with its equivalent respelling.
+        lone = _INFO_HEAD + "s.cpu > 950"
+        ends[lone] = subscribe(52, lone)
+        base = _INFO_HEAD + "s.memory < 10"
+        ends[base] = subscribe(53, base)
+        respelled = _INFO_HEAD + "s.memory < 10.0 and s.memory < 1000"
+        ends[respelled] = subscribe(54, respelled)
+        early = _random_document(rng, 13)
+        early.get("doc13.rdf#info").set("cpu", 1000)
+        publish(None, early)
+        solo = _info_document("solo", memory=20, cpu=1000)
+        publish(None, solo)  # matches `lone` and nothing else
+        publish(None, _info_document("tiny", memory=8, cpu=960))
+
+        # `cpu > 950` becomes a join input: the new join initializes
+        # from the matches materialized while it was nobody's input.
+        joiner = _HOST_HEAD + "cpu > 950"
+        ends[joiner] = subscribe(55, joiner)
+        fast = _random_document(rng, 14)
+        fast.get("doc14.rdf#info").set("cpu", 1000)
+        publish(None, fast)
+        final_joiner = sorted(
+            str(u) for end in ends[joiner] for u in engine.current_matches(end)
+        )
+        assert final_joiner == ["doc13.rdf#host", "doc14.rdf#host"]
+        unsubscribe(55, joiner)  # ... and stops being one
+        faster = _random_document(rng, 15)
+        faster.get("doc15.rdf#info").set("cpu", 2000)
+        publish(None, faster)
+
+        # Update and deletion of documents whose only matches took the
+        # direct route: the true candidates must still be reported.
+        slowed = solo.copy()
+        slowed.get("solo.rdf#info").set("cpu", 800)
+        publish(solo, slowed)
+        brief = _info_document("brief", memory=20, cpu=970)
+        publish(None, brief)
+        digests.append(
+            _outcome_key(engine.process_diff(deletion_diff(brief)))
+        )
+
         final = {
             text: sorted(
                 str(u)
@@ -124,7 +209,8 @@ def run_scenario(
             for text, end_rules in ends.items()
         }
         return json.dumps(
-            {"digests": digests, "final": final}, sort_keys=True
+            {"digests": digests, "final": final, "joiner": final_joiner},
+            sort_keys=True,
         ).encode()
     finally:
         engine.close()
@@ -136,6 +222,7 @@ def run_scenario(
     "contains_index,parallelism",
     [
         ("scan", 1),
+        ("scan", 2),
         ("scan", 4),
         ("trigram", 1),
         ("trigram", 4),
@@ -146,4 +233,18 @@ def test_counting_matches_sql_oracle(seed, contains_index, parallelism):
         seed, triggering="sql", contains_index="scan", parallelism=1
     )
     variant = run_scenario(seed, "counting", contains_index, parallelism)
+    assert variant == baseline
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_counting_matches_sql_oracle_under_merged_rules(seed, parallelism):
+    """``dedupe="merge"`` folds the respelled rule into its base, which
+    therefore stays an end rule nothing joins on."""
+    baseline = run_scenario(
+        seed, "sql", contains_index="scan", parallelism=1, dedupe="merge"
+    )
+    variant = run_scenario(
+        seed, "counting", "scan", parallelism, dedupe="merge"
+    )
     assert variant == baseline

@@ -8,9 +8,9 @@ Two deterministic guards, no timings:
   ``EXPLAIN QUERY PLAN``-ed; none may scan a persistent table.  This is
   the check ``storage.rows_read`` cannot make — an ``IN``-subquery scan
   reads the whole rule base and returns one row.
-- *counter flatness*: rows read and statements of an OID publish, update
-  and delete are equal at 1 000 and 10 000 subscriptions, and none of
-  them asks the registry for every end rule.
+- *counter flatness*: rows read and statements of an OID subscribe,
+  publish, update and delete are equal at 1 000 and 10 000
+  subscriptions, and none of them asks the registry for every end rule.
 """
 
 from __future__ import annotations
@@ -150,6 +150,12 @@ def test_no_operation_scans_a_persistent_table(monkeypatch):
     mdp.register_document(make_doc(101, memory=63))
 
     assert len(log.seen) > 40  # the log really saw the operations
+    # ... the group discovery of the join iterations among them: the
+    # one CycleProvider class atom feeds all eight PATH members.
+    assert any(
+        "FROM rule_dependencies rd WHERE rd.source_rule IN" in sql
+        for sql in log.seen
+    )
     offenders = {}
     for sql, parameters in log.seen.items():
         scanned = scanned_tables(mdp.db, sql, parameters) - SCANNABLE
@@ -186,17 +192,18 @@ def test_a_deletion_needs_no_sql_variable_per_rule():
 
 
 def _operation_costs(subscriptions: int) -> dict[str, tuple]:
-    """``(rows read, statements)`` of an OID publish, update and delete
-    behind ``subscriptions`` OID rules."""
+    """``(rows read, statements)`` of an OID subscribe, publish, update
+    and delete behind ``subscriptions`` OID rules."""
     mdp = MetadataProvider(objectglobe_schema(), **PROFILE)
     lmr = LocalMetadataRepository("lmr", mdp)
     for index in range(subscriptions):
         lmr.subscribe(oid_rule(index))
-    mdp.register_documents([make_doc(i) for i in range(10)])
+    mdp.register_documents([make_doc(i) for i in (*range(10), 20_000)])
     rows_read = mdp.metrics.counter("storage.rows_read")
     statements = mdp.metrics.counter("storage.statements")
     costs = {}
     for name, operation in (
+        ("subscribe", lambda: lmr.subscribe(oid_rule(20_000))),
         ("publish", lambda: mdp.register_document(make_doc(500))),
         ("update", lambda: mdp.register_document(make_doc(500, memory=1))),
         ("delete", lambda: mdp.delete_document("doc500.rdf")),
@@ -220,3 +227,23 @@ def test_oid_operation_counters_are_flat_in_the_rule_base(monkeypatch):
     small, large = _operation_costs(1_000), _operation_costs(10_000)
     assert small == large
     assert all(rows > 0 and count > 0 for rows, count in small.values())
+
+
+def test_a_new_rule_is_initialized_from_its_own_index_table(monkeypatch):
+    """A triggering rule has rows in one ``filter_rules_*`` table; only
+    that table's join runs against the stored metadata."""
+    mdp = MetadataProvider(objectglobe_schema(), **PROFILE)
+    lmr = LocalMetadataRepository("lmr", mdp)
+    mdp.register_documents([make_doc(i) for i in range(5)])
+
+    log = StatementLog(mdp.db, monkeypatch)
+    lmr.subscribe(oid_rule(3))
+    initializations = [
+        sql
+        for sql in log.seen
+        if sql.startswith("INSERT OR IGNORE INTO materialized")
+        and "FROM filter_rules_" in sql
+    ]
+    assert len(initializations) == 1
+    assert "FROM filter_rules_eq fr" in initializations[0]
+    assert lmr.cache.get("doc3.rdf#host") is not None
