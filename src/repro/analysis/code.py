@@ -1,14 +1,15 @@
 """AST lint pack enforcing the repository's concurrency/determinism rules.
 
-The sharded triggering pipeline (PR 4) introduced invariants that were
-previously enforced only by convention and code review:
+Invariants that would otherwise be enforced only by convention and code
+review:
 
 - **MDV060** — ``sqlite3.connect`` may only be called inside the storage
   engine (:mod:`repro.storage.engine`).  Raw connections bypass the
   statement/row accounting and the thread-affinity policy.
 - **MDV061** — ``check_same_thread=False`` and thread/executor creation
-  are restricted to the concurrency allowlist (currently the shard pool,
-  whose replicas are provably thread-bound; see docs/CONCURRENCY.md).
+  are restricted to the concurrency allowlist (the socket transport's
+  loop thread; see docs/CONCURRENCY.md).  Nothing under ``repro/filter``
+  is on it: the filter is single-threaded and this check proves it.
 - **MDV062** — wall-clock reads (``time.time``, ``datetime.now``,
   ``datetime.utcnow``, ``date.today``) are banned outside clock-waived
   sites: simulated/replayed paths must be deterministic, and benchmarks
@@ -31,9 +32,10 @@ previously enforced only by convention and code review:
 - **MDV066** — counting-matcher lock discipline (:data:`LOCK_SCOPE`):
   outside ``__init__``, every statement that mutates a ``self._idx_*``
   attribute (assignment, ``del``, or a call to a mutating container
-  method) must sit lexically inside a ``with self._lock:`` block.  The
-  parallel fan-out's worker threads read the same index; an unlocked
-  mutation could expose a torn structure (docs/FILTER_ALGORITHM.md).
+  method) must sit lexically inside a ``with self._lock:`` block.  A
+  provider may be called from several threads under a caller's lock,
+  which then match against the same index; an unlocked mutation could
+  expose a torn structure (docs/CONCURRENCY.md).
   A line may carry ``# mdv: allow(MDV066)``.
 
 ``python -m repro.analysis code`` runs the pack over ``src/repro`` (CI
@@ -65,11 +67,7 @@ __all__ = [
 CONNECT_ALLOWLIST = ("repro/storage/engine.py",)
 
 #: Files allowed to create threads/executors or unbind thread affinity.
-CONCURRENCY_ALLOWLIST = (
-    "repro/filter/shards.py",
-    "repro/filter/counting.py",
-    "repro/net/socket.py",
-)
+CONCURRENCY_ALLOWLIST = ("repro/net/socket.py",)
 
 #: Files whose ``self._idx_*`` state gets the MDV066 lock-discipline
 #: check.
@@ -80,7 +78,7 @@ LOCK_SCOPE = ("repro/filter/counting.py",)
 HOT_PATHS: tuple[tuple[str, str], ...] = (
     ("repro/storage/engine.py", "Database.execute"),
     ("repro/filter/engine.py", "FilterEngine.run"),
-    ("repro/filter/counting.py", "CountingMatcher.match_rows"),
+    ("repro/filter/counting.py", "CountingMatcher.match"),
     ("repro/text/index.py", "match_contains_indexed"),
 )
 
@@ -316,7 +314,7 @@ def _check_call(
                     Severity.ERROR,
                     "MDV061",
                     f"{factory} created outside the concurrency "
-                    "allowlist (shard pool owns all threads)",
+                    "allowlist (the socket transport owns all threads)",
                     span=_span(source_lines, node),
                     source=label,
                 )
@@ -560,8 +558,8 @@ def _check_lock_scope(
                 Severity.ERROR,
                 "MDV066",
                 f"{node.name} mutates counting-index state (self._idx_*) "
-                "outside a `with self._lock:` block; shard threads could "
-                "read a torn index",
+                "outside a `with self._lock:` block; a match on another "
+                "thread could read a torn index",
                 span=_span(source_lines, mutation),
                 source=label,
             )

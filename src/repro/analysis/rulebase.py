@@ -23,7 +23,7 @@ publish/subscribe, done statically over the stored triggering index:
   report is sound by construction (``MDV052``);
 - an **index advisor** that reads ``filter_data`` / trigram-postings
   statistics and recommends ``contains_index`` / ``join_evaluation`` /
-  ``parallelism`` knob settings for the observed workload (``MDV054``).
+  ``triggering`` knob settings for the observed workload (``MDV054``).
 
 :func:`audit_registry` drives all three and returns a
 :class:`RegistryAudit` whose :meth:`~RegistryAudit.to_dict` is the
@@ -838,7 +838,6 @@ class IndexAdvice:
 
     contains_index: str
     join_evaluation: str
-    parallelism: int
     triggering: str = "sql"
     stats: dict[str, object] = field(default_factory=dict)
 
@@ -846,7 +845,6 @@ class IndexAdvice:
         return {
             "contains_index": self.contains_index,
             "join_evaluation": self.join_evaluation,
-            "parallelism": self.parallelism,
             "triggering": self.triggering,
             "stats": self.stats,
         }
@@ -856,8 +854,6 @@ class IndexAdvice:
 #: ``cpu_count`` probing) so recommendations are reproducible in CI.
 TRIGRAM_RULE_THRESHOLD = 64
 PROBE_GROUP_THRESHOLD = 4
-PARALLEL_RULE_THRESHOLD = 10_000
-RECOMMENDED_SHARDS = 4
 #: Above this many triggering rules the in-memory counting matcher
 #: (``triggering="counting"``) beats the relational triggering join —
 #: the BENCH_matcher figure's crossover is far below this, the margin
@@ -938,11 +934,6 @@ def advise_indexes(db: Database) -> IndexAdvice:
     join_evaluation = (
         "probe" if max_group >= PROBE_GROUP_THRESHOLD else "scan"
     )
-    parallelism = (
-        RECOMMENDED_SHARDS
-        if triggering_rules >= PARALLEL_RULE_THRESHOLD
-        else 1
-    )
     # Semantic fan-out can push a modest rule base past the counting
     # crossover even when the rule *count* stays small; only the
     # semantically expanded row count may widen the trigger, never the
@@ -953,9 +944,7 @@ def advise_indexes(db: Database) -> IndexAdvice:
         or (semantic_rows > 0 and expanded_rows >= COUNTING_RULE_THRESHOLD)
         else "sql"
     )
-    return IndexAdvice(
-        contains_index, join_evaluation, parallelism, triggering, stats
-    )
+    return IndexAdvice(contains_index, join_evaluation, triggering, stats)
 
 
 # ----------------------------------------------------------------------
@@ -1163,7 +1152,6 @@ def audit_registry(
     for knob, value in (
         ("contains_index", advice.contains_index),
         ("join_evaluation", advice.join_evaluation),
-        ("parallelism", advice.parallelism),
         ("triggering", advice.triggering),
     ):
         report.add(

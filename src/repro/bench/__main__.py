@@ -7,7 +7,6 @@ Examples::
     python -m repro.bench fig15 --csv fig15.csv
     python -m repro.bench fig12 --metrics            # writes BENCH_fig12.json
     python -m repro.bench all --metrics --metrics-dir artifacts/
-    python -m repro.bench fig11 --parallel 4         # serial vs sharded
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import time
 
 from repro.bench.ablations import ABLATIONS
 from repro.bench.figures import FIGURES
-from repro.bench.parallel import PARALLEL_SPECS, parallel_figure, write_parallel_json
 from repro.bench.reporting import (
     render_chart,
     render_claims,
@@ -76,15 +74,6 @@ def main(argv: list[str] | None = None) -> int:
         default=".",
         help="directory for BENCH_*.json artifacts (default: cwd)",
     )
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=0,
-        metavar="N",
-        help="compare the serial filter against N triggering shards on "
-        "the figure's workload (writes BENCH_<figure>_parallel.json "
-        "with --metrics); 0 disables",
-    )
     args = parser.parse_args(argv)
     # Fresh registry per invocation: the run's metrics, nothing else's.
     reset_default_registry()
@@ -102,34 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if failures else 0
 
     names = list(FIGURES) if args.figure == "all" else [args.figure]
-
-    if args.parallel:
-        failures = 0
-        for name in names:
-            if name not in PARALLEL_SPECS:
-                print(f"(no parallel workload for {name}; skipped)")
-                continue
-            started = time.perf_counter()
-            figure = parallel_figure(name, parallelism=args.parallel)
-            elapsed = time.perf_counter() - started
-            print(render_figure(figure))
-            if args.chart:
-                print(render_chart(figure))
-            print(render_claims(figure))
-            print(f"(wall time: {elapsed:.1f}s)\n")
-            if args.metrics:
-                path = write_parallel_json(
-                    figure,
-                    name,
-                    args.metrics_dir,
-                    extra={"elapsed_seconds": round(elapsed, 6)},
-                )
-                print(f"(wrote {path})")
-            if not figure.all_claims_hold:
-                failures += 1
-        if args.metrics:
-            print(json.dumps(default_registry().snapshot(), indent=2))
-        return 1 if failures else 0
 
     failures = 0
     for name in names:

@@ -32,7 +32,6 @@ from repro.bench.analysis import figure_analysis
 from repro.bench.matcher import figure_matcher
 from repro.bench.recovery import figure_recovery
 from repro.bench.semantics import figure_semantics
-from repro.bench.service import figure_service
 from repro.bench.harness import FilterBench, SweepResult
 from repro.bench.reporting import FigureResult
 from repro.workload.scenarios import WorkloadSpec
@@ -332,10 +331,6 @@ FIGURES = {
     # Triggering backends (sql scan / sql trigram / counting) vs.
     # rule-base size (BENCH_matcher.json; see repro.bench.matcher).
     "matcher": figure_matcher,
-    # The served daemon over real sockets: throughput and p50/p99
-    # latency vs. concurrent clients (BENCH_service.json; see
-    # repro.bench.service).
-    "service": figure_service,
     # Semantic tier hot-path cost: publish ms/document per semantics=
     # degree over a vocabulary-divergent COMP base
     # (BENCH_semantics.json; see repro.bench.semantics).

@@ -81,18 +81,13 @@ class SweepResult:
     spec: WorkloadSpec
     points: list[MeasurementPoint] = field(default_factory=list)
     prepare_seconds: float = 0.0
-    #: Display label override (the parallel comparison uses it to tell
-    #: ``… parallel=4`` curves apart from the serial baseline).
+    #: Display label override (ablation comparisons use it to tell
+    #: ``… triggering=counting`` curves apart from the baseline).
     label_override: str | None = None
 
     @property
     def label(self) -> str:
         return self.label_override or self.spec.label()
-
-    @property
-    def wall_seconds(self) -> float:
-        """Total measured batch time across the sweep (speedup metric)."""
-        return sum(point.total_seconds for point in self.points)
 
     def cost_at(self, batch_size: int) -> float:
         for point in self.points:
@@ -114,7 +109,6 @@ class FilterBench:
         use_rule_groups: bool = True,
         deduplicate: bool = True,
         join_evaluation: str = "scan",
-        parallelism: int = 1,
         contains_index: str = "scan",
         triggering: str = "sql",
     ):
@@ -123,8 +117,6 @@ class FilterBench:
         self.use_rule_groups = use_rule_groups
         self.deduplicate = deduplicate
         self.join_evaluation = join_evaluation
-        #: Triggering-stage shard count (1 = the paper's serial filter).
-        self.parallelism = parallelism
         #: ``contains`` matching strategy ("scan" = the paper's join,
         #: "trigram" = the repro.text inverted index).
         self.contains_index = contains_index
@@ -177,20 +169,18 @@ class FilterBench:
         registry = RuleRegistry(db, deduplicate=self.deduplicate)
         return db, FilterEngine(
             db, registry, self.use_rule_groups, self.join_evaluation,
-            parallelism=self.parallelism,
             contains_index=self.contains_index,
             triggering=self.triggering,
         )
 
     def variant(
         self,
-        parallelism: int | None = None,
         contains_index: str | None = None,
         triggering: str | None = None,
     ) -> FilterBench:
         """A bench sharing this one's prepared template, differing only
-        in ``parallelism``, ``contains_index`` and/or ``triggering``
-        (``None`` keeps this bench's value) — ablation comparisons
+        in ``contains_index`` and/or ``triggering`` (``None`` keeps
+        this bench's value) — ablation comparisons
         measure both settings against the *same* rule base.
         Registration maintains the trigram tables unconditionally, so
         one template serves either read path.  Close the parent last;
@@ -203,7 +193,6 @@ class FilterBench:
             use_rule_groups=self.use_rule_groups,
             deduplicate=self.deduplicate,
             join_evaluation=self.join_evaluation,
-            parallelism=self.parallelism if parallelism is None else parallelism,
             contains_index=(
                 self.contains_index if contains_index is None else contains_index
             ),
@@ -233,9 +222,9 @@ class FilterBench:
             repeats = self.repeats_for(batch_size)
         db, engine = self.fresh_engine()
         try:
-            # Shard construction and rule replication are one-time server
-            # costs, not per-batch costs — keep them out of the timed loop.
-            engine.warm_shards()
+            # Building the counting index is a one-time server cost, not
+            # a per-batch cost — keep it out of the timed loop.
+            engine.warm()
             durations: list[float] = []
             hits = 0
             iterations = 0
@@ -271,8 +260,6 @@ class FilterBench:
         """Measure every batch size; returns one figure curve."""
         self.prepare()
         extras = []
-        if self.parallelism > 1:
-            extras.append(f"parallel={self.parallelism}")
         if self.contains_index != "scan":
             extras.append(f"contains={self.contains_index}")
         if self.triggering != "sql":

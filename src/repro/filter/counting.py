@@ -41,25 +41,19 @@ for the day decomposition inlines conjunctions.
 
 **Memory model.**  All index state lives in ``_idx_*`` attributes and
 every mutation happens under ``self._lock`` — the MDV066 lint enforces
-this lexically, so worker threads of the parallel fan-out can never
-observe a torn index.  Maintenance is incremental: the
-:class:`~repro.rules.registry.RuleRegistry` appends a
+this lexically.  The matcher starts no thread of its own (MDV061 proves
+that for the whole filter package), but a provider may be called from
+several threads under a caller's lock, and the matcher's lock keeps a
+match on one of them from observing an index another is half-way
+through re-syncing (docs/CONCURRENCY.md).  Maintenance is incremental:
+the :class:`~repro.rules.registry.RuleRegistry` appends a
 :class:`~repro.rules.registry.RuleMutation` to its bounded log whenever
-``mutation_version`` moves (the same replication contract the SQL
-shards key their replica refresh on); :meth:`CountingMatcher.refresh`
-re-syncs exactly the touched rules from the database when the log covers
-the version gap and falls back to a full rebuild otherwise (fresh
-matcher, log overflow, crash recovery).  Re-syncing — drop then reload
-from the store — is idempotent and rollback-proof: a log entry whose
-transaction never committed simply reloads the unchanged rows.
-
-**Parallelism.**  With ``parallelism > 1`` the engine's
-:class:`~repro.filter.shards.ShardPlan` partitions the input by resource
-and the partitions are matched on a thread pool sharing this one index
-(readers take the same lock).  This is a determinism/parity arrangement,
-not a speedup: pure-Python probing holds the GIL, so the parallel knob
-exists to keep ``parallelism × triggering`` orthogonal — the speedup
-comes from the index, not the fan-out (docs/CONCURRENCY.md).
+``mutation_version`` moves; :meth:`CountingMatcher.refresh` re-syncs
+exactly the touched rules from the database when the log covers the
+version gap and falls back to a full rebuild otherwise (fresh matcher,
+log overflow, crash recovery).  Re-syncing — drop then reload from the
+store — is idempotent and rollback-proof: a log entry whose transaction
+never committed simply reloads the unchanged rows.
 
 Instruments: ``counting.rebuilds``, ``counting.incremental`` (log
 entries applied), ``counting.rules`` (gauge), ``counting.batches``,
@@ -75,10 +69,8 @@ import threading
 import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
-from repro.filter.shards import ShardPlan
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.rdf.namespaces import RDF_SUBJECT
 from repro.storage.engine import Database
@@ -92,7 +84,6 @@ if TYPE_CHECKING:  # imported lazily to avoid a module cycle
 __all__ = [
     "TRIGGERING_MODES",
     "CountingMatcher",
-    "PendingCountingMatch",
     "sqlite_cast_real",
 ]
 
@@ -192,52 +183,16 @@ class _ContainsBucket:
         return not self.needles and not self.short
 
 
-class PendingCountingMatch:
-    """An in-flight counting match; duck-types
-    :class:`~repro.filter.shards.PendingMatch` (``gather()`` /
-    ``row_count``) so the engine merges either kind identically."""
-
-    def __init__(
-        self,
-        matcher: CountingMatcher,
-        futures: list[Future[list[Hit]]],
-        ready: list[Hit],
-        row_count: int,
-    ):
-        self._matcher = matcher
-        self._futures = futures
-        self._ready = ready
-        #: Total atoms routed (the run's ``atoms_scanned``).
-        self.row_count = row_count
-
-    def gather(self) -> list[Hit]:
-        """Wait for every partition; returns the merged hits.
-
-        Partition results are concatenated in shard order, so the merged
-        list is deterministic for a given input and parallelism.
-        """
-        hits = list(self._ready)
-        for future in self._futures:
-            hits.extend(future.result())
-        self._matcher.hits_counter.inc(len(hits))
-        return hits
-
-
 class CountingMatcher:
-    """The compiled predicate index plus its maintenance and fan-out."""
+    """The compiled predicate index plus its maintenance."""
 
-    def __init__(
-        self,
-        parallelism: int = 1,
-        metrics: MetricsRegistry | None = None,
-    ):
+    def __init__(self, metrics: MetricsRegistry | None = None):
         self.metrics = metrics if metrics is not None else default_registry()
-        self._plan = ShardPlan(parallelism)
         # Reentrant: refresh() holds the lock across its helper calls
         # and every mutating helper takes it again lexically — the
         # MDV066 lint checks each `self._idx_*` mutation sits inside a
-        # `with self._lock:` block, so fan-out workers can never read a
-        # torn index.
+        # `with self._lock:` block, so a match on another caller's
+        # thread can never read a torn index.
         self._lock = threading.RLock()
         #: Registry mutation version the index was built at.
         self.rules_version: int | None = None
@@ -251,24 +206,15 @@ class CountingMatcher:
         #: rule → conjuncts required to fire (see the module docstring:
         #: always 1 today, the protocol is kept general).
         self._idx_needed: dict[int, int] = {}
-        self._executor: ThreadPoolExecutor | None = None
-        if parallelism > 1:
-            self._executor = ThreadPoolExecutor(
-                max_workers=parallelism, thread_name_prefix="mdv-counting"
-            )
         self._m_rebuilds = self.metrics.counter("counting.rebuilds")
         self._m_incremental = self.metrics.counter("counting.incremental")
         self._m_rules = self.metrics.gauge("counting.rules")
         self._m_batches = self.metrics.counter("counting.batches")
         self._m_rows = self.metrics.counter("counting.rows")
-        self.hits_counter = self.metrics.counter("counting.hits")
+        self._m_hits = self.metrics.counter("counting.hits")
         self._m_candidates = self.metrics.counter("counting.candidates")
         self._m_false = self.metrics.counter("counting.false_positives")
         self._m_match_ms = self.metrics.histogram("counting.match_ms")
-
-    @property
-    def parallelism(self) -> int:
-        return self._plan.shard_count
 
     @property
     def rule_count(self) -> int:
@@ -467,12 +413,14 @@ class CountingMatcher:
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
-    def match_rows(self, rows: Sequence[AtomRow]) -> list[Hit]:
+    def match(self, rows: Sequence[AtomRow]) -> list[Hit]:
         """Match one batch of input atoms against the index.
 
         Returns deduplicated ``(uri_reference, rule_id)`` hits — exactly
         the pairs the SQL triggering joins produce for the same input.
         """
+        self._m_batches.inc()
+        self._m_rows.inc(len(rows))
         started = time.perf_counter()
         hits: dict[Hit, None] = {}
         counts: dict[Hit, int] = {}
@@ -490,13 +438,20 @@ class CountingMatcher:
                     if count >= self._idx_needed[rule_id]:
                         hits[pair] = None
         self._m_match_ms.observe((time.perf_counter() - started) * 1000.0)
+        self._m_hits.inc(len(hits))
         return list(hits)
+
+    # The benchmark's traced pass wraps both names
+    # (benchmarks/e2e/adapter.py::WRAP_POINTS) and reports the layer as
+    # null when either stops resolving; the alias goes when a benchmark
+    # PR drops the spare wrap point.
+    dispatch = match
 
     def _probe(self, cls: str, prop: str, value: str) -> Iterator[int]:
         """Rules whose triggering predicate one atom satisfies.
 
         Yields may repeat a rule (several extension-class entries); the
-        counter protocol in :meth:`match_rows` deduplicates per conjunct.
+        counter protocol in :meth:`match` deduplicates per conjunct.
         """
         if prop == RDF_SUBJECT:
             class_bucket = self._idx_class.get(cls)
@@ -547,43 +502,3 @@ class CountingMatcher:
         for rule_id, needle in bucket.short.items():
             if contains_match(value, needle):
                 yield rule_id
-
-    # ------------------------------------------------------------------
-    # Dispatch (the engine-facing contract, mirroring ShardPool)
-    # ------------------------------------------------------------------
-    def dispatch(self, rows: Iterable[AtomRow]) -> PendingCountingMatch:
-        """Match a batch, fanning out by resource when parallel.
-
-        With ``parallelism == 1`` the match runs inline and the returned
-        pending object is already resolved; the engine's overlap path is
-        unaffected either way.
-        """
-        materialized = list(rows)
-        self._m_batches.inc()
-        self._m_rows.inc(len(materialized))
-        if self._executor is None:
-            ready = self.match_rows(materialized)
-            return PendingCountingMatch(self, [], ready, len(materialized))
-        parts = self._plan.partition(materialized)
-        futures = [
-            self._executor.submit(self.match_rows, part)
-            for part in parts
-            if part
-        ]
-        return PendingCountingMatch(self, futures, [], len(materialized))
-
-    def match(self, rows: Iterable[AtomRow]) -> list[Hit]:
-        """Dispatch and gather in one call (convenience)."""
-        return self.dispatch(rows).gather()
-
-    def close(self) -> None:
-        """Stop the fan-out executor, if any (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> CountingMatcher:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -38,14 +38,9 @@ from repro.filter.joins import (
     initialize_join_rule,
     load_group,
 )
-from repro.filter.counting import (
-    TRIGGERING_MODES,
-    CountingMatcher,
-    PendingCountingMatch,
-)
+from repro.filter.counting import TRIGGERING_MODES, CountingMatcher
 from repro.filter.matcher import initialize_triggering_rule, match_triggering_rules
 from repro.filter.results import FilterRunResult, PublishOutcome
-from repro.filter.shards import MAX_SHARDS, PendingMatch, ShardPool
 from repro.text.index import CONTAINS_INDEX_MODES
 from repro.storage.engine import Database
 from repro.storage.tables import (
@@ -56,11 +51,6 @@ from repro.storage.tables import (
 )
 
 __all__ = ["FilterEngine"]
-
-#: Either flavour of in-flight triggering match the engine can merge:
-#: the SQL shards' and the counting matcher's pending objects share the
-#: ``gather()`` / ``row_count`` contract.
-PendingHits = PendingMatch | PendingCountingMatch
 
 #: Hard cap on join iterations; the dependency graph bounds real runs far
 #: below this, the cap only turns a hypothetical logic bug into an error.
@@ -82,7 +72,6 @@ class FilterEngine:
         use_rule_groups: bool = True,
         join_evaluation: str = "probe",
         metrics: MetricsRegistry | None = None,
-        parallelism: int = 1,
         contains_index: str = "scan",
         triggering: str = "sql",
     ):
@@ -90,10 +79,6 @@ class FilterEngine:
             raise ValueError(
                 f"join_evaluation must be 'scan' or 'probe', got "
                 f"{join_evaluation!r}"
-            )
-        if not 1 <= parallelism <= MAX_SHARDS:
-            raise ValueError(
-                f"parallelism must be in 1..{MAX_SHARDS}, got {parallelism}"
             )
         if contains_index not in CONTAINS_INDEX_MODES:
             raise ValueError(
@@ -117,12 +102,6 @@ class FilterEngine:
         #: combined member evaluation, kept for the figure reproductions
         #: and ablations (see repro.filter.joins).
         self.join_evaluation = join_evaluation
-        #: ``1`` (the default) runs the paper's serial triggering stage
-        #: — the correctness oracle.  ``N > 1`` shards the triggering
-        #: joins across ``N`` worker threads, each with its own
-        #: connection (see :mod:`repro.filter.shards`); the join-rule
-        #: closure and all results are unchanged, byte for byte.
-        self.parallelism = parallelism
         #: ``"scan"`` (the default) matches ``contains`` rules with the
         #: paper's O(rule base) join; ``"trigram"`` probes the inverted
         #: needle index of :mod:`repro.text` instead and verifies the
@@ -135,7 +114,6 @@ class FilterEngine:
         #: (docs/FILTER_ALGORITHM.md).  The join-rule closure, the
         #: materialization and all results are unchanged either way.
         self.triggering = triggering
-        self._shards: ShardPool | None = None
         self._counting: CountingMatcher | None = None
         #: Total filter runs executed (diagnostics).
         self.runs_executed = 0
@@ -159,7 +137,6 @@ class FilterEngine:
         input_uris: Iterable[str] | None = None,
         materialize: bool = True,
         collect: str = "all",
-        prematched: PendingHits | None = None,
     ) -> FilterRunResult:
         """Execute the filter once.
 
@@ -170,12 +147,6 @@ class FilterEngine:
         ``collect`` controls which ``(rule, resource)`` pairs are read
         back into Python: ``"all"`` (default), ``"end"`` (only rules that
         are some subscription's end rule) or ``"none"``.
-
-        With ``parallelism > 1``, ``prematched`` may carry an
-        already-dispatched shard match (:meth:`ShardPool.dispatch`)
-        whose results are merged instead of evaluating triggering here —
-        :meth:`process_insertions` uses this to overlap shard matching
-        with the ``filter_data`` ingest.
         """
         result = FilterRunResult()
         with self._db.transaction(), self.tracer.span("filter.run") as run_span:
@@ -183,12 +154,11 @@ class FilterEngine:
             self._db.execute("DELETE FROM result_objects")
             self._direct_hits = 0
             # Whether result_objects may hold anything: always on the
-            # serial path, whose hits never leave SQL.
+            # SQL path, whose hits never leave the database.
             joins_fed = True
-            if self.parallelism > 1 or self.triggering == "counting":
-                atoms_scanned, joins_fed = self._run_triggering_gathered(
-                    result, input_atoms, input_uris, prematched,
-                    materialize, collect,
+            if self.triggering == "counting":
+                atoms_scanned, joins_fed = self._run_triggering_counting(
+                    result, input_atoms, input_uris, materialize, collect
                 )
             else:
                 if input_atoms is not None:
@@ -260,50 +230,36 @@ class FilterEngine:
         self._m_runs.inc()
         return result
 
-    def _run_triggering_gathered(
+    def _run_triggering_counting(
         self,
         result: FilterRunResult,
         input_atoms: Iterable[AtomRow] | None,
         input_uris: Iterable[str] | None,
-        prematched: PendingHits | None,
         materialize: bool,
         collect: str,
     ) -> tuple[int, bool]:
-        """Gathered triggering (SQL shards or counting index): dispatch,
-        gather, merge into the main run.
+        """Counting triggering: probe the index, merge into the run.
 
-        Both evaluators compute the same ``(resource, rule)`` hit set as
-        the serial joins (see :mod:`repro.filter.shards` and
-        :mod:`repro.filter.counting` for the arguments).  The merge
-        routes each hit by what its rule is for: hits of a rule some
-        join reads enter ``result_objects`` at iteration 0, so the join
-        closure proceeds exactly as in the serial path; hits of a rule
-        nothing joins on are final already — they go straight to
-        ``materialized`` (end rules, when ``materialize``) and into
+        The index computes the same ``(resource, rule)`` hit set as the
+        SQL joins (see :mod:`repro.filter.counting` for the argument).
+        The merge routes each hit by what its rule is for: hits of a
+        rule some join reads enter ``result_objects`` at iteration 0,
+        so the join closure proceeds exactly as in the SQL path; hits
+        of a rule nothing joins on are final already — they go straight
+        to ``materialized`` (end rules, when ``materialize``) and into
         ``result.pairs`` (per ``collect``) without touching the working
         table.  Returns the atom count scanned and whether any hit
         feeds a join.
         """
         started = time.perf_counter()
-        pending = prematched
-        if pending is None:
-            rows: list[AtomRow] = []
-            if input_atoms is not None:
-                rows.extend(input_atoms)
-            if input_uris is not None:
-                rows.extend(self._input_rows_for(input_uris))
-            pending = self._dispatch_matching(rows)
-        span_name = (
-            "filter.triggering.counting"
-            if self.triggering == "counting"
-            else "filter.triggering.parallel"
-        )
-        with self.tracer.span(span_name, shards=self.parallelism):
-            # One rule's index rows in two tables (semantic variants)
-            # can report a hit twice; the serial path's primary key
-            # drops the second.
-            hits = dict.fromkeys(pending.gather())
-        with self.tracer.span("filter.shard.merge"):
+        rows: list[AtomRow] = []
+        if input_atoms is not None:
+            rows.extend(input_atoms)
+        if input_uris is not None:
+            rows.extend(self._input_rows_for(input_uris))
+        with self.tracer.span("filter.triggering.counting"):
+            hits = self._counting_matcher().match(rows)
+        with self.tracer.span("filter.triggering.merge"):
             join_inputs, end_rules = self._registry.roles_among(
                 {rule_id for __, rule_id in hits}
             )
@@ -332,14 +288,11 @@ class FilterEngine:
         self._direct_hits = len(direct)
         result.triggering_hits = len(hits)
         result.triggering_seconds = time.perf_counter() - started
-        return pending.row_count, bool(feeding)
+        return len(rows), bool(feeding)
 
     def _input_rows_for(self, uris: Iterable[str]) -> list[AtomRow]:
-        """Current ``filter_data`` rows of the given resources (pass 2).
-
-        Iteration is over the sorted, deduplicated URI set so shard
-        dispatch sees a deterministic row order.
-        """
+        """Current ``filter_data`` rows of the given resources (pass 2),
+        in sorted URI order so the hit list is deterministic."""
         rows: list[AtomRow] = []
         for uri in sorted({str(uri) for uri in uris}):
             fetched = self._db.query_all(
@@ -352,70 +305,37 @@ class FilterEngine:
             )
         return rows
 
-    def _shard_pool(self) -> ShardPool:
-        if self._shards is None:
-            self._shards = ShardPool(
-                self.parallelism,
-                metrics=self.metrics,
-                contains_index=self.contains_index,
-            )
-        return self._shards
-
     def _counting_matcher(self) -> CountingMatcher:
+        """The counting index, brought up to the registry's version."""
         if self._counting is None:
-            self._counting = CountingMatcher(
-                parallelism=self.parallelism, metrics=self.metrics
-            )
+            self._counting = CountingMatcher(metrics=self.metrics)
+        self._counting.refresh(
+            self._db,
+            self._registry.mutation_version,
+            self._registry.mutation_log,
+        )
         return self._counting
 
-    def _dispatch_matching(self, rows: Iterable[AtomRow]) -> PendingHits:
-        """Refresh the active triggering evaluator and fan a batch out."""
-        if self.triggering == "counting":
-            matcher = self._counting_matcher()
-            matcher.refresh(
-                self._db,
-                self._registry.mutation_version,
-                self._registry.mutation_log,
-            )
-            return matcher.dispatch(rows)
-        pool = self._shard_pool()
-        pool.refresh_rules(self._db, self._registry.mutation_version)
-        return pool.dispatch(rows)
-
-    def warm_shards(self) -> None:
+    def warm(self) -> None:
         """Eagerly build the triggering evaluator's derived state.
 
-        With ``parallelism > 1`` this constructs the shard pool and
-        loads the rule replicas; with ``triggering="counting"`` it
-        (re)builds the in-memory predicate index.  A no-op for the
-        serial SQL path.  The benchmark harness calls this before its
-        timing loop so one-time construction and replication are
-        excluded from the measured region (they amortize over a server's
+        With ``triggering="counting"`` this (re)builds the in-memory
+        predicate index; a no-op for the SQL path.  The benchmark
+        harness calls it before its timing loop so the one-time build is
+        excluded from the measured region (it amortizes over a server's
         lifetime, not per batch); the provider calls it after crash
         recovery so the index is rebuilt from the repaired store before
         the first publish.
         """
         if self.triggering == "counting":
-            self._counting_matcher().refresh(
-                self._db,
-                self._registry.mutation_version,
-                self._registry.mutation_log,
-            )
-        elif self.parallelism > 1:
-            pool = self._shard_pool()
-            pool.refresh_rules(self._db, self._registry.mutation_version)
+            self._counting_matcher()
 
     def close(self) -> None:
-        """Release the shard pool / counting fan-out threads (idempotent).
+        """Release the counting index (idempotent).
 
         The main database belongs to the caller and stays open.
         """
-        if self._shards is not None:
-            self._shards.close()
-            self._shards = None
-        if self._counting is not None:
-            self._counting.close()
-            self._counting = None
+        self._counting = None
 
     def _collect(self, mode: str) -> set[tuple[int, URIRef]]:
         if mode == "none":
@@ -455,21 +375,10 @@ class FilterEngine:
         atoms = resources_atoms(resources)
         outcome = PublishOutcome()
         with self._db.transaction():
-            if self.parallelism > 1 or self.triggering == "counting":
-                # Overlap: dispatch the match first, then ingest into
-                # filter_data while the shards (or counting workers)
-                # evaluate.  The two touch disjoint state; filter_data
-                # only has to be current before join iteration 1 reads it.
-                pending = self._dispatch_matching(atoms)
-                self._filter_data.insert_atoms(atoms)
-                run = self.run(
-                    prematched=pending, materialize=True, collect=collect
-                )
-            else:
-                self._filter_data.insert_atoms(atoms)
-                run = self.run(
-                    input_atoms=atoms, materialize=True, collect=collect
-                )
+            self._filter_data.insert_atoms(atoms)
+            run = self.run(
+                input_atoms=atoms, materialize=True, collect=collect
+            )
         outcome.passes.append(run)
         # "end" pairs are end-rule pairs already.
         outcome.matched = (
@@ -488,7 +397,7 @@ class FilterEngine:
     def result_count(self) -> int:
         """Distinct ``(rule, resource)`` hits of the last run, whichever
         route they took: the ``result_objects`` rows plus the hits the
-        gathered merge handed on without storing them (disjoint sets —
+        counting merge handed on without storing them (disjoint sets —
         a rule goes one way or the other)."""
         return self._direct_hits + int(
             self._db.scalar(

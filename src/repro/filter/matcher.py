@@ -53,8 +53,8 @@ __all__ = [
 #: Ordering operators compare numerically — constants are stored as
 #: strings and re-converted, as in the paper's Section 3.3.4.  Every
 #: condition requires ``fr.class = fi.class`` and relates one atom row to
-#: one rule row — the property the sharded evaluator
-#: (:mod:`repro.filter.shards`) relies on to partition the input.
+#: one rule row — the property the counting index
+#: (:mod:`repro.filter.counting`) relies on to probe one atom at a time.
 TRIGGERING_JOINS = (
     (
         "filter_rules_class",
@@ -183,8 +183,8 @@ def select_triggering_hits(
 
     Same predicates and join order as :func:`match_triggering_rules`, but
     the hits are returned to the caller instead of being inserted into
-    ``result_objects`` — the shape a worker shard needs, whose database
-    holds the rule replicas but not the run's result table.
+    ``result_objects`` — the reference the counting index is compared
+    against (``tests/filter/test_counting_properties.py``).
     """
     _check_mode(contains_index)
     hits: list[tuple[str, int]] = []

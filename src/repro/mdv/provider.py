@@ -103,7 +103,6 @@ class MetadataProvider:
         analyze: str = "off",
         retry_policy: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
-        parallelism: int = 1,
         contains_index: str = "scan",
         triggering: str = "sql",
         dedupe: str = "off",
@@ -157,8 +156,8 @@ class MetadataProvider:
             self.registry.seed_schema_taxonomy(schema)
         self.engine = FilterEngine(
             self.db, self.registry, use_rule_groups, join_evaluation,
-            metrics=self.metrics, parallelism=parallelism,
-            contains_index=contains_index, triggering=triggering,
+            metrics=self.metrics, contains_index=contains_index,
+            triggering=triggering,
         )
         #: Selected contains matching strategy, also applied to browse
         #: queries (the engine constructor validates the mode).
@@ -231,7 +230,7 @@ class MetadataProvider:
             # recovery repairs, so a provider reopened on a crashed
             # store matches against the repaired rule base from the
             # first publish on.
-            self.engine.warm_shards()
+            self.engine.warm()
         if self.outbox is not None:
             self.outbox.recover()
         self._load_persisted_documents()
@@ -250,12 +249,10 @@ class MetadataProvider:
         )
 
     def close(self) -> None:
-        """Release the filter engine's worker shards (idempotent).
+        """Release the filter engine's counting index (idempotent).
 
-        Only needed when the provider was built with ``parallelism > 1``
-        — shard threads are non-daemon and otherwise linger until
-        interpreter shutdown.  The database stays open (callers own it
-        when they passed one in).
+        The database stays open (callers own it when they passed one
+        in).
         """
         self.engine.close()
 

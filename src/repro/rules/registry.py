@@ -179,14 +179,13 @@ class RuleRegistry:
         #: Cache of reconstructed atom nodes, keyed by rule id.
         self._node_cache: dict[int, AtomNode] = {}
         #: Bumped whenever triggering index rows change (inserts and
-        #: atom garbage collection).  The sharded filter path
-        #: (:mod:`repro.filter.shards`) keys its rule-replica refresh on
-        #: this counter, so unchanged rule bases replicate exactly once.
+        #: atom garbage collection).  The counting matcher
+        #: (:mod:`repro.filter.counting`) keys its index refresh on this
+        #: counter, so an unchanged rule base is indexed exactly once.
         self.mutation_version: int = 0
         #: Bounded feed of the same changes, one :class:`RuleMutation`
-        #: per version bump: the counting matcher
-        #: (:mod:`repro.filter.counting`) applies it incrementally when
-        #: it covers the gap since its last refresh.
+        #: per version bump: the counting matcher applies it
+        #: incrementally when it covers the gap since its last refresh.
         self.mutation_log: deque[RuleMutation] = deque(
             maxlen=MUTATION_LOG_LIMIT
         )
@@ -783,8 +782,8 @@ class RuleRegistry:
         Vocabulary changes after registration (the marketplace's
         late-arriving taxonomy edge) invalidate previously derived
         expansions.  Each touched rule gets a mutation-log entry, so the
-        counting matcher and the shard replicas resync incrementally —
-        exactly the protocol ordinary registration uses.  Vocabulary
+        counting matcher resyncs incrementally — exactly the protocol
+        ordinary registration uses.  Vocabulary
         registered *before* the rules (the recommended order; see
         docs/SEMANTICS.md) makes this a no-op loop over zero rules.
         """

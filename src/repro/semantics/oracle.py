@@ -9,8 +9,8 @@ under a given degree — walking the vocabulary store per evaluation,
 no rewriting, no index.
 
 The differential suites (tests/semantics/) publish workloads through
-both and require byte-identical match sets across every seed,
-triggering knob and parallelism level.  For that to be a fair check the
+both and require byte-identical match sets across every seed and
+triggering knob.  For that to be a fair check the
 oracle must mirror the engine's *comparison* semantics exactly, so it
 reuses the canonical helpers: string comparison for ``=``/``!=``,
 :func:`repro.text.ngrams.contains_match` for ``contains`` and

@@ -79,7 +79,7 @@ COMPARISON_TABLES = {
 TRIGGER_TABLES = ("filter_rules_class", *COMPARISON_TABLES.values())
 
 #: The trigram index over ``contains``-rule needles (repro.text),
-#: replicated into triggering shards alongside :data:`TRIGGER_TABLES`.
+#: derived from the ``filter_rules_con`` rows of :data:`TRIGGER_TABLES`.
 TEXT_TABLES = ("filter_rules_con_tri", "text_postings")
 
 #: The vocabulary tables of the semantic matching tier (repro.semantics).

@@ -225,7 +225,7 @@ class TextIndexTable:
     delete on unregistration) lives with the algorithm in
     :func:`repro.text.index.index_contains_rule` /
     :func:`~repro.text.index.drop_contains_rule`; these accessors serve
-    introspection, tests and the shard replication audit.
+    introspection and tests.
     """
 
     def __init__(self, db: Database):

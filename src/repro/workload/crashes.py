@@ -170,7 +170,6 @@ def _new_provider(
     db: Database,
     schema: Schema,
     contains_index: str,
-    parallelism: int,
     recovery: str = "off",
     triggering: str = "sql",
 ) -> MetadataProvider:
@@ -180,7 +179,6 @@ def _new_provider(
         db=db,
         durable_delivery=True,
         contains_index=contains_index,
-        parallelism=parallelism,
         recovery=recovery,
         triggering=triggering,
     )
@@ -211,7 +209,6 @@ def run_crash_scenario(
     seed: int,
     crash_point: CrashPoint | None = None,
     contains_index: str = "scan",
-    parallelism: int = 1,
     documents: int = 6,
     triggering: str = "sql",
 ) -> CrashRunResult:
@@ -225,7 +222,7 @@ def run_crash_scenario(
     db = Database(metrics=None)
     result = CrashRunResult(crash=crash_point)
     provider = _new_provider(
-        db, schema, contains_index, parallelism, triggering=triggering
+        db, schema, contains_index, triggering=triggering
     )
     lmr = LocalMetadataRepository("lmr", provider)
 
@@ -253,7 +250,7 @@ def run_crash_scenario(
                     db.clear_crash_plan()
                     provider.close()
                     provider = _new_provider(
-                        db, schema, contains_index, parallelism,
+                        db, schema, contains_index,
                         recovery="auto", triggering=triggering,
                     )
                     report = provider.last_recovery
@@ -295,7 +292,6 @@ class CrashSweepReport:
 
     seed: int
     contains_index: str
-    parallelism: int
     triggering: str = "sql"
     statements: int = 0
     commits: int = 0
@@ -311,7 +307,6 @@ class CrashSweepReport:
         status = "OK" if self.ok else f"{len(self.failures)} FAILURE(S)"
         return (
             f"seed={self.seed} contains_index={self.contains_index} "
-            f"parallelism={self.parallelism} "
             f"triggering={self.triggering}: {self.points_tested} crash "
             f"point(s) over {self.statements} statements / "
             f"{self.commits} commits — {status}"
@@ -321,7 +316,6 @@ class CrashSweepReport:
 def run_crash_sweep(
     seed: int,
     contains_index: str = "scan",
-    parallelism: int = 1,
     statement_stride: int = 5,
     documents: int = 6,
     triggering: str = "sql",
@@ -332,11 +326,10 @@ def run_crash_sweep(
         seed,
         None,
         contains_index=contains_index,
-        parallelism=parallelism,
         documents=documents,
         triggering=triggering,
     )
-    report = CrashSweepReport(seed, contains_index, parallelism, triggering)
+    report = CrashSweepReport(seed, contains_index, triggering)
     report.statements = baseline.statements
     report.commits = baseline.commits
     if baseline.audit_findings:
@@ -351,7 +344,6 @@ def run_crash_sweep(
             seed,
             point,
             contains_index=contains_index,
-            parallelism=parallelism,
             documents=documents,
             triggering=triggering,
         )
@@ -389,7 +381,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--contains-index", choices=("scan", "trigram"), default="scan"
     )
-    parser.add_argument("--parallelism", type=int, default=1)
     parser.add_argument(
         "--triggering", choices=("sql", "counting"), default="sql"
     )
@@ -402,7 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     report = run_crash_sweep(
         args.seed,
         contains_index=args.contains_index,
-        parallelism=args.parallelism,
         statement_stride=args.stride,
         documents=args.documents,
         triggering=args.triggering,

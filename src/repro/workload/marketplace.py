@@ -164,7 +164,6 @@ def expected_matches(semantics: str) -> dict[str, list[str]]:
 def run_marketplace(
     semantics: str = "off",
     triggering: str = "sql",
-    parallelism: int = 1,
 ) -> dict[str, list[str]]:
     """Run the scenario end to end; returns matches per subscriber."""
     mdp = MetadataProvider(
@@ -172,7 +171,6 @@ def run_marketplace(
         name="marketplace",
         semantics=semantics,
         triggering=triggering,
-        parallelism=parallelism,
     )
     try:
         seed_vocabulary(mdp)
@@ -208,14 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         "--triggering", choices=("sql", "counting"), default="sql",
         help="triggering path (default: sql)",
     )
-    parser.add_argument(
-        "--parallelism", type=int, default=1,
-        help="triggering shards (default: 1)",
-    )
     args = parser.parse_args(argv)
-    matches = run_marketplace(
-        args.semantics, args.triggering, args.parallelism
-    )
+    matches = run_marketplace(args.semantics, args.triggering)
     expected = expected_matches(args.semantics)
     print(json.dumps(
         {"semantics": args.semantics, "matches": matches}, indent=2

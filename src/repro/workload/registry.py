@@ -14,8 +14,8 @@ for CI jobs::
 Mixes name rule-type blends, not absolute counts:
 
 - ``fig13`` — half COMP, half CON: the two rule families of the paper's
-  Figure 13, the workload the index advisor's ``contains`` and
-  parallelism heuristics are aimed at;
+  Figure 13, the workload the index advisor's ``contains``
+  heuristic is aimed at;
 - ``uniform`` — all five Figure-10 types in equal parts;
 - ``comp`` — a pure COMP base: consecutive ``synthValue`` thresholds
   form one long covering chain, the worst case for the subsumption

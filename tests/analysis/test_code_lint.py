@@ -89,13 +89,29 @@ class TestConcurrencyRule:
         )
         assert "MDV061" in _codes(lint_file(path))
 
-    def test_shard_pool_allowlisted(self, tmp_path):
+    def test_socket_transport_allowlisted(self, tmp_path):
         path = _write(
             tmp_path,
-            "repro/filter/shards.py",
+            "repro/net/socket.py",
             "import threading\n__all__ = []\nt = threading.Thread(target=print)\n",
         )
         assert _codes(lint_file(path)) == []
+
+    def test_filter_package_may_not_start_threads(self, tmp_path):
+        # No file under repro/filter is on the allowlist, so the clean
+        # shipped tree (TestLintPaths) proves the filter single-threaded.
+        assert not any("filter" in suffix for suffix in CONCURRENCY_ALLOWLIST)
+        path = _write(
+            tmp_path,
+            "repro/filter/counting.py",
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "__all__ = []\n\n"
+            "class CountingMatcher:\n"
+            "    def match(self):\n"
+            "        self._m_match_ms.observe(1.0)\n"
+            "        return ThreadPoolExecutor(4)\n",
+        )
+        assert _codes(lint_file(path)) == ["MDV061"]
 
 
 class TestWallClockRule:
@@ -286,7 +302,7 @@ class TestLockScopeRule:
     _STUB = (
         "__all__ = []\n\n"
         "class CountingMatcher:\n"
-        "    def match_rows(self):\n"
+        "    def match(self):\n"
         "        self._m_match_ms.observe(1.0)\n"
     )
 

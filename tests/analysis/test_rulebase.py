@@ -274,7 +274,6 @@ class TestAuditRegistry:
         assert set(payload["advisor"]) == {
             "contains_index",
             "join_evaluation",
-            "parallelism",
             "triggering",
             "stats",
         }
@@ -297,7 +296,6 @@ class TestAdvisor:
         register_rule(engine, registry, schema, PAPER_RULE)
         advice = audit_registry(db).advice
         assert advice.contains_index == "scan"
-        assert advice.parallelism == 1
 
     def test_many_contains_rules_recommend_trigram(self, db, schema):
         from repro.workload.registry import build_registry
@@ -307,7 +305,6 @@ class TestAdvisor:
         build_registry(db, 160, mix="fig13", schema=schema)
         advice = audit_registry(db).advice
         assert advice.contains_index == "trigram"
-        assert advice.parallelism == 1
 
     def test_small_base_recommends_sql_triggering(
         self, db, registry, engine, schema

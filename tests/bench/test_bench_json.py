@@ -195,5 +195,4 @@ class TestRegressionGate:
             "BENCH_matcher.json",
             "BENCH_recovery.json",
             "BENCH_semantics.json",
-            "BENCH_service.json",
         ]

@@ -76,7 +76,6 @@ def test_real_figures_registered():
         "analysis",
         "recovery",
         "matcher",
-        "service",
         "semantics",
     }
 

@@ -194,29 +194,6 @@ class TestMatching:
         hits = matcher.match([HOST_ATOM, HOST_ATOM])
         assert hits == [("d.rdf#h", rule)]
 
-    def test_parallel_dispatch_matches_serial(self, db, registry, schema):
-        for text in (
-            "search CycleProvider c register c",
-            "search CycleProvider c register c where c.synthValue > 3",
-            "search CycleProvider c register c "
-            "where c.serverHost contains 'passau'",
-        ):
-            _subscribe(registry, schema, text)
-        atoms = [
-            SUBJECT_ATOM,
-            HOST_ATOM,
-            ("d.rdf#h", "CycleProvider", "synthValue", "5"),
-            ("e.rdf#h", "CycleProvider", "synthValue", "2"),
-            ("e.rdf#h", "CycleProvider", RDF_SUBJECT, "e.rdf#h"),
-        ]
-        serial = CountingMatcher()
-        _refresh(serial, db, registry)
-        with CountingMatcher(parallelism=4) as parallel:
-            _refresh(parallel, db, registry)
-            assert sorted(parallel.match(atoms)) == sorted(
-                serial.match(atoms)
-            )
-
     def test_empty_batch(self, db, registry, schema):
         matcher = CountingMatcher()
         _refresh(matcher, db, registry)

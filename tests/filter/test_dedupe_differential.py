@@ -13,7 +13,7 @@ Scenarios cover equivalent respellings of comparison, contains and
 path rules, a late equivalent subscription mid-stream (it must inherit
 the shared entry's materialized matches), updates, an unsubscribe of
 one rider (the other must keep matching) and a deletion — under
-serial/parallel × scan/trigram engines, seeds 1/7/42.
+scan/trigram engines, seeds 1/7/42.
 """
 
 from __future__ import annotations
@@ -122,18 +122,14 @@ def _outcome_key(registry: RuleRegistry, outcome) -> dict:
     }
 
 
-def run_scenario(
-    seed: int, dedupe: str, contains_index: str, parallelism: int
-) -> bytes:
+def run_scenario(seed: int, dedupe: str, contains_index: str) -> bytes:
     """One seeded workload; canonical digest of every delivered stream."""
     rng = random.Random(seed)
     schema = objectglobe_schema()
     db = Database()
     create_all(db)
     registry = RuleRegistry(db, dedupe=dedupe)
-    engine = FilterEngine(
-        db, registry, contains_index=contains_index, parallelism=parallelism
-    )
+    engine = FilterEngine(db, registry, contains_index=contains_index)
 
     def subscribe(subscriber: str, text: str) -> int:
         normalized = normalize_rule(parse_rule(text), schema)
@@ -220,18 +216,14 @@ def run_scenario(
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
-    "dedupe,contains_index,parallelism",
+    "dedupe,contains_index",
     [
-        ("report", "scan", 1),
-        ("merge", "scan", 1),
-        ("merge", "trigram", 1),
-        ("merge", "scan", 4),
-        ("merge", "trigram", 4),
+        ("report", "scan"),
+        ("merge", "scan"),
+        ("merge", "trigram"),
     ],
 )
-def test_dedupe_matches_off_oracle(seed, dedupe, contains_index, parallelism):
-    baseline = run_scenario(
-        seed, dedupe="off", contains_index="scan", parallelism=1
-    )
-    variant = run_scenario(seed, dedupe, contains_index, parallelism)
+def test_dedupe_matches_off_oracle(seed, dedupe, contains_index):
+    baseline = run_scenario(seed, dedupe="off", contains_index="scan")
+    variant = run_scenario(seed, dedupe, contains_index)
     assert variant == baseline

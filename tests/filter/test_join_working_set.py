@@ -1,10 +1,9 @@
 """``result_objects`` is the working set of the join closure, nothing else.
 
-The gathered merge (counting matcher, sharded evaluator) routes each
-triggering hit by its rule's role: a hit some join reads enters
-``result_objects``; a hit of an end rule nothing joins on goes straight
-to ``materialized`` and the run's pairs (docs/FILTER_ALGORITHM.md,
-step 2).  Checked on the provider path, by table contents and by the
+The counting merge routes each triggering hit by its rule's role: a
+hit some join reads enters ``result_objects``; a hit of an end rule
+nothing joins on goes straight to ``materialized`` and the run's pairs
+(docs/FILTER_ALGORITHM.md, step 2).  Checked on the provider path, by table contents and by the
 statements executed — no timings.
 """
 

@@ -12,31 +12,25 @@ import pytest
 from repro.workload.crashes import run_crash_scenario, run_crash_sweep
 
 MATRIX = [
-    pytest.param(seed, contains_index, parallelism, triggering,
-                 id=f"seed{seed}-{contains_index}-p{parallelism}"
-                    f"-{triggering}")
-    for seed, contains_index, parallelism, triggering in [
-        (1, "scan", 1, "sql"),
-        (7, "trigram", 1, "sql"),
-        (42, "scan", 4, "sql"),
+    pytest.param(seed, contains_index, triggering,
+                 id=f"seed{seed}-{contains_index}-{triggering}")
+    for seed, contains_index, triggering in [
+        (1, "scan", "sql"),
+        (7, "trigram", "sql"),
+        (42, "scan", "sql"),
         # The counting matcher rebuilds its in-memory index during
         # recovery (the mutation log dies with the process) — the
         # resumed stream must still be byte-identical.
-        (7, "scan", 1, "counting"),
+        (7, "scan", "counting"),
     ]
 ]
 
 
-@pytest.mark.parametrize(
-    "seed,contains_index,parallelism,triggering", MATRIX
-)
-def test_crash_sweep_matches_baseline(
-    seed, contains_index, parallelism, triggering
-):
+@pytest.mark.parametrize("seed,contains_index,triggering", MATRIX)
+def test_crash_sweep_matches_baseline(seed, contains_index, triggering):
     report = run_crash_sweep(
         seed,
         contains_index=contains_index,
-        parallelism=parallelism,
         triggering=triggering,
         statement_stride=45,
         documents=4,

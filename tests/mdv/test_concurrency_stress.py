@@ -1,12 +1,14 @@
 """Concurrency stress: mixed mutations from many threads, under faults.
 
-Four worker threads hammer one provider (running the sharded filter,
-``parallelism=4``) with register/update/delete plus subscribe/
-unsubscribe, over a faulty bus link to one LMR.  Provider access is
-serialized by a lock — SQLite objects are not safe for unsynchronized
-concurrent use (docs/CONCURRENCY.md); the point of the test is the
-*interleaving*: shard dispatch, rule-replica refresh and the LMR's
-at-least-once delivery all race across thread boundaries.
+Four worker threads hammer one provider — under each triggering
+evaluator, the paper's SQL joins and the counting index the benchmark
+profile runs — with register/update/delete plus subscribe/unsubscribe,
+over a faulty bus link to one LMR.  Provider access is serialized by a
+lock — SQLite objects are not safe for unsynchronized concurrent use
+(docs/CONCURRENCY.md); the point of the test is the *interleaving*:
+matching, the counting index's refresh off the mutation log and the
+LMR's at-least-once delivery all hop between threads from one
+operation to the next.
 
 Afterwards, everything must reconcile:
 
@@ -104,12 +106,14 @@ def _worker(index: int, seed: int, lock, provider, lmr, errors) -> None:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_concurrent_mutations_reconcile(seed):
+@pytest.mark.parametrize("triggering", ["sql", "counting"])
+def test_concurrent_mutations_reconcile(seed, triggering):
     plan = FaultPlan(seed=seed, default_faults=STRESS_FAULTS)
     bus = NetworkBus(fault_plan=plan)
     db = Database(check_same_thread=False)
     provider = MetadataProvider(
-        objectglobe_schema(), name="mdp", db=db, bus=bus, parallelism=4
+        objectglobe_schema(), name="mdp", db=db, bus=bus,
+        triggering=triggering,
     )
     lmr = LocalMetadataRepository("lmr-stress", provider, bus=bus)
     lock = threading.Lock()

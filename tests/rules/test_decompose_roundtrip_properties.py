@@ -5,9 +5,9 @@ The registry stores every atom of a decomposed rule relationally
 atom tree from those tables (:meth:`RuleRegistry.load_atom`) must yield
 the same canonical key as the in-memory decomposition — otherwise
 deduplication (matching new rules against stored ones by key) would
-silently diverge from the stored semantics.  The sharded evaluator
-additionally relies on children-first persistence order and on the
-mutation counter moving with every index change.
+silently diverge from the stored semantics.  Rule initialization
+additionally relies on children-first persistence order, and the
+counting matcher on the mutation counter moving with every index change.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ def test_persisted_atoms_reload_to_equal_keys(text):
 @prop_settings(30)
 @given(text=rule_texts())
 def test_registration_bumps_mutation_version(text):
-    """New trigger-index rows must move the shard-replica version."""
+    """New trigger-index rows must move the version the counting
+    matcher keys its refresh on."""
     db = Database()
     create_all(db)
     try:
