@@ -79,7 +79,6 @@ HOT_PATHS: tuple[tuple[str, str], ...] = (
     ("repro/storage/engine.py", "Database.execute"),
     ("repro/filter/engine.py", "FilterEngine.run"),
     ("repro/filter/counting.py", "CountingMatcher.match"),
-    ("repro/text/index.py", "match_contains_indexed"),
 )
 
 #: Path fragments whose files get the MDV065 durability checks.

@@ -84,8 +84,8 @@ CODES: dict[str, str] = {
     "MDV037": "iteration-depth bound disagrees between edges and inputs",
     "MDV038": "orphaned materialized-result row (no owning atomic rule)",
     # -- linter: performance hints (MDV039) ----------------------------
-    "MDV039": "contains needle shorter than a trigram cannot use the "
-    "text index",
+    "MDV039": "contains needle shorter than a trigram has no trigram "
+    "postings (brute-forced per bucket by the counting matcher)",
     # -- whole-registry rule-base audit (MDV05x) -----------------------
     "MDV050": "multiple subscriptions share one triggering entry "
     "(duplicate rule registrations)",

@@ -316,8 +316,10 @@ class _RuleLinter:
                     Severity.WARNING,
                     "MDV039",
                     f"contains needle {str(value.value)!r} is shorter than "
-                    f"a trigram ({TRIGRAM_LENGTH} characters); the rule "
-                    f"cannot use the text index and stays on the scan join",
+                    f"a trigram ({TRIGRAM_LENGTH} characters); it has no "
+                    f"trigram postings, so triggering='counting' checks it "
+                    f"against every value of its (class, property) — the "
+                    f"scan triggering='sql' pays for every contains rule",
                     span=self._literal_span(predicate, constant),
                     hint="lengthen the needle to at least "
                     f"{TRIGRAM_LENGTH} characters if the match allows it",

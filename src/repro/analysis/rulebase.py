@@ -21,9 +21,9 @@ publish/subscribe, done statically over the stored triggering index:
   are probed by substring enumeration.  Every emitted covering edge is
   re-checked with :func:`repro.analysis.subsume.tree_direction`, so the
   report is sound by construction (``MDV052``);
-- an **index advisor** that reads ``filter_data`` / trigram-postings
-  statistics and recommends ``contains_index`` / ``join_evaluation`` /
-  ``triggering`` knob settings for the observed workload (``MDV054``).
+- an **index advisor** that reads ``filter_data`` and rule-index
+  statistics and recommends ``join_evaluation`` / ``triggering`` knob
+  settings for the observed workload (``MDV054``).
 
 :func:`audit_registry` drives all three and returns a
 :class:`RegistryAudit` whose :meth:`~RegistryAudit.to_dict` is the
@@ -836,14 +836,12 @@ def find_covering_edges(
 class IndexAdvice:
     """Knob recommendations derived from registry/content statistics."""
 
-    contains_index: str
     join_evaluation: str
     triggering: str = "sql"
     stats: dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, object]:
         return {
-            "contains_index": self.contains_index,
             "join_evaluation": self.join_evaluation,
             "triggering": self.triggering,
             "stats": self.stats,
@@ -852,7 +850,6 @@ class IndexAdvice:
 
 #: Advisor thresholds — deliberately simple and deterministic (no
 #: ``cpu_count`` probing) so recommendations are reproducible in CI.
-TRIGRAM_RULE_THRESHOLD = 64
 PROBE_GROUP_THRESHOLD = 4
 #: Above this many triggering rules the in-memory counting matcher
 #: (``triggering="counting"``) beats the relational triggering join —
@@ -870,10 +867,13 @@ def advise_indexes(db: Database) -> IndexAdvice:
         or 0
     )
     indexable_contains = int(
-        db.scalar("SELECT COUNT(DISTINCT rule_id) FROM filter_rules_con_tri")
+        db.scalar(
+            "SELECT COUNT(DISTINCT rule_id) FROM filter_rules_con "
+            "WHERE length(value) >= ?",
+            (TRIGRAM_LENGTH,),
+        )
         or 0
     )
-    postings = db.count("text_postings")
     max_group = int(
         db.scalar(
             "SELECT COALESCE(MAX(members), 0) FROM ("
@@ -917,7 +917,6 @@ def advise_indexes(db: Database) -> IndexAdvice:
         "contains_rules": contains_rules,
         "indexable_contains_rules": indexable_contains,
         "short_needle_contains_rules": contains_rules - indexable_contains,
-        "text_postings": postings,
         "max_rule_group_population": max_group,
         "filter_data_rows": filter_rows,
         "trigram_length": TRIGRAM_LENGTH,
@@ -926,11 +925,6 @@ def advise_indexes(db: Database) -> IndexAdvice:
         "expanded_triggering_rows": expanded_rows,
         "paths": paths,
     }
-    contains_index = (
-        "trigram"
-        if indexable_contains >= TRIGRAM_RULE_THRESHOLD
-        else "scan"
-    )
     join_evaluation = (
         "probe" if max_group >= PROBE_GROUP_THRESHOLD else "scan"
     )
@@ -944,7 +938,7 @@ def advise_indexes(db: Database) -> IndexAdvice:
         or (semantic_rows > 0 and expanded_rows >= COUNTING_RULE_THRESHOLD)
         else "sql"
     )
-    return IndexAdvice(contains_index, join_evaluation, triggering, stats)
+    return IndexAdvice(join_evaluation, triggering, stats)
 
 
 # ----------------------------------------------------------------------
@@ -1150,7 +1144,6 @@ def audit_registry(
 
     advice = advise_indexes(db)
     for knob, value in (
-        ("contains_index", advice.contains_index),
         ("join_evaluation", advice.join_evaluation),
         ("triggering", advice.triggering),
     ):

@@ -17,10 +17,11 @@ a Sun E450 there), the curve shapes are what reproduces:
   higher registration costs independent of the batch size".
 
 Figures 13 and 15 additionally carry ``contains`` (CON) series beyond
-the paper: the same workload measured with the O(rules) scan join and
-with the :mod:`repro.text` trigram index (``contains_index="trigram"``),
-sharing one prepared rule base per size via :meth:`FilterBench.variant`
-so both curves see identical rules and documents.
+the paper: the same workload measured with the O(rules) scan join
+(``triggering="sql"``) and with the counting matcher's in-memory trigram
+postings (``triggering="counting"``), sharing one prepared rule base per
+size via :meth:`FilterBench.variant` so both curves see identical rules
+and documents.
 
 ``quick`` mode shrinks rule bases and batch grids so the whole suite
 runs in minutes; ``full`` mode uses the paper's sizes (10k/100k rules).
@@ -74,17 +75,17 @@ def _sweep(spec: WorkloadSpec, quick: bool, batches=None) -> SweepResult:
 def _con_sweep_pair(
     size: int, quick: bool, batches=None, tokens: int = _CON_TOKENS
 ) -> tuple[SweepResult, SweepResult]:
-    """(scan, trigram) sweeps of one CON workload on a shared rule base."""
+    """(scan, counting) sweeps of one CON workload on a shared rule base."""
     if batches is None:
         batches = _QUICK_BATCHES if quick else _FULL_BATCHES
     spec = WorkloadSpec("CON", size, match_fraction=tokens / size)
     scan_bench = FilterBench(spec)
     try:
-        trigram_bench = scan_bench.variant(contains_index="trigram")
+        counting_bench = scan_bench.variant(triggering="counting")
         try:
-            return scan_bench.sweep(batches), trigram_bench.sweep(batches)
+            return scan_bench.sweep(batches), counting_bench.sweep(batches)
         finally:
-            trigram_bench.close()
+            counting_bench.close()
     finally:
         scan_bench.close()
 
@@ -163,7 +164,7 @@ def figure12(quick: bool = True, sizes=None, batches=None) -> FigureResult:
 def figure13(
     quick: bool = True, sizes=None, batches=None, con_sizes=None
 ) -> FigureResult:
-    """COMP rules at 10% match rate, plus contains scan vs. trigram."""
+    """COMP rules at 10% match rate, plus contains scan vs. counting."""
     sizes = sizes or ((1_000, 5_000) if quick else (1_000, 10_000))
     # The scan join is O(rules) per document while the probe cost is
     # nearly flat, so the speedup claim needs a rule base large enough
@@ -181,19 +182,19 @@ def figure13(
         _con_sweep_pair(size, quick, batches) for size in con_sizes
     ]
     hits_identical = all(
-        scan.batch_sizes() == trigram.batch_sizes()
-        and [p.hits for p in scan.points] == [p.hits for p in trigram.points]
-        for scan, trigram in con_pairs
+        scan.batch_sizes() == counting.batch_sizes()
+        and [p.hits for p in scan.points] == [p.hits for p in counting.points]
+        for scan, counting in con_pairs
     )
-    big_scan, big_trigram = con_pairs[-1]
+    big_scan, big_counting = con_pairs[-1]
     largest_batch = big_scan.points[-1].batch_size
-    speedup = big_scan.cost_at(largest_batch) / big_trigram.cost_at(largest_batch)
-    growth = _plateau_cost(big_trigram) / _plateau_cost(con_pairs[0][1])
+    speedup = big_scan.cost_at(largest_batch) / big_counting.cost_at(largest_batch)
+    growth = _plateau_cost(big_counting) / _plateau_cost(con_pairs[0][1])
     size_ratio = con_sizes[1] / con_sizes[0]
     figure = FigureResult(
         "Figure 13",
-        "COMP rules (10% of rule base) and CON rules (scan vs. trigram "
-        "index) — cost vs. batch size",
+        "COMP rules (10% of rule base) and CON rules (sql scan vs. "
+        "counting matcher) — cost vs. batch size",
         series=[small, large, *(s for pair in con_pairs for s in pair)],
     )
     figure.claims = [
@@ -209,18 +210,18 @@ def figure13(
             ratio > 1.0,
         ),
         (
-            "scan and trigram contains paths register identical hit "
+            "scan and counting contains paths register identical hit "
             "counts at every batch size (exactness)",
             hits_identical,
         ),
         (
-            f"the trigram index beats the contains scan at least 5x at "
+            f"the counting matcher beats the contains scan at least 5x at "
             f"the largest batch of the {con_sizes[1]}-rule base "
             f"(speedup {speedup:.1f}x)",
             speedup >= 5.0,
         ),
         (
-            f"indexed per-document contains cost grows sub-linearly in "
+            f"counting per-document contains cost grows sub-linearly in "
             f"the rule base size (plateau cost ratio {growth:.1f}x for "
             f"{size_ratio:.0f}x more rules)",
             growth < size_ratio / 2,
@@ -277,8 +278,8 @@ def figure15(
     figure = FigureResult(
         "Figure 15",
         f"{rule_count} COMP rules — varying batch sizes and triggered "
-        f"rule base percentage; {con_rules} CON rules — scan vs. "
-        f"trigram index at varying match levels",
+        f"rule base percentage; {con_rules} CON rules — sql scan vs. "
+        f"counting matcher at varying match levels",
         series=[*series, *(s for pair in con_pairs for s in pair)],
     )
     monotone = True
@@ -287,14 +288,14 @@ def figure15(
         if any(b < a * 0.95 for a, b in zip(costs, costs[1:])):
             monotone = False
             break
-    (scan_low, trigram_low), (scan_high, trigram_high) = con_pairs
+    (scan_low, counting_low), (scan_high, counting_high) = con_pairs
     con_monotone = (
         _plateau_cost(scan_high) > _plateau_cost(scan_low)
-        and _plateau_cost(trigram_high) > _plateau_cost(trigram_low)
+        and _plateau_cost(counting_high) > _plateau_cost(counting_low)
     )
-    trigram_below = (
-        _plateau_cost(trigram_low) < _plateau_cost(scan_low)
-        and _plateau_cost(trigram_high) < _plateau_cost(scan_high)
+    counting_below = (
+        _plateau_cost(counting_low) < _plateau_cost(scan_low)
+        and _plateau_cost(counting_high) < _plateau_cost(scan_high)
     )
     figure.claims = [
         (
@@ -304,13 +305,13 @@ def figure15(
         ),
         (
             "embedding more contains needles per document raises the "
-            "plateau cost of both the scan and the trigram path",
+            "plateau cost of both the scan and the counting path",
             con_monotone,
         ),
         (
-            "the trigram path stays cheaper than the contains scan at "
+            "the counting path stays cheaper than the contains scan at "
             "both match levels",
-            trigram_below,
+            counting_below,
         ),
     ]
     return figure
@@ -328,7 +329,7 @@ FIGURES = {
     # Startup recovery (audit + repair) wall time vs. store size
     # (BENCH_recovery.json; see repro.bench.recovery).
     "recovery": figure_recovery,
-    # Triggering backends (sql scan / sql trigram / counting) vs.
+    # Triggering backends (sql scan / counting) vs.
     # rule-base size (BENCH_matcher.json; see repro.bench.matcher).
     "matcher": figure_matcher,
     # Semantic tier hot-path cost: publish ms/document per semantics=

@@ -109,7 +109,6 @@ class FilterBench:
         use_rule_groups: bool = True,
         deduplicate: bool = True,
         join_evaluation: str = "scan",
-        contains_index: str = "scan",
         triggering: str = "sql",
     ):
         self.spec = spec
@@ -117,9 +116,6 @@ class FilterBench:
         self.use_rule_groups = use_rule_groups
         self.deduplicate = deduplicate
         self.join_evaluation = join_evaluation
-        #: ``contains`` matching strategy ("scan" = the paper's join,
-        #: "trigram" = the repro.text inverted index).
-        self.contains_index = contains_index
         #: Triggering backend ("sql" = the paper's joins, "counting" =
         #: the in-memory counting matcher).
         self.triggering = triggering
@@ -169,22 +165,14 @@ class FilterBench:
         registry = RuleRegistry(db, deduplicate=self.deduplicate)
         return db, FilterEngine(
             db, registry, self.use_rule_groups, self.join_evaluation,
-            contains_index=self.contains_index,
             triggering=self.triggering,
         )
 
-    def variant(
-        self,
-        contains_index: str | None = None,
-        triggering: str | None = None,
-    ) -> FilterBench:
+    def variant(self, triggering: str) -> FilterBench:
         """A bench sharing this one's prepared template, differing only
-        in ``contains_index`` and/or ``triggering`` (``None`` keeps
-        this bench's value) — ablation comparisons
-        measure both settings against the *same* rule base.
-        Registration maintains the trigram tables unconditionally, so
-        one template serves either read path.  Close the parent last;
-        the variant borrows the template and must not outlive it.
+        in ``triggering`` — ablation comparisons measure both backends
+        against the *same* rule base.  Close the parent last; the
+        variant borrows the template and must not outlive it.
         """
         self.prepare()
         twin = FilterBench(
@@ -193,12 +181,7 @@ class FilterBench:
             use_rule_groups=self.use_rule_groups,
             deduplicate=self.deduplicate,
             join_evaluation=self.join_evaluation,
-            contains_index=(
-                self.contains_index if contains_index is None else contains_index
-            ),
-            triggering=(
-                self.triggering if triggering is None else triggering
-            ),
+            triggering=triggering,
         )
         twin._template = self._template
         twin._borrowed_template = True
@@ -259,13 +242,10 @@ class FilterBench:
     def sweep(self, batch_sizes=DEFAULT_BATCH_SIZES) -> SweepResult:
         """Measure every batch size; returns one figure curve."""
         self.prepare()
-        extras = []
-        if self.contains_index != "scan":
-            extras.append(f"contains={self.contains_index}")
-        if self.triggering != "sql":
-            extras.append(f"triggering={self.triggering}")
         label = (
-            " ".join([self.spec.label(), *extras]) if extras else None
+            f"{self.spec.label()} triggering={self.triggering}"
+            if self.triggering != "sql"
+            else None
         )
         result = SweepResult(
             spec=self.spec,

@@ -3,9 +3,8 @@
 Beyond the paper: the paper's figures vary the *batch size* at modest
 rule bases; this figure varies the **rule-base size** and compares the
 triggering backends — the relational join (``triggering="sql"``, with
-the ``contains`` scan and the trigram index) against the in-memory
-counting matcher (``triggering="counting"``,
-:mod:`repro.filter.counting`).
+the ``contains`` scan) against the in-memory counting matcher
+(``triggering="counting"``, :mod:`repro.filter.counting`).
 
 The rule base is a *selective mix* (one third each) of OID-shaped
 equality rules (unique subject URIs), COMP-shaped range rules
@@ -22,8 +21,7 @@ Rule bases this large cannot go through the per-rule parse pipeline in
 reasonable time; :class:`MatcherBench` clones atoms decomposed from one
 template rule of each shape and bulk-registers them
 (:meth:`~repro.rules.registry.RuleRegistry.bulk_register_triggering`),
-which keeps the mutation version/log and the trigram tables exactly as
-the normal path would.
+which keeps the mutation version/log exactly as the normal path would.
 
 Quick mode sweeps 1k/10k/50k rules (the committed
 ``benchmarks/baselines/BENCH_matcher.json`` gate); ``--full`` adds the
@@ -160,17 +158,15 @@ def figure_matcher(quick: bool = True, sizes=None, batches=None) -> FigureResult
     sizes = sizes or (QUICK_SIZES if quick else FULL_SIZES)
     batches = batches or _BATCHES
     series: list[SweepResult] = []
-    per_size: list[tuple[int, SweepResult, SweepResult, SweepResult]] = []
+    per_size: list[tuple[int, SweepResult, SweepResult]] = []
     match_hist = default_registry().histogram("counting.match_ms")
     match_by_size: dict[int, float] = {}
     for size in sizes:
         scan_bench = MatcherBench(size)
         try:
-            trigram_bench = scan_bench.variant(contains_index="trigram")
             counting_bench = scan_bench.variant(triggering="counting")
             try:
                 scan_sweep = scan_bench.sweep(batches)
-                trigram_sweep = trigram_bench.sweep(batches)
                 hist_before = match_hist.total
                 counting_sweep = counting_bench.sweep(batches)
                 documents = sum(
@@ -182,15 +178,13 @@ def figure_matcher(quick: bool = True, sizes=None, batches=None) -> FigureResult
                     match_hist.total - hist_before
                 ) / documents
             finally:
-                trigram_bench.close()
                 counting_bench.close()
         finally:
             scan_bench.close()
         scan_sweep.label_override = f"mix n={size} sql scan"
-        trigram_sweep.label_override = f"mix n={size} sql trigram"
         counting_sweep.label_override = f"mix n={size} counting"
-        series.extend((scan_sweep, trigram_sweep, counting_sweep))
-        per_size.append((size, scan_sweep, trigram_sweep, counting_sweep))
+        series.extend((scan_sweep, counting_sweep))
+        per_size.append((size, scan_sweep, counting_sweep))
     figure = FigureResult(
         "Matcher",
         "triggering backends — per-document cost vs. rule-base size "
@@ -198,23 +192,20 @@ def figure_matcher(quick: bool = True, sizes=None, batches=None) -> FigureResult
         series=series,
     )
     hits_identical = all(
-        scan.batch_sizes() == trigram.batch_sizes() == counting.batch_sizes()
-        and [p.hits for p in scan.points]
-        == [p.hits for p in trigram.points]
-        == [p.hits for p in counting.points]
-        for __, scan, trigram, counting in per_size
+        scan.batch_sizes() == counting.batch_sizes()
+        and [p.hits for p in scan.points] == [p.hits for p in counting.points]
+        for __, scan, counting in per_size
     )
-    largest, scan_l, trigram_l, counting_l = per_size[-1]
-    smallest, __, __, counting_s = per_size[0]
+    largest, scan_l, counting_l = per_size[-1]
+    smallest, __, counting_s = per_size[0]
     second = per_size[-2][0] if len(per_size) > 1 else largest
     scan_speedup = _plateau(scan_l) / _plateau(counting_l)
-    trigram_speedup = _plateau(trigram_l) / _plateau(counting_l)
     growth = _plateau(counting_l) / _plateau(counting_s)
     size_ratio = largest / smallest
     figure.claims = [
         (
-            "sql scan, sql trigram and counting backends register "
-            "identical hit counts at every size and batch (exactness)",
+            "sql scan and counting backends register identical hit "
+            "counts at every size and batch (exactness)",
             hits_identical,
         ),
         (
@@ -224,11 +215,6 @@ def figure_matcher(quick: bool = True, sizes=None, batches=None) -> FigureResult
             f"on this host; absolute times are hardware-dependent, the "
             f"ratio is the claim — measured {scan_speedup:.0f}x)",
             scan_speedup >= 10.0,
-        ),
-        (
-            f"the counting matcher also beats the trigram-indexed sql "
-            f"path at n={largest} ({trigram_speedup:.1f}x)",
-            trigram_speedup > 1.0,
         ),
         (
             f"counting per-document cost grows sub-linearly in the "

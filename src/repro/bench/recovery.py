@@ -6,9 +6,9 @@ of growing size, writing ``BENCH_recovery.json`` for the CI
 perf-regression gate like the Figure 11–15 sweeps do.
 
 Each point builds a provider store of N benchmark documents (plus a
-small fixed rule base with trigram-indexed ``contains`` rules), tears
-the derived text index — a repair with real work, proportional to the
-rule base — and times one full ``recover()`` pass: rollback, scratch
+small fixed rule base), tears every document's ``filter_data`` rows —
+a repair with real work, one XML re-decomposition and rewrite per
+document — and times one full ``recover()`` pass: rollback, scratch
 clearing, the MDV03x invariant audit, every repair, and the verifying
 re-audit.  ``ms_per_document`` therefore reads as *milliseconds of
 recovery per stored document*.
@@ -61,8 +61,8 @@ _SCALING_FACTOR = 8.0
 #: store (recovery is read-dominant; WAL reads are cheap).
 _SAFE_OVERHEAD_FACTOR = 3.0
 
-#: Fixed rule base per store: a few COMP thresholds plus indexable
-#: ``contains`` rules so the torn-text-index repair does real work.
+#: Fixed rule base per store: a few COMP thresholds plus ``contains``
+#: rules, so the audit walks a realistic rule catalogue.
 _COMP_RULES = 4
 _CON_RULES = 4
 
@@ -72,9 +72,7 @@ def _build_store(path: str, size: int, durability: str) -> float:
     schema = objectglobe_schema()
     started = time.perf_counter()
     db = Database(path, durability=durability)
-    provider = MetadataProvider(
-        schema, name="mdp", db=db, contains_index="trigram"
-    )
+    provider = MetadataProvider(schema, name="mdp", db=db)
     for index in range(_COMP_RULES):
         provider.subscribe("lmr", comp_rule(2 + index))
     for index in range(1, _CON_RULES + 1):
@@ -101,10 +99,11 @@ def _measure(size: int, durability: str) -> tuple[MeasurementPoint, float]:
         build_seconds = _build_store(path, size, durability)
         db = Database(path, durability=durability)
         try:
-            # Tear the derived text index so the repair pass rebuilds
-            # it — recovery with work to do, not just a clean audit.
+            # Tear every document's derived atoms so the repair pass
+            # rebuilds them from the XML — recovery with per-document
+            # work to do, not just a clean audit.
             with db.transaction():
-                db.execute("DELETE FROM text_postings")
+                db.execute("DELETE FROM filter_data")
             gc.collect()
             before = default_registry().counter_values()
             started = time.perf_counter()
@@ -198,10 +197,10 @@ def figure_recovery(
             overhead <= _SAFE_OVERHEAD_FACTOR,
         ),
         (
-            "every recovery pass repaired the torn text index and "
-            "re-audited clean",
+            "every recovery pass rebuilt the filter_data rows of every "
+            "stored document and re-audited clean",
             all(
-                point.hits > 0 for point in (*fast, *safe)
+                point.hits >= point.batch_size for point in (*fast, *safe)
             ),
         ),
     ]

@@ -22,12 +22,11 @@ Index layout (one structure per operator family):
   matching slice, O(log n + answers).  Bounds compare as SQLite REALs:
   both sides of the paper's join are ``CAST(… AS REAL)``, replicated by
   :func:`sqlite_cast_real`;
-- **contains** — the trigram machinery of :mod:`repro.text` held in
-  memory: postings ``trigram → rules``, candidates where the *entire*
+- **contains** — trigram postings ``trigram → rules`` over the needles
+  (tokenized by :mod:`repro.text.ngrams`), candidates where the *entire*
   needle-trigram set was found, verified with the canonical substring
   check.  Needles shorter than a trigram sit in a per-bucket list and
-  are brute-forced, so the two paths partition the rules exactly as the
-  SQL trigram mode does.
+  are brute-forced, so the two paths partition the rules exactly.
 
 **Counter protocol.**  Matching a batch keeps a per-``(resource, rule)``
 counter and a satisfied-conjunct set; an index hit increments the
@@ -174,8 +173,8 @@ class _ContainsBucket:
         self.postings: dict[str, dict[int, None]] = {}
         #: rule → (needle, distinct trigram count) for indexable needles.
         self.needles: dict[int, tuple[str, int]] = {}
-        #: rule → needle for sub-trigram needles (brute-forced, exactly
-        #: the SQL trigram mode's short-needle fallback join).
+        #: rule → needle for sub-trigram needles (brute-forced per
+        #: bucket: they have no trigram to post).
         self.short: dict[int, str] = {}
 
     @property

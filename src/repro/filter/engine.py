@@ -41,7 +41,6 @@ from repro.filter.joins import (
 from repro.filter.counting import TRIGGERING_MODES, CountingMatcher
 from repro.filter.matcher import initialize_triggering_rule, match_triggering_rules
 from repro.filter.results import FilterRunResult, PublishOutcome
-from repro.text.index import CONTAINS_INDEX_MODES
 from repro.storage.engine import Database
 from repro.storage.tables import (
     AtomRow,
@@ -72,18 +71,12 @@ class FilterEngine:
         use_rule_groups: bool = True,
         join_evaluation: str = "probe",
         metrics: MetricsRegistry | None = None,
-        contains_index: str = "scan",
         triggering: str = "sql",
     ):
         if join_evaluation not in ("scan", "probe"):
             raise ValueError(
                 f"join_evaluation must be 'scan' or 'probe', got "
                 f"{join_evaluation!r}"
-            )
-        if contains_index not in CONTAINS_INDEX_MODES:
-            raise ValueError(
-                f"contains_index must be one of {CONTAINS_INDEX_MODES}, got "
-                f"{contains_index!r}"
             )
         if triggering not in TRIGGERING_MODES:
             raise ValueError(
@@ -102,11 +95,6 @@ class FilterEngine:
         #: combined member evaluation, kept for the figure reproductions
         #: and ablations (see repro.filter.joins).
         self.join_evaluation = join_evaluation
-        #: ``"scan"`` (the default) matches ``contains`` rules with the
-        #: paper's O(rule base) join; ``"trigram"`` probes the inverted
-        #: needle index of :mod:`repro.text` instead and verifies the
-        #: candidates — same hits, sub-linear cost (docs/TEXT_INDEX.md).
-        self.contains_index = contains_index
         #: ``"sql"`` (the default) evaluates the triggering stage with
         #: the paper's relational joins; ``"counting"`` probes the
         #: in-memory predicate index of :mod:`repro.filter.counting` —
@@ -173,11 +161,7 @@ class FilterEngine:
                 atoms_scanned = self._db.count("filter_input")
                 started = time.perf_counter()
                 with self.tracer.span("filter.triggering"):
-                    result.triggering_hits = match_triggering_rules(
-                        self._db,
-                        contains_index=self.contains_index,
-                        metrics=self.metrics,
-                    )
+                    result.triggering_hits = match_triggering_rules(self._db)
                 result.triggering_seconds = time.perf_counter() - started
             self._m_atoms.inc(atoms_scanned)
             run_span.set("atoms", atoms_scanned)

@@ -84,7 +84,6 @@ class ServiceConfig:
     schema: str = "objectglobe"
     # Provider knobs (MDP role), mirroring MetadataProvider's.
     triggering: str = "sql"
-    contains_index: str = "scan"
     consistency: str = "filter"
     dedupe: str = "off"
     durability: str = "fast"
@@ -159,7 +158,6 @@ def _build_node(
             bus=transport,
             consistency=config.consistency,
             analyze=config.analyze,
-            contains_index=config.contains_index,
             triggering=config.triggering,
             dedupe=config.dedupe,
             durability=config.durability,

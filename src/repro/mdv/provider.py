@@ -103,7 +103,6 @@ class MetadataProvider:
         analyze: str = "off",
         retry_policy: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
-        contains_index: str = "scan",
         triggering: str = "sql",
         dedupe: str = "off",
         durability: str = "fast",
@@ -156,12 +155,8 @@ class MetadataProvider:
             self.registry.seed_schema_taxonomy(schema)
         self.engine = FilterEngine(
             self.db, self.registry, use_rule_groups, join_evaluation,
-            metrics=self.metrics, contains_index=contains_index,
-            triggering=triggering,
+            metrics=self.metrics, triggering=triggering,
         )
-        #: Selected contains matching strategy, also applied to browse
-        #: queries (the engine constructor validates the mode).
-        self.contains_index = contains_index
         #: Triggering-stage evaluator ("sql" = the paper's joins,
         #: "counting" = the in-memory predicate index; the engine
         #: constructor validates the mode).
@@ -742,9 +737,7 @@ class MetadataProvider:
         }
         if definitions:
             query = inline_named_query(query, definitions)
-        uris = run_query_sql(
-            self.db, query, self.schema, contains_index=self.contains_index
-        )
+        uris = run_query_sql(self.db, query, self.schema)
         resources = []
         for uri in uris:
             content = self.resource(uri)

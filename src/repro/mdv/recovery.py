@@ -4,8 +4,8 @@ A provider that restarts on an existing database cannot assume the
 previous process died politely.  Committed state is trustworthy — that
 is SQLite's contract — but *multi-transaction* operations of older
 (non-durable) providers, raw-commit call sites, or operator surgery can
-leave **torn derived state**: trigram postings without their
-``filter_rules_con`` rows, refcounts that disagree with
+leave **torn derived state**: ``filter_data`` rows that disagree with
+their document's XML, refcounts that disagree with
 ``subscription_rules``, atom trees no subscription references, scratch
 rows of an interrupted filter run.
 
@@ -18,10 +18,9 @@ its bus:
    — the MDV03x pack);
 3. repair from source-of-truth tables: refcounts are recomputed from
    ``subscription_rules``, orphaned index/materialized/canon rows are
-   dropped, unreachable atom trees are garbage-collected, the trigram
-   text index is rebuilt from ``filter_rules_con``, and ``filter_data``
-   / ``resources`` rows are rebuilt from the registered documents'
-   XML;
+   dropped, unreachable atom trees are garbage-collected, and
+   ``filter_data`` / ``resources`` rows are rebuilt from the registered
+   documents' XML;
 4. audit again — a clean second audit is the contract the
    crash-recovery oracle (:mod:`repro.workload.crashes`) enforces.
 
@@ -43,8 +42,6 @@ from repro.rdf.parser import parse_document
 from repro.rdf.schema import Schema
 from repro.storage.engine import Database
 from repro.storage.schema import TRIGGER_TABLES
-from repro.text.index import index_contains_rule
-from repro.text.ngrams import is_indexable, trigrams
 
 __all__ = ["RecoveryManager", "RecoveryReport"]
 
@@ -121,7 +118,6 @@ class RecoveryManager:
                 repairs["refcounts"] = self._repair_refcounts()
                 repairs["dead_atoms"] = self._collect_unreachable_atoms()
                 repairs["orphan_groups"] = self._drop_orphan_groups()
-                repairs["text_index_rules"] = self._rebuild_text_index()
                 repairs["filter_data_documents"] = self._rebuild_filter_data()
         after = list(audit_database(self._db).diagnostics)
         self._m_after.inc(len(after))
@@ -150,8 +146,7 @@ class RecoveryManager:
         """Index/materialized/canon rows referencing missing atoms."""
         dropped = 0
         guard = "(SELECT rule_id FROM atomic_rules)"
-        for table in (*TRIGGER_TABLES, "filter_rules_con_tri",
-                      "text_postings", "materialized", "rule_canon",
+        for table in (*TRIGGER_TABLES, "materialized", "rule_canon",
                       "subscription_rules"):
             cursor = self._db.execute(
                 f"DELETE FROM {table} WHERE rule_id NOT IN {guard}"
@@ -240,8 +235,7 @@ class RecoveryManager:
                 "OR target_rule = ?",
                 (rule_id, rule_id),
             )
-            for table in (*TRIGGER_TABLES, "filter_rules_con_tri",
-                          "text_postings", "materialized", "rule_canon",
+            for table in (*TRIGGER_TABLES, "materialized", "rule_canon",
                           "subscription_rules"):
                 self._db.execute(
                     f"DELETE FROM {table} WHERE rule_id = ?", (rule_id,)
@@ -276,66 +270,6 @@ class RecoveryManager:
             "(SELECT group_id FROM atomic_rules WHERE group_id IS NOT NULL)"
         )
         return max(cursor.rowcount, 0)
-
-    def _rebuild_text_index(self) -> int:  # mdv: allow(MDV065): runs inside caller's transaction
-        """Rebuild trigram postings from ``filter_rules_con``.
-
-        ``filter_rules_con`` is the source of truth: every ``contains``
-        rule keeps its row there whether or not it is indexable.  The
-        derived ``filter_rules_con_tri`` / ``text_postings`` pair is
-        compared against the expectation and rebuilt wholesale on any
-        mismatch.  Returns the number of rules whose index entries were
-        rebuilt (0 = the index was consistent).
-        """
-        con_rows = self._db.query_all(
-            "SELECT rule_id, class, property, value FROM filter_rules_con "
-            "ORDER BY rule_id, class"
-        )
-        expected_tri: set[tuple[int, str, str, str, int]] = set()
-        expected_postings: set[tuple[str, int]] = set()
-        # Keyed by (rule_id, property): semantic property-synonym
-        # expansion gives one rule con rows under several properties,
-        # each needing its own index entry set.
-        by_rule: dict[tuple[int, str], tuple[list[str], str]] = {}
-        for row in con_rows:
-            rule_id = int(row["rule_id"])
-            needle = row["value"]
-            if not is_indexable(needle):
-                continue
-            grams = trigrams(needle)
-            expected_tri.add(
-                (rule_id, row["class"], row["property"], needle, len(grams))
-            )
-            expected_postings.update((gram, rule_id) for gram in grams)
-            classes, _ = by_rule.setdefault(
-                (rule_id, row["property"]), ([], needle)
-            )
-            classes.append(row["class"])
-        actual_tri = {
-            (
-                int(row["rule_id"]), row["class"], row["property"],
-                row["value"], int(row["trigram_count"]),
-            )
-            for row in self._db.query_all(
-                "SELECT rule_id, class, property, value, trigram_count "
-                "FROM filter_rules_con_tri"
-            )
-        }
-        actual_postings = {
-            (row["trigram"], int(row["rule_id"]))
-            for row in self._db.query_all(
-                "SELECT trigram, rule_id FROM text_postings"
-            )
-        }
-        if actual_tri == expected_tri and actual_postings == expected_postings:
-            return 0
-        self._db.execute("DELETE FROM filter_rules_con_tri")
-        self._db.execute("DELETE FROM text_postings")
-        for (rule_id, prop), (classes, needle) in sorted(by_rule.items()):
-            index_contains_rule(
-                self._db, rule_id, classes, prop, needle, self.metrics
-            )
-        return len({rule_id for rule_id, __ in by_rule})
 
     def _rebuild_filter_data(self) -> int:  # mdv: allow(MDV065): runs inside caller's transaction
         """Rebuild ``filter_data``/``resources`` from the documents' XML.

@@ -24,11 +24,7 @@ stored text.  Their needles are therefore *always* rendered as quoted
 string literals, even when the literal looks numeric: ``instr`` with a
 bare numeric operand compares against SQLite's shortest decimal
 rendering of the number, so ``contains 010`` would silently probe for
-``'10'``.  With ``contains_index="trigram"``, a ``contains`` predicate
-is compiled to a candidate-probe over the *distinct* values of the
-property (computed once per query, not once per row) followed by the
-same ``instr`` verification — identical results, and the per-row work
-collapses onto the property's value dictionary.
+``'10'``.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from repro.rules.normalize import (
     normalize_rule,
 )
 from repro.storage.engine import Database
-from repro.text.index import CONTAINS_INDEX_MODES
 from repro.text.ngrams import contains_sql_condition
 
 __all__ = ["translate_normalized", "run_query_sql", "sql_string_literal"]
@@ -72,20 +67,9 @@ def _compare(operator: str, numeric: bool, left: str, right: str) -> str:
 class _Translator:
     """Builds one SELECT per normalized conjunct."""
 
-    def __init__(
-        self,
-        normalized: NormalizedRule,
-        schema: Schema,
-        contains_index: str = "scan",
-    ):
-        if contains_index not in CONTAINS_INDEX_MODES:
-            raise ValueError(
-                f"contains_index must be one of {CONTAINS_INDEX_MODES}, got "
-                f"{contains_index!r}"
-            )
+    def __init__(self, normalized: NormalizedRule, schema: Schema):
         self.normalized = normalized
         self.schema = schema
-        self.contains_index = contains_index
         self._alias_counter = 0
 
     def _alias(self, prefix: str) -> str:
@@ -194,13 +178,6 @@ class _Translator:
                 f"{subject_alias}.uri_reference",
                 constant,
             )
-        if (
-            predicate.operator == "contains"
-            and self.contains_index == "trigram"
-        ):
-            return self._contains_candidate_condition(
-                predicate, subject_alias, constant
-            )
         alias = self._alias("p")
         comparison = _compare(
             predicate.operator, predicate.numeric, f"{alias}.value", constant
@@ -210,31 +187,6 @@ class _Translator:
             f"WHERE {alias}.uri_reference = {subject_alias}.uri_reference "
             f"AND {alias}.property = {sql_string_literal(predicate.prop)} "
             f"AND {comparison})"
-        )
-
-    def _contains_candidate_condition(
-        self, predicate: ConstantPredicate, subject_alias: str, constant: str
-    ) -> str:
-        """Candidate-probe + verify rewrite of a ``contains`` predicate.
-
-        The inner subquery materializes the property's *distinct* value
-        dictionary and verifies the substring once per distinct value;
-        the outer probe then reduces to a semi-join against the verified
-        candidates.  Results are identical to the direct scan — the
-        verification is the same :func:`contains_sql_condition` — but
-        the ``instr`` work no longer multiplies with row count.
-        """
-        prop = sql_string_literal(predicate.prop)
-        alias = self._alias("p")
-        verify = contains_sql_condition("value", constant)
-        return (
-            f"EXISTS (SELECT 1 FROM filter_data {alias} "
-            f"WHERE {alias}.uri_reference = {subject_alias}.uri_reference "
-            f"AND {alias}.property = {prop} "
-            f"AND {alias}.value IN "
-            f"(SELECT value FROM "
-            f"(SELECT DISTINCT value FROM filter_data WHERE property = {prop}) "
-            f"WHERE {verify}))"
         )
 
     def _self_join_condition(
@@ -322,21 +274,12 @@ class _Translator:
         )
 
 
-def translate_normalized(
-    normalized: NormalizedRule,
-    schema: Schema,
-    contains_index: str = "scan",
-) -> str:
+def translate_normalized(normalized: NormalizedRule, schema: Schema) -> str:
     """Translate one normalized conjunct into a SQL query string."""
-    return _Translator(normalized, schema, contains_index).translate()
+    return _Translator(normalized, schema).translate()
 
 
-def run_query_sql(
-    db: Database,
-    query: Query,
-    schema: Schema,
-    contains_index: str = "scan",
-) -> list[URIRef]:
+def run_query_sql(db: Database, query: Query, schema: Schema) -> list[URIRef]:
     """Run a query against an MDP's ``filter_data`` store.
 
     Returns the URI references of matching result resources, merged over
@@ -346,7 +289,7 @@ def run_query_sql(
     conjuncts = normalize_rule(query.as_rule(), schema)
     uris: set[URIRef] = set()
     for conjunct in conjuncts:
-        sql = translate_normalized(conjunct, schema, contains_index)
+        sql = translate_normalized(conjunct, schema)
         for row in db.query_all(sql):
             uris.add(URIRef(row["uri_reference"]))
     return sorted(uris)

@@ -22,8 +22,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Union
 
-from repro.text.ngrams import is_indexable
-
 __all__ = ["TriggeringAtom", "JoinAtom", "AtomNode", "make_join", "iter_atoms"]
 
 
@@ -60,19 +58,6 @@ class TriggeringAtom:
     @property
     def is_class_only(self) -> bool:
         return self.prop is None
-
-    @property
-    def text_indexable(self) -> bool:
-        """Whether this atom's needle can enter the trigram index.
-
-        True only for ``contains`` atoms whose needle is at least one
-        trigram long; shorter needles stay on the scan join.
-        """
-        return (
-            self.operator == "contains"
-            and self.value is not None
-            and is_indexable(self.value)
-        )
 
     @property
     def key(self) -> str:

@@ -38,7 +38,6 @@ from repro.storage.schema import (
     TRIGGER_TABLES,
     filter_rules_table,
 )
-from repro.text.index import drop_contains_rule, index_contains_rule
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.analysis.diagnostics import Diagnostic
@@ -231,9 +230,9 @@ class RuleRegistry:
         nightly million-rule lane): skips the per-rule
         parse/normalize/decompose pipeline but funnels every atom
         through the same :meth:`_insert_triggering` as the normal path,
-        so the mutation version/log, the trigram tables and the
-        dedup-by-key contract stay intact.  Returns the created atoms
-        (children-first, trivially: all triggering) for
+        so the mutation version/log and the dedup-by-key contract stay
+        intact.  Returns the created atoms (children-first, trivially:
+        all triggering) for
         :meth:`~repro.filter.engine.FilterEngine.initialize_rules`;
         callers building a rule base over an *empty* metadata store may
         skip initialization — there is nothing to materialize.
@@ -315,18 +314,6 @@ class RuleRegistry:
                     for cls in atom.extension_classes
                 ),
             )
-            if atom.operator == "contains":
-                # Maintain the trigram index (repro.text) alongside the
-                # scan table.  Index maintenance is unconditional — the
-                # engine's ``contains_index`` knob only selects the read
-                # path, so scan and trigram engines can share one store.
-                index_contains_rule(
-                    self._db,
-                    rule_id,
-                    atom.extension_classes,
-                    str(atom.prop),
-                    str(atom.value),
-                )
         self._insert_semantic_rows(rule_id, atom)
         return rule_id
 
@@ -369,14 +356,6 @@ class RuleRegistry:
                     (rule_id, cls, atom.prop, atom.value, int(atom.numeric)),
                 )
                 inserted += max(cursor.rowcount, 0)
-            if atom.operator == "contains" and expansion.extra_classes:
-                index_contains_rule(
-                    self._db,
-                    rule_id,
-                    expansion.extra_classes,
-                    str(atom.prop),
-                    str(atom.value),
-                )
             for variant in expansion.variants:
                 table = filter_rules_table(variant.operator)
                 for cls in all_classes:
@@ -390,14 +369,6 @@ class RuleRegistry:
                         ),
                     )
                     inserted += max(cursor.rowcount, 0)
-                if variant.operator == "contains":
-                    index_contains_rule(
-                        self._db,
-                        rule_id,
-                        all_classes,
-                        variant.prop,
-                        variant.value,
-                    )
         metrics.counter("semantics.atoms_out").inc(inserted)
 
     def _insert_join(self, atom: JoinAtom, ids: dict[str, int]) -> int:  # mdv: allow(MDV065): runs inside caller's transaction
@@ -702,7 +673,6 @@ class RuleRegistry:
         )
         for table in COMPARISON_TABLES.values():
             self._db.execute(f"DELETE FROM {table} WHERE rule_id = ?", (rule_id,))
-        drop_contains_rule(self._db, rule_id)
         self._db.execute(
             "DELETE FROM materialized WHERE rule_id = ?", (rule_id,)
         )
@@ -816,18 +786,6 @@ class RuleRegistry:
             self._db.execute(
                 f"DELETE FROM {table} WHERE rule_id = ? AND semantic = 1",
                 (rule_id,),
-            )
-        if atom.operator == "contains":
-            # The trigram tables carry no semantic flag; rebuild the
-            # rule's whole text-index entry from the base atom, then let
-            # the expansion re-add its rows.
-            drop_contains_rule(self._db, rule_id)
-            index_contains_rule(
-                self._db,
-                rule_id,
-                atom.extension_classes,
-                str(atom.prop),
-                str(atom.value),
             )
         self._insert_semantic_rows(rule_id, atom)
 

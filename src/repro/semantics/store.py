@@ -22,7 +22,7 @@ The store owns the ``semantic_*`` tables (DDL in
 
 The store is mode-free: which degrees are *used* is the rewriter's
 business (:mod:`repro.semantics.rewrite`); the vocabulary is a property
-of the database, exactly like the trigram index of :mod:`repro.text`.
+of the database, exactly like the triggering index tables.
 """
 
 from __future__ import annotations

@@ -49,14 +49,12 @@ Table inventory (paper name → ours):
 from __future__ import annotations
 
 from repro.storage.engine import Database
-from repro.text.ngrams import TRIGRAM_LENGTH
 
 __all__ = [
     "create_all",
     "COMPARISON_TABLES",
     "SEMANTIC_TABLES",
     "TRIGGER_TABLES",
-    "TEXT_TABLES",
     "filter_rules_table",
 ]
 
@@ -73,14 +71,7 @@ COMPARISON_TABLES = {
 }
 
 #: All triggering-rule index tables, including the predicate-free one.
-#: The trigram tables below are deliberately *not* part of this tuple:
-#: every ``contains`` rule keeps its ``filter_rules_con`` row, so the
-#: invariant auditor and atom reconstruction stay complete without them.
 TRIGGER_TABLES = ("filter_rules_class", *COMPARISON_TABLES.values())
-
-#: The trigram index over ``contains``-rule needles (repro.text),
-#: derived from the ``filter_rules_con`` rows of :data:`TRIGGER_TABLES`.
-TEXT_TABLES = ("filter_rules_con_tri", "text_postings")
 
 #: The vocabulary tables of the semantic matching tier (repro.semantics).
 SEMANTIC_TABLES = (
@@ -317,40 +308,6 @@ CREATE TABLE IF NOT EXISTS semantic_mapping_values (
 ) WITHOUT ROWID;
 """
 
-#: The trigram index of :mod:`repro.text`: ``filter_rules_con_tri``
-#: mirrors the indexable subset of ``filter_rules_con`` plus the
-#: needle's distinct trigram count; ``text_postings`` is the inverted
-#: index (probes ship the value's trigrams as a ``json_each`` parameter,
-#: so no scratch table exists).
-_TEXT_DDL = """
-CREATE TABLE IF NOT EXISTS filter_rules_con_tri (
-    rule_id       INTEGER NOT NULL REFERENCES atomic_rules(rule_id),
-    class         TEXT NOT NULL,
-    property      TEXT NOT NULL,
-    value         TEXT NOT NULL,
-    trigram_count INTEGER NOT NULL,
-    PRIMARY KEY (rule_id, class, property)
-) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS idx_frct_class_prop
-    ON filter_rules_con_tri(class, property);
-
-CREATE TABLE IF NOT EXISTS text_postings (
-    trigram TEXT NOT NULL,
-    rule_id INTEGER NOT NULL REFERENCES atomic_rules(rule_id),
-    PRIMARY KEY (trigram, rule_id)
-) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS idx_tp_rule ON text_postings(rule_id);
-
--- Partial index for the trigram mode's short-needle fallback: the scan
--- join restricted to ``length(fr.value) < {length}`` would otherwise
--- walk every contains rule of the (class, property) just to discard
--- the indexable ones.  The predicate text must stay identical to the
--- matcher's fallback condition for the planner to use it.
-CREATE INDEX IF NOT EXISTS idx_frcon_short
-    ON filter_rules_con(class, property, value)
-    WHERE length(value) < {length};
-"""
-
 _OP_TABLE_DDL = """
 CREATE TABLE IF NOT EXISTS {table} (
     rule_id  INTEGER NOT NULL REFERENCES atomic_rules(rule_id),
@@ -371,5 +328,4 @@ def create_all(db: Database) -> None:
     db.executescript(_DDL)
     for table in COMPARISON_TABLES.values():
         db.executescript(_OP_TABLE_DDL.format(table=table))
-    db.executescript(_TEXT_DDL.format(length=TRIGRAM_LENGTH))
     db.commit()

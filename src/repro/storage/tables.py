@@ -24,7 +24,6 @@ __all__ = [
     "FilterInputTable",
     "ResultObjectsTable",
     "MaterializedTable",
-    "TextIndexTable",
 ]
 
 #: ``(uri_reference, class, property, value)`` — one FilterData row.
@@ -214,57 +213,6 @@ class ResultObjectsTable:
             "SELECT DISTINCT uri_reference, rule_id FROM result_objects"
         )
         return {(row["uri_reference"], row["rule_id"]) for row in rows}
-
-
-class TextIndexTable:
-    """Access to the trigram index of :mod:`repro.text`.
-
-    ``filter_rules_con_tri`` holds the indexable ``contains`` rules with
-    their needle and trigram count, ``text_postings`` the inverted
-    ``(trigram, rule_id)`` index.  Maintenance (insert on registration,
-    delete on unregistration) lives with the algorithm in
-    :func:`repro.text.index.index_contains_rule` /
-    :func:`~repro.text.index.drop_contains_rule`; these accessors serve
-    introspection and tests.
-    """
-
-    def __init__(self, db: Database):
-        self._db = db
-
-    def needle_of(self, rule_id: int) -> str | None:
-        """The indexed needle of a rule (``None`` when not indexed)."""
-        return self._db.scalar(
-            "SELECT value FROM filter_rules_con_tri WHERE rule_id = ? "
-            "LIMIT 1",
-            (rule_id,),
-        )
-
-    def postings_of(self, rule_id: int) -> list[str]:
-        """The trigrams posted for a rule, sorted."""
-        rows = self._db.query_all(
-            "SELECT trigram FROM text_postings WHERE rule_id = ? "
-            "ORDER BY trigram",
-            (rule_id,),
-        )
-        return [row["trigram"] for row in rows]
-
-    def rules_for_trigram(self, trigram: str) -> list[int]:
-        """Every rule whose needle contains ``trigram``, sorted."""
-        rows = self._db.query_all(
-            "SELECT rule_id FROM text_postings WHERE trigram = ? "
-            "ORDER BY rule_id",
-            (trigram,),
-        )
-        return [int(row["rule_id"]) for row in rows]
-
-    def indexed_rule_ids(self) -> set[int]:
-        rows = self._db.query_all(
-            "SELECT DISTINCT rule_id FROM filter_rules_con_tri"
-        )
-        return {int(row["rule_id"]) for row in rows}
-
-    def posting_count(self) -> int:
-        return self._db.count("text_postings")
 
 
 class MaterializedTable:

@@ -1,25 +1,16 @@
-"""Full-text support for ``contains`` triggering rules.
+"""The one canonical ``contains`` semantics and its trigram tokenizer.
 
 The paper concedes that ``contains`` (and range) rules cannot use the
 ``(class, property, value)`` index: their triggering cost grows with the
 rule base size and the match percentage (Section 3.4, Figures 13 and
-15).  This package removes that scan for text predicates, in the
-direction of Zervakis et al. (*Full-text Support for Publish/Subscribe
-Ontology Systems*): the *needles* of registered ``contains`` rules are
-tokenized into trigrams (:mod:`repro.text.ngrams`) and kept in an
-inverted index (:mod:`repro.text.index`), so a published value probes
-the postings for candidate rules instead of scanning every rule sharing
-``(class, property)``.  Candidates are verified against the exact
-substring semantics, so results are always identical to the scan —
-see docs/TEXT_INDEX.md for the exactness argument.
+15).  :mod:`repro.text.ngrams` states what ``contains`` means once, for
+every path that evaluates it — the filter's scan join, the counting
+matcher's in-memory trigram postings (:mod:`repro.filter.counting`), the
+SQL query translator and the LMR's evaluator — and provides the trigram
+tokenizer the counting matcher indexes needles with.  See
+docs/FILTER_ALGORITHM.md for the exactness argument.
 """
 
-from repro.text.index import (
-    CONTAINS_INDEX_MODES,
-    drop_contains_rule,
-    index_contains_rule,
-    match_contains_indexed,
-)
 from repro.text.ngrams import (
     TRIGRAM_LENGTH,
     contains_match,
@@ -29,13 +20,9 @@ from repro.text.ngrams import (
 )
 
 __all__ = [
-    "CONTAINS_INDEX_MODES",
     "TRIGRAM_LENGTH",
     "contains_match",
     "contains_sql_condition",
-    "drop_contains_rule",
-    "index_contains_rule",
     "is_indexable",
-    "match_contains_indexed",
     "trigrams",
 ]

@@ -22,14 +22,15 @@ once and enforced through the helpers below:
 ``tests/query/test_contains_crosspath.py`` asserts that all consumers
 produce identical matches.
 
-Tokenization for the inverted index (:mod:`repro.text.index`) is plain
-character trigrams — every window of :data:`TRIGRAM_LENGTH` consecutive
-codepoints.  The exactness lemma the index relies on: if ``needle`` is a
-substring of ``value`` and ``len(needle) >= TRIGRAM_LENGTH``, every
-trigram of ``needle`` is also a trigram of ``value`` — so probing for
-rules whose trigram set is a subset of the value's trigram set can only
-*over*-approximate the true matches, never miss one.  Needles shorter
-than a trigram have no trigrams and fall back to the scan
+Tokenization for the counting matcher's in-memory postings
+(:mod:`repro.filter.counting`) is plain character trigrams — every
+window of :data:`TRIGRAM_LENGTH` consecutive codepoints.  The exactness
+lemma the postings rely on: if ``needle`` is a substring of ``value``
+and ``len(needle) >= TRIGRAM_LENGTH``, every trigram of ``needle`` is
+also a trigram of ``value`` — so probing for rules whose trigram set is
+a subset of the value's trigram set can only *over*-approximate the
+true matches, never miss one.  Needles shorter than a trigram have no
+trigrams and are brute-forced per ``(class, property)`` bucket
 (:func:`is_indexable`).
 """
 
@@ -68,10 +69,10 @@ def trigrams(text: str) -> frozenset[str]:
 
 
 def is_indexable(needle: str) -> bool:
-    """Whether a ``contains`` needle can use the trigram index.
+    """Whether a ``contains`` needle enters the trigram postings.
 
-    Shorter needles have no trigrams; rules carrying them stay on the
-    scan join (and the linter flags them with ``MDV039``).
+    Shorter needles have no trigrams; the counting matcher brute-forces
+    them per bucket (and the linter flags them with ``MDV039``).
     """
     return len(needle) >= TRIGRAM_LENGTH
 

@@ -169,7 +169,6 @@ class CrashRunResult:
 def _new_provider(
     db: Database,
     schema: Schema,
-    contains_index: str,
     recovery: str = "off",
     triggering: str = "sql",
 ) -> MetadataProvider:
@@ -178,7 +177,6 @@ def _new_provider(
         name="mdp",
         db=db,
         durable_delivery=True,
-        contains_index=contains_index,
         recovery=recovery,
         triggering=triggering,
     )
@@ -208,7 +206,6 @@ def _apply(provider: MetadataProvider, lmr: LocalMetadataRepository,
 def run_crash_scenario(
     seed: int,
     crash_point: CrashPoint | None = None,
-    contains_index: str = "scan",
     documents: int = 6,
     triggering: str = "sql",
 ) -> CrashRunResult:
@@ -221,9 +218,7 @@ def run_crash_scenario(
     schema = objectglobe_schema()
     db = Database(metrics=None)
     result = CrashRunResult(crash=crash_point)
-    provider = _new_provider(
-        db, schema, contains_index, triggering=triggering
-    )
+    provider = _new_provider(db, schema, triggering=triggering)
     lmr = LocalMetadataRepository("lmr", provider)
 
     def attach(to_provider: MetadataProvider) -> None:
@@ -250,8 +245,7 @@ def run_crash_scenario(
                     db.clear_crash_plan()
                     provider.close()
                     provider = _new_provider(
-                        db, schema, contains_index,
-                        recovery="auto", triggering=triggering,
+                        db, schema, recovery="auto", triggering=triggering
                     )
                     report = provider.last_recovery
                     assert report is not None
@@ -291,7 +285,6 @@ class CrashSweepReport:
     """Outcome of a full crash-point sweep for one configuration."""
 
     seed: int
-    contains_index: str
     triggering: str = "sql"
     statements: int = 0
     commits: int = 0
@@ -306,16 +299,15 @@ class CrashSweepReport:
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.failures)} FAILURE(S)"
         return (
-            f"seed={self.seed} contains_index={self.contains_index} "
-            f"triggering={self.triggering}: {self.points_tested} crash "
-            f"point(s) over {self.statements} statements / "
+            f"seed={self.seed} triggering={self.triggering}: "
+            f"{self.points_tested} crash point(s) over "
+            f"{self.statements} statements / "
             f"{self.commits} commits — {status}"
         )
 
 
 def run_crash_sweep(
     seed: int,
-    contains_index: str = "scan",
     statement_stride: int = 5,
     documents: int = 6,
     triggering: str = "sql",
@@ -325,11 +317,10 @@ def run_crash_sweep(
     baseline = run_crash_scenario(
         seed,
         None,
-        contains_index=contains_index,
         documents=documents,
         triggering=triggering,
     )
-    report = CrashSweepReport(seed, contains_index, triggering)
+    report = CrashSweepReport(seed, triggering)
     report.statements = baseline.statements
     report.commits = baseline.commits
     if baseline.audit_findings:
@@ -343,7 +334,6 @@ def run_crash_sweep(
         result = run_crash_scenario(
             seed,
             point,
-            contains_index=contains_index,
             documents=documents,
             triggering=triggering,
         )
@@ -379,9 +369,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--contains-index", choices=("scan", "trigram"), default="scan"
-    )
-    parser.add_argument(
         "--triggering", choices=("sql", "counting"), default="sql"
     )
     parser.add_argument(
@@ -392,7 +379,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     report = run_crash_sweep(
         args.seed,
-        contains_index=args.contains_index,
         statement_stride=args.stride,
         documents=args.documents,
         triggering=args.triggering,

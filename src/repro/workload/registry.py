@@ -4,7 +4,7 @@ The rule-base audit (:mod:`repro.analysis.rulebase`) is only interesting
 against registries far larger than any bundled scenario builds.  This
 module mass-registers Figure-10 rule bases — through the *real*
 parse/normalize/decompose/register pipeline, so every triggering index,
-rule group, trigram posting and canonical-hash row is exactly what live
+rule group and canonical-hash row is exactly what live
 subscriptions would have produced — and exposes the same thing as a CLI
 for CI jobs::
 

@@ -32,9 +32,9 @@ Matching contracts (paper, Section 4):
   8-letter token unique to ``j`` (:func:`con_token`); a document whose
   host embeds the tokens ``0 … k-1`` is matched by exactly ``k`` rules
   — the pure-``contains`` analogue of the COMP contract, used by the
-  trigram-index experiments (docs/TEXT_INDEX.md).  Tokens are drawn
-  from 26^8 combinations; uniqueness over the generated range is
-  asserted by the workload tests.
+  CON series of Figures 13 and 15.  Tokens are drawn from 26^8
+  combinations; uniqueness over the generated range is asserted by the
+  workload tests.
 """
 
 from __future__ import annotations

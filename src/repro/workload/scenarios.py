@@ -30,8 +30,8 @@ class WorkloadSpec:
 
     ``match_fraction`` only matters for COMP and CON workloads: the
     fraction of the rule base every registered document triggers (the
-    paper's Figures 13 and 15 vary it between 1% and 20%; the trigram
-    experiments reuse the knob for ``contains`` rules).
+    paper's Figures 13 and 15 vary it between 1% and 20%; the CON
+    series reuse the knob for ``contains`` rules).
     """
 
     rule_type: str
@@ -67,7 +67,7 @@ class WorkloadSpec:
         CON documents embed the tokens of rules ``0 … k-1``, separated
         by ``.`` so no token match can straddle a boundary; the
         ``h{index}`` prefix keeps host values distinct per document, so
-        the indexed path pays one trigram probe per document rather
+        the counting matcher pays one trigram probe per document rather
         than one per batch.
         """
         if self.rule_type != "CON":

@@ -62,7 +62,6 @@ class TestAuditJson:
         assert rulebase["registry"]["end_rules"] >= 1
         assert rulebase["equivalence"]["equivalent_groups"]
         assert set(rulebase["advisor"]) == {
-            "contains_index",
             "join_evaluation",
             "triggering",
             "stats",

@@ -159,23 +159,24 @@ class TestHotPathRule:
     def test_uninstrumented_hot_path_flagged(self, tmp_path):
         path = _write(
             tmp_path,
-            "repro/text/index.py",
-            "__all__ = []\n\ndef match_contains_indexed(db):\n    return []\n",
+            "repro/filter/engine.py",
+            "__all__ = []\n\nclass FilterEngine:\n"
+            "    def run(self):\n        return []\n",
         )
         assert _codes(lint_file(path)) == ["MDV063"]
 
     def test_instrumented_hot_path_clean(self, tmp_path):
         path = _write(
             tmp_path,
-            "repro/text/index.py",
-            "__all__ = []\n\n"
-            "def match_contains_indexed(db, metrics):\n"
-            "    metrics.counter('x').inc()\n    return []\n",
+            "repro/filter/engine.py",
+            "__all__ = []\n\nclass FilterEngine:\n"
+            "    def run(self, metrics):\n"
+            "        metrics.counter('x').inc()\n        return []\n",
         )
         assert _codes(lint_file(path)) == []
 
     def test_missing_hot_path_warns(self, tmp_path):
-        path = _write(tmp_path, "repro/text/index.py", "__all__ = []\n")
+        path = _write(tmp_path, "repro/filter/engine.py", "__all__ = []\n")
         report = lint_file(path)
         assert _codes(report) == ["MDV063"]
         assert report.diagnostics[0].severity.name == "WARNING"

@@ -272,7 +272,6 @@ class TestAuditRegistry:
         }
         assert payload["registry"]["end_rules"] == 1
         assert set(payload["advisor"]) == {
-            "contains_index",
             "join_evaluation",
             "triggering",
             "stats",
@@ -295,16 +294,25 @@ class TestAdvisor:
     def test_small_base_recommends_scan(self, db, registry, engine, schema):
         register_rule(engine, registry, schema, PAPER_RULE)
         advice = audit_registry(db).advice
-        assert advice.contains_index == "scan"
+        assert advice.join_evaluation == "scan"
 
-    def test_many_contains_rules_recommend_trigram(self, db, schema):
+    def test_contains_needles_counted_by_length(
+        self, db, registry, engine, schema
+    ):
         from repro.workload.registry import build_registry
 
-        # fig13 mix is half CON: 160 rules -> 80 contains rules, past
-        # the 64-rule trigram threshold.
+        # fig13 mix is half CON: 160 rules -> 80 contains rules, all
+        # with 8-letter needles; one 2-letter needle joins them.
         build_registry(db, 160, mix="fig13", schema=schema)
-        advice = audit_registry(db).advice
-        assert advice.contains_index == "trigram"
+        register_rule(
+            engine, registry, schema,
+            "search CycleProvider c register c "
+            "where c.serverHost contains 'de'",
+        )
+        stats = audit_registry(db).advice.stats
+        assert stats["contains_rules"] == 81
+        assert stats["indexable_contains_rules"] == 80
+        assert stats["short_needle_contains_rules"] == 1
 
     def test_small_base_recommends_sql_triggering(
         self, db, registry, engine, schema

@@ -31,9 +31,10 @@ def test_figure13_structure():
     comp = [s for s in figure.series if s.spec.rule_type == "COMP"]
     con = [s for s in figure.series if s.spec.rule_type == "CON"]
     assert all(s.spec.match_fraction == 0.1 for s in comp)
-    # Per CON size: one scan sweep and one trigram sweep, same workload.
+    # Per CON size: one sql scan sweep and one counting sweep, same
+    # workload.
     assert len(con) == 4
-    assert sum("contains=trigram" in s.label for s in con) == 2
+    assert sum("triggering=counting" in s.label for s in con) == 2
     assert len(figure.claims) == 5
 
 
@@ -53,7 +54,7 @@ def test_figure15_structure():
         0.2,
     ]
     assert len(con) == 4
-    assert sum("contains=trigram" in s.label for s in con) == 2
+    assert sum("triggering=counting" in s.label for s in con) == 2
     assert len(figure.claims) == 3
 
 

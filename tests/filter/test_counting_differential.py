@@ -4,13 +4,15 @@
 oracle; the in-memory counting matcher
 (``triggering="counting"``) must produce a *byte-identical* digest of
 every publish outcome and of the final materialized match sets across
-the same seeded workloads the trigram differential uses — registrations,
-a mid-stream subscription (counting index refreshed off the mutation
-log), updates, deletions and an unsubscribe (index entries dropped).
+seeded workloads — registrations, a mid-stream subscription (counting
+index refreshed off the mutation log), updates, deletions and an
+unsubscribe (index entries dropped).
 
-The workload mixes indexable and short ``contains`` needles, range
-conjuncts over ``memory``/``cpu`` (the sorted-bound arrays plus the
-``sqlite_cast_real`` replica) and trigram false-positive hosts, so the
+The workload is contains-heavy on purpose: indexable needles, short
+needles (the per-bucket brute-force list), needles sharing trigrams
+with each other and hosts crafted so that trigram candidates are
+sometimes false positives, plus range conjuncts over ``memory``/``cpu``
+(the sorted-bound arrays and the ``sqlite_cast_real`` replica) — so the
 counting index's three predicate families and its verify step are all
 on the hook.
 
@@ -32,7 +34,7 @@ import pytest
 
 from repro.filter.engine import FilterEngine
 from repro.rdf.diff import deletion_diff, diff_documents
-from repro.rdf.model import Document
+from repro.rdf.model import Document, URIRef
 from repro.rdf.schema import objectglobe_schema
 from repro.rules.decompose import decompose_rule
 from repro.rules.normalize import normalize_rule
@@ -40,13 +42,83 @@ from repro.rules.parser import parse_rule
 from repro.rules.registry import RuleRegistry
 from repro.storage.engine import Database
 from repro.storage.schema import create_all
-from tests.filter.test_text_differential import (
-    SEEDS,
-    _HOST_POOL,
-    _outcome_key,
-    _random_document,
-    _random_rules,
-)
+
+SEEDS = [1, 7, 42]
+
+# "abc-xbc-cde" contains every trigram of "abcde" scattered — a trigram
+# candidate that must fail verification.  "pas" vs "passau" exercises
+# prefix-sharing needles; "de"/"pa" ride the short-needle list.
+_HOST_POOL = [
+    "a.uni-passau.de",
+    "b.tum.de",
+    "c.uni-muenchen.de",
+    "abc-xbc-cde.org",
+    "abcde.org",
+    "pa",
+]
+
+_FRAGMENTS = ["passau", "pas", "uni", "de", "pa", "abcde", "tum.de", ".org"]
+
+_RULE_TEMPLATES = [
+    "search CycleProvider c register c where c.serverHost contains '{frag}'",
+    "search CycleProvider c register c "
+    "where c.serverHost contains '{frag}' "
+    "and c.serverHost contains '{frag2}'",
+    "search CycleProvider c register c "
+    "where c.serverHost contains '{frag}' "
+    "and c.serverInformation.memory > {mem}",
+    "search CycleProvider c register c "
+    "where c.serverHost contains '{frag}' "
+    "or c.serverHost contains '{frag2}'",
+    "search CycleProvider c register c where c.serverInformation.cpu <= {cpu}",
+]
+
+
+def _random_rules(rng: random.Random, count: int) -> list[str]:
+    rules = []
+    for __ in range(count):
+        template = rng.choice(_RULE_TEMPLATES)
+        rules.append(
+            template.format(
+                frag=rng.choice(_FRAGMENTS),
+                frag2=rng.choice(_FRAGMENTS),
+                mem=rng.choice([32, 64, 128]),
+                cpu=rng.choice([400, 500, 600]),
+            )
+        )
+    # Dedup while preserving order; registering the same (subscriber,
+    # rule) pair twice is an error.
+    return list(dict.fromkeys(rules))
+
+
+def _random_document(rng: random.Random, index: int) -> Document:
+    doc = Document(f"doc{index}.rdf")
+    provider = doc.new_resource("host", "CycleProvider")
+    provider.add("serverHost", rng.choice(_HOST_POOL))
+    provider.add("serverInformation", URIRef(f"doc{index}.rdf#info"))
+    info = doc.new_resource("info", "ServerInformation")
+    info.add("memory", rng.choice([16, 64, 92, 128, 256]))
+    info.add("cpu", rng.choice([300, 450, 550, 700]))
+    return doc
+
+
+def _outcome_key(outcome) -> dict:
+    """A canonical, JSON-serializable digest of one PublishOutcome."""
+    return {
+        "matched": sorted(
+            (rule_id, sorted(str(u) for u in uris))
+            for rule_id, uris in outcome.matched.items()
+        ),
+        "unmatched": sorted(
+            (rule_id, sorted(str(u) for u in uris))
+            for rule_id, uris in outcome.unmatched.items()
+        ),
+        "deleted": sorted(str(u) for u in outcome.deleted),
+        "passes": [
+            {"hits": p.triggering_hits, "iterations": p.iterations}
+            for p in outcome.passes
+        ],
+    }
 
 
 _INFO_HEAD = "search ServerInformation s register s where "
@@ -66,7 +138,6 @@ def _info_document(name: str, memory: int, cpu: int) -> Document:
 def run_scenario(
     seed: int,
     triggering: str,
-    contains_index: str,
     dedupe: str = "off",
 ) -> bytes:
     """One seeded publish/subscribe workload; returns a canonical digest."""
@@ -75,12 +146,7 @@ def run_scenario(
     db = Database()
     create_all(db)
     registry = RuleRegistry(db, dedupe=dedupe)
-    engine = FilterEngine(
-        db,
-        registry,
-        contains_index=contains_index,
-        triggering=triggering,
-    )
+    engine = FilterEngine(db, registry, triggering=triggering)
 
     conjunct_texts: dict[str, list[str]] = {}
 
@@ -117,6 +183,8 @@ def run_scenario(
                 _outcome_key(engine.process_diff(diff_documents(None, doc)))
             )
 
+        # Updates: move hosts across the needle pool (match sets flip
+        # between indexed, short-needle and no-match rules).
         for index in rng.sample(range(12), 4):
             old = documents[index]
             new = old.copy()
@@ -216,10 +284,9 @@ def run_scenario(
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("contains_index", ["scan", "trigram"])
-def test_counting_matches_sql_oracle(seed, contains_index):
-    baseline = run_scenario(seed, triggering="sql", contains_index="scan")
-    variant = run_scenario(seed, "counting", contains_index)
+def test_counting_matches_sql_oracle(seed):
+    baseline = run_scenario(seed, triggering="sql")
+    variant = run_scenario(seed, triggering="counting")
     assert variant == baseline
 
 
@@ -227,8 +294,6 @@ def test_counting_matches_sql_oracle(seed, contains_index):
 def test_counting_matches_sql_oracle_under_merged_rules(seed):
     """``dedupe="merge"`` folds the respelled rule into its base, which
     therefore stays an end rule nothing joins on."""
-    baseline = run_scenario(
-        seed, "sql", contains_index="scan", dedupe="merge"
-    )
-    variant = run_scenario(seed, "counting", "scan", dedupe="merge")
+    baseline = run_scenario(seed, "sql", dedupe="merge")
+    variant = run_scenario(seed, "counting", dedupe="merge")
     assert variant == baseline

@@ -57,10 +57,18 @@ def test_cast_real_matches_sqlite(text):
 # ----------------------------------------------------------------------
 # match_rows vs the relational triggering joins
 # ----------------------------------------------------------------------
+# "abc-xbc-cde.org" holds every trigram of the needle "abcde", scattered:
+# a trigram candidate that verification must reject.  "münchen.de" /
+# "ünch" compare codepoints beyond ASCII.
 _values = st.sampled_from(
-    ["0", "3", "5", "5.0", "07", "abc", "x.uni-passau.de", "tum.de", ""]
+    [
+        "0", "3", "5", "5.0", "07", "abc", "x.uni-passau.de", "tum.de", "",
+        "abc-xbc-cde.org", "münchen.de",
+    ]
 )
-_needles = st.sampled_from(["pas", "de", "x.", "uni-passau", "zz"])
+_needles = st.sampled_from(
+    ["pas", "de", "x.", "uni-passau", "zz", "abcde", "ünch"]
+)
 _ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 _props = st.sampled_from(["serverHost", "synthValue"])
 

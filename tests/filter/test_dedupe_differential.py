@@ -12,8 +12,8 @@ internals (a merged base runs fewer passes by design).
 Scenarios cover equivalent respellings of comparison, contains and
 path rules, a late equivalent subscription mid-stream (it must inherit
 the shared entry's materialized matches), updates, an unsubscribe of
-one rider (the other must keep matching) and a deletion — under
-scan/trigram engines, seeds 1/7/42.
+one rider (the other must keep matching) and a deletion — under both
+triggering evaluators, seeds 1/7/42.
 """
 
 from __future__ import annotations
@@ -122,14 +122,14 @@ def _outcome_key(registry: RuleRegistry, outcome) -> dict:
     }
 
 
-def run_scenario(seed: int, dedupe: str, contains_index: str) -> bytes:
+def run_scenario(seed: int, dedupe: str, triggering: str) -> bytes:
     """One seeded workload; canonical digest of every delivered stream."""
     rng = random.Random(seed)
     schema = objectglobe_schema()
     db = Database()
     create_all(db)
     registry = RuleRegistry(db, dedupe=dedupe)
-    engine = FilterEngine(db, registry, contains_index=contains_index)
+    engine = FilterEngine(db, registry, triggering=triggering)
 
     def subscribe(subscriber: str, text: str) -> int:
         normalized = normalize_rule(parse_rule(text), schema)
@@ -216,14 +216,14 @@ def run_scenario(seed: int, dedupe: str, contains_index: str) -> bytes:
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
-    "dedupe,contains_index",
+    "dedupe,triggering",
     [
-        ("report", "scan"),
-        ("merge", "scan"),
-        ("merge", "trigram"),
+        ("report", "sql"),
+        ("merge", "sql"),
+        ("merge", "counting"),
     ],
 )
-def test_dedupe_matches_off_oracle(seed, dedupe, contains_index):
-    baseline = run_scenario(seed, dedupe="off", contains_index="scan")
-    variant = run_scenario(seed, dedupe, contains_index)
+def test_dedupe_matches_off_oracle(seed, dedupe, triggering):
+    baseline = run_scenario(seed, dedupe="off", triggering="sql")
+    variant = run_scenario(seed, dedupe, triggering)
     assert variant == baseline

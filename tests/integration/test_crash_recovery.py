@@ -12,25 +12,23 @@ import pytest
 from repro.workload.crashes import run_crash_scenario, run_crash_sweep
 
 MATRIX = [
-    pytest.param(seed, contains_index, triggering,
-                 id=f"seed{seed}-{contains_index}-{triggering}")
-    for seed, contains_index, triggering in [
-        (1, "scan", "sql"),
-        (7, "trigram", "sql"),
-        (42, "scan", "sql"),
+    pytest.param(seed, triggering, id=f"seed{seed}-{triggering}")
+    for seed, triggering in [
+        (1, "sql"),
+        (7, "sql"),
+        (42, "sql"),
         # The counting matcher rebuilds its in-memory index during
         # recovery (the mutation log dies with the process) — the
         # resumed stream must still be byte-identical.
-        (7, "scan", "counting"),
+        (7, "counting"),
     ]
 ]
 
 
-@pytest.mark.parametrize("seed,contains_index,triggering", MATRIX)
-def test_crash_sweep_matches_baseline(seed, contains_index, triggering):
+@pytest.mark.parametrize("seed,triggering", MATRIX)
+def test_crash_sweep_matches_baseline(seed, triggering):
     report = run_crash_sweep(
         seed,
-        contains_index=contains_index,
         triggering=triggering,
         statement_stride=45,
         documents=4,

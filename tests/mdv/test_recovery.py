@@ -7,10 +7,8 @@ from repro.workload.documents import benchmark_document
 from repro.workload.rules import comp_rule, con_rule, con_token
 
 
-def make_provider(schema, contains_index="scan"):
-    mdp = MetadataProvider(
-        schema, name="mdp", contains_index=contains_index
-    )
+def make_provider(schema):
+    mdp = MetadataProvider(schema, name="mdp")
     mdp.subscribe("lmr", comp_rule(3))
     mdp.subscribe("lmr", con_rule(1))
     token = con_token(1)
@@ -64,16 +62,6 @@ class TestTornStoreRepairs:
         assert report.repairs["refcounts"] == 1
         assert report.clean
 
-    def test_wiped_trigram_postings_rebuilt(self, schema):
-        mdp = make_provider(schema, contains_index="trigram")
-        assert mdp.db.count("text_postings") > 0
-        mdp.db.execute("DELETE FROM text_postings")
-        mdp.db.commit()
-        report = RecoveryManager(mdp.db, schema).recover()
-        assert report.repairs["text_index_rules"] >= 1
-        assert report.clean
-        assert mdp.db.count("text_postings") > 0
-
     def test_deleted_filter_data_rebuilt_from_xml(self, schema):
         mdp = make_provider(schema)
         before = mdp.db.count("filter_data")
@@ -105,8 +93,10 @@ class TestTornStoreRepairs:
         assert mdp.db.count("atomic_rules") < atoms_before
 
     def test_second_pass_is_idempotent(self, schema):
-        mdp = make_provider(schema, contains_index="trigram")
-        mdp.db.execute("DELETE FROM text_postings")
+        mdp = make_provider(schema)
+        mdp.db.execute(
+            "DELETE FROM filter_data WHERE uri_reference LIKE 'doc1.rdf%'"
+        )
         mdp.db.execute(
             "UPDATE atomic_rules SET refcount = refcount + 1 "
             "WHERE rule_id = (SELECT MIN(rule_id) FROM atomic_rules)"

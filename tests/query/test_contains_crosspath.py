@@ -1,12 +1,13 @@
 """One ``contains`` semantics across every evaluation path.
 
-Five consumers evaluate ``contains`` predicates: the in-memory query
-evaluator, the SQL browse translator in scan and trigram mode, and the
-filter's triggering join in scan and trigram mode.  All five must agree
-— exact, case-sensitive substring over canonical string values (see
-:mod:`repro.text.ngrams`) — on every value/needle shape the language
-can produce: case variants, numeric-looking text, unicode, and needles
-shorter than a trigram (the index fallback).
+Four consumers evaluate ``contains`` predicates: the in-memory query
+evaluator, the SQL browse translator, and the filter's triggering stage
+under each ``triggering`` mode — the paper's scan join (``"sql"``) and
+the counting matcher's trigram postings (``"counting"``).  All four
+must agree — exact, case-sensitive substring over canonical string
+values (see :mod:`repro.text.ngrams`) — on every value/needle shape the
+language can produce: case variants, numeric-looking text, unicode, and
+needles shorter than a trigram (the counting matcher's short list).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.filter.counting import CountingMatcher
 from repro.filter.engine import FilterEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.query.evaluator import evaluate_query
@@ -25,7 +27,6 @@ from repro.rules.parser import parse_query
 from repro.rules.registry import RuleRegistry
 from repro.storage.engine import Database
 from repro.storage.schema import create_all
-from repro.text.index import index_contains_rule, match_contains_indexed
 from repro.text.ngrams import contains_match
 from tests.conftest import prop_settings, register_rule
 
@@ -47,7 +48,7 @@ _NEEDLES = [
     "UNI",          # case variant — must NOT match the lowercase hosts
     "234",          # numeric-looking text; affinity must not kick in
     "ünch",         # unicode codepoints
-    "de",           # shorter than a trigram — scan fallback
+    "de",           # shorter than a trigram — counting short list
     "abcde",        # scattered-trigram false positive on one host
     "passau",
     ".org",
@@ -79,15 +80,19 @@ def _rule(needle: str) -> str:
     )
 
 
+#: The ``contains`` algorithm each triggering mode runs, by name.
+_CONTAINS_PATHS = {"scan": "sql", "trigram": "counting"}
+
+
 @pytest.fixture(scope="module")
 def filter_state():
     """Both engines fed the same documents, rules registered per needle."""
     state = {}
-    for mode in ("scan", "trigram"):
+    for path, triggering in _CONTAINS_PATHS.items():
         db = Database()
         create_all(db)
         registry = RuleRegistry(db)
-        engine = FilterEngine(db, registry, contains_index=mode)
+        engine = FilterEngine(db, registry, triggering=triggering)
         ends = {
             needle: register_rule(
                 engine, registry, SCHEMA, _rule(needle), subscriber=f"s{i}"
@@ -96,7 +101,7 @@ def filter_state():
         }
         for doc in _documents():
             engine.process_diff(diff_documents(None, doc))
-        state[mode] = (db, engine, ends)
+        state[path] = (db, engine, ends)
     yield state
     for db, engine, __ in state.values():
         engine.close()
@@ -113,21 +118,20 @@ def test_evaluator_agrees(needle):
     assert [str(r.uri) for r in matches] == _expected(needle)
 
 
-@pytest.mark.parametrize("mode", ["scan", "trigram"])
 @pytest.mark.parametrize("needle", _NEEDLES)
-def test_sql_browse_agrees(filter_state, needle, mode):
+def test_sql_browse_agrees(filter_state, needle):
     db, __, __ends = filter_state["scan"]
     query = parse_query(
         f"search CycleProvider c where c.serverHost contains '{needle}'"
     )
-    uris = run_query_sql(db, query, SCHEMA, contains_index=mode)
+    uris = run_query_sql(db, query, SCHEMA)
     assert [str(u) for u in uris] == _expected(needle)
 
 
-@pytest.mark.parametrize("mode", ["scan", "trigram"])
+@pytest.mark.parametrize("path", _CONTAINS_PATHS)
 @pytest.mark.parametrize("needle", _NEEDLES)
-def test_triggering_agrees(filter_state, needle, mode):
-    __, engine, ends = filter_state[mode]
+def test_triggering_agrees(filter_state, needle, path):
+    __, engine, ends = filter_state[path]
     matches = engine.current_matches(ends[needle])
     assert sorted(str(u) for u in matches) == _expected(needle)
 
@@ -148,7 +152,8 @@ _value = st.text(
     needle=st.text(alphabet="abcde.", min_size=3, max_size=6),
 )
 def test_trigram_candidates_superset_of_true_matches(values, needle):
-    """Probe candidates ⊇ true matches; verification restores equality."""
+    """The counting matcher's contains bucket: trigram candidates ⊇ true
+    matches, and verification restores equality."""
     metrics = MetricsRegistry()
     db = Database()
     try:
@@ -157,17 +162,19 @@ def test_trigram_candidates_superset_of_true_matches(values, needle):
             "INSERT INTO atomic_rules (rule_id, kind, rule_text, class) "
             "VALUES (1, 'triggering', 'synthetic', 'CycleProvider')"
         )
-        index_contains_rule(
-            db, 1, ["CycleProvider"], "serverHost", needle, metrics=metrics
+        db.execute(
+            "INSERT INTO filter_rules_con (rule_id, class, property, value) "
+            "VALUES (1, 'CycleProvider', 'serverHost', ?)",
+            (needle,),
         )
-        for index, value in enumerate(values):
-            db.execute(
-                "INSERT INTO filter_input "
-                "(uri_reference, class, property, value) "
-                "VALUES (?, 'CycleProvider', 'serverHost', ?)",
-                (f"doc{index}.rdf#host", value),
-            )
-        hits = match_contains_indexed(db, metrics=metrics)
+        matcher = CountingMatcher(metrics=metrics)
+        matcher.refresh(db, 1)
+        hits = matcher.match(
+            [
+                (f"doc{index}.rdf#host", "CycleProvider", "serverHost", value)
+                for index, value in enumerate(values)
+            ]
+        )
         truth = sorted(
             (f"doc{index}.rdf#host", 1)
             for index, value in enumerate(values)
@@ -175,7 +182,10 @@ def test_trigram_candidates_superset_of_true_matches(values, needle):
         )
         assert sorted(hits) == truth
         counters = metrics.counter_values()
-        assert counters.get("text.candidates", 0) >= len(truth)
-        assert counters.get("text.verified", 0) == len(truth)
+        candidates = counters.get("counting.candidates", 0)
+        assert candidates >= len(truth)
+        assert candidates - counters.get("counting.false_positives", 0) == (
+            len(truth)
+        )
     finally:
         db.close()

@@ -350,7 +350,7 @@ class TestBulkRegisterTriggering:
         tables = [
             "atomic_rules", "filter_rules_class", "filter_rules_eq",
             "filter_rules_con", "filter_rules_gt", "subscriptions",
-            "subscription_rules", "filter_rules_con_tri",
+            "subscription_rules",
         ]
         return {
             table: sorted(

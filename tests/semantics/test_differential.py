@@ -32,7 +32,7 @@ from repro.mdv.provider import MetadataProvider
 from repro.rdf.model import Document
 from repro.semantics import SEMANTICS_MODES, SemanticOracle
 from repro.workload.marketplace import marketplace_schema
-from tests.filter.test_text_differential import _outcome_key
+from tests.filter.test_counting_differential import _outcome_key
 
 SEEDS = [1, 7, 42]
 

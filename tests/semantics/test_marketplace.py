@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import audit_database
 from repro.mdv.provider import MetadataProvider
 from repro.semantics import SEMANTICS_MODES
-from repro.storage.schema import TEXT_TABLES, TRIGGER_TABLES
+from repro.storage.schema import TRIGGER_TABLES
 from repro.workload.marketplace import (
     MINIMUM_DEGREE,
     SUBSCRIPTIONS,
@@ -65,7 +65,7 @@ def test_unsubscribe_drops_all_expanded_atoms():
         for subscriber, rule_text in SUBSCRIPTIONS:
             mdp.unsubscribe(subscriber, rule_text)
 
-        for table in (*TRIGGER_TABLES, *TEXT_TABLES):
+        for table in TRIGGER_TABLES:
             assert mdp.db.count(table) == 0, f"orphaned rows in {table}"
         report = audit_database(mdp.db)
         assert not report.errors()

@@ -108,7 +108,6 @@ MODULES_WITH_DOCSTRINGS = [
     "repro.mdv.batching",
     "repro.mdv.stats",
     "repro.text.ngrams",
-    "repro.text.index",
     "repro.workload.documents",
     "repro.workload.rules",
     "repro.workload.scenarios",
