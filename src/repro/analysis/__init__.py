@@ -1,6 +1,6 @@
 """Static analysis for subscription rules and persisted filter state.
 
-Six analyzers over the rule pipeline and its source tree, all
+Five analyzers over the rule pipeline and its source tree, all
 reporting structured :class:`~repro.analysis.diagnostics.Diagnostic`
 findings instead of raising on the first problem:
 
@@ -10,20 +10,15 @@ findings instead of raising on the first problem:
   candidate rule against the live registry (``MDV02x``);
 - :mod:`repro.analysis.invariants` — storage and dependency-graph
   invariant auditing of an MDP database (``MDV03x``);
-- :mod:`repro.analysis.rulebase` — whole-registry optimizer: canonical
-  forms, equivalence classes, scalable subsumption and the index
-  advisor (``MDV05x``);
 - :mod:`repro.analysis.code` — AST lint pack over the package source
   for concurrency/determinism hygiene (``MDV06x``);
 - :mod:`repro.analysis.semantics` — post-hoc auditor for the semantic
   vocabulary store (``MDV07x``).
 
-``python -m repro.analysis`` exposes all six from the command line;
+``python -m repro.analysis`` exposes all five from the command line;
 the registration paths (:meth:`RuleRegistry.register_subscription`,
 ``MetadataProvider.subscribe``) accept an ``analyze`` policy that turns
-findings into warnings or registration rejections, and the registry's
-``dedupe`` knob uses the canonicalizer to share triggering work between
-semantically equivalent subscriptions.
+findings into warnings or registration rejections.
 """
 
 from __future__ import annotations
@@ -37,41 +32,19 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.invariants import audit_database
 from repro.analysis.lint import lint_rule, lint_rule_text
-from repro.analysis.rulebase import (
-    CanonicalRule,
-    CoveringEdge,
-    IndexAdvice,
-    RegistryAudit,
-    advise_indexes,
-    audit_registry,
-    canonical_hash,
-    canonicalize,
-    find_covering_edges,
-    load_registry_atoms,
-)
 from repro.analysis.semantics import audit_vocabulary
 from repro.analysis.subsume import check_subsumption
 
 __all__ = [
     "AnalysisReport",
     "CODES",
-    "CanonicalRule",
-    "CoveringEdge",
     "Diagnostic",
-    "IndexAdvice",
-    "RegistryAudit",
     "Severity",
-    "advise_indexes",
     "audit_database",
-    "audit_registry",
     "audit_vocabulary",
-    "canonical_hash",
-    "canonicalize",
     "check_subsumption",
-    "find_covering_edges",
     "lint_file",
     "lint_paths",
     "lint_rule",
     "lint_rule_text",
-    "load_registry_atoms",
 ]

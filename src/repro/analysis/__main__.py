@@ -7,12 +7,9 @@ Commands:
   ``#`` starts a comment line).  With ``--db`` the rules are also
   checked for duplication/subsumption against the registry stored in
   that MDP database.
-- ``audit --db PATH [--analysis-json PATH]`` — audit a live MDP
-  database: storage/graph invariants (``MDV03x``) plus the
-  whole-registry rule-base audit (``MDV05x`` — equivalence classes,
-  shadowed and dead rules, index-advisor recommendations) plus the
-  semantic vocabulary audit (``MDV07x``).  ``--analysis-json`` dumps
-  the full ``ANALYSIS.json`` payload.
+- ``audit --db PATH`` — audit a live MDP database for what recovery and
+  the crash oracle rely on: storage/graph invariants (``MDV03x``) plus
+  the semantic vocabulary audit (``MDV07x``).
 - ``code [PATH ...] [--root DIR]`` — run the source-code lint pack
   (``MDV06x``) over Python files; defaults to the installed ``repro``
   package tree.
@@ -41,7 +38,6 @@ from repro.analysis.code import lint_paths
 from repro.analysis.diagnostics import CODES, EXIT_ERRORS, AnalysisReport
 from repro.analysis.invariants import audit_database
 from repro.analysis.lint import lint_rule_text
-from repro.analysis.rulebase import audit_registry
 from repro.analysis.semantics import audit_vocabulary
 from repro.analysis.subsume import check_subsumption
 
@@ -163,9 +159,7 @@ def _subsumption_report(
     return report
 
 
-def run_audit(
-    db_path: str, fmt: str = "text", analysis_json: str | None = None
-) -> int:
+def run_audit(db_path: str, fmt: str = "text") -> int:
     """Audit one MDP database; print findings."""
     try:
         db = _open_database(db_path)
@@ -174,21 +168,10 @@ def run_audit(
         return EXIT_ERRORS
     schema = _provider_schema(db)
     report = audit_database(db)
-    rulebase = audit_registry(db, schema)
-    report.extend(rulebase.report)
     report.extend(audit_vocabulary(db, schema))
-    if analysis_json is not None:
-        Path(analysis_json).write_text(
-            json.dumps(rulebase.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
     if fmt == "json":
         print(json.dumps(
-            {
-                "database": db_path,
-                "rulebase": rulebase.to_dict(),
-                **report.to_dict(),
-            },
-            indent=2,
+            {"database": db_path, **report.to_dict()}, indent=2
         ))
     else:
         for diagnostic in report:
@@ -280,14 +263,10 @@ def main(argv: list[str] | None = None) -> int:
         "MDP database",
     )
     audit_parser = subparsers.add_parser(
-        "audit", help="audit an MDP database (invariants + rule base)"
+        "audit", help="audit an MDP database (invariants + vocabulary)"
     )
     audit_parser.add_argument(
         "--db", required=True, help="path to the MDP SQLite database"
-    )
-    audit_parser.add_argument(
-        "--analysis-json", metavar="PATH",
-        help="dump the whole-registry ANALYSIS.json payload to PATH",
     )
     code_parser = subparsers.add_parser(
         "code", help="run the MDV06x source-code lint pack"
@@ -310,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "lint":
         return run_lint(args.files, args.rule, args.db, args.format)
     if args.command == "audit":
-        return run_audit(args.db, args.format, args.analysis_json)
+        return run_audit(args.db, args.format)
     if args.command == "code":
         return run_code(args.paths, args.root, args.format)
     return run_codes(args.format)

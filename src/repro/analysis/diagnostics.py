@@ -12,12 +12,11 @@ Code blocks:
 - ``MDV01x`` — satisfiability findings (contradictions, redundancies);
 - ``MDV02x`` — subsumption/duplication against the live registry;
 - ``MDV03x`` — storage/graph invariant violations found by the auditor;
-- ``MDV05x`` — whole-registry rule-base findings (equivalence classes,
-  shadowing/covering, dead rules, index-advisor recommendations);
 - ``MDV06x`` — source-code lint pack (connection affinity, wall-clock
   discipline, instrumentation and export hygiene);
 - ``MDV07x`` — semantic-tier findings (unknown concepts, cyclic
-  taxonomy edges, invalid mapping functions, expansion fan-out).
+  taxonomy edges, invalid mapping functions, unsatisfiable mapped
+  atoms).
 """
 
 from __future__ import annotations
@@ -86,15 +85,6 @@ CODES: dict[str, str] = {
     # -- linter: performance hints (MDV039) ----------------------------
     "MDV039": "contains needle shorter than a trigram has no trigram "
     "postings (brute-forced per bucket by the counting matcher)",
-    # -- whole-registry rule-base audit (MDV05x) -----------------------
-    "MDV050": "multiple subscriptions share one triggering entry "
-    "(duplicate rule registrations)",
-    "MDV051": "registered rules are semantically equivalent "
-    "(same canonical form, different spelling)",
-    "MDV052": "registered rule is shadowed by a more general registered "
-    "rule (covering edge)",
-    "MDV053": "registered rule is unsatisfiable (dead triggering entry)",
-    "MDV054": "index-advisor recommendation for an engine knob",
     # -- source-code lint pack (MDV06x) --------------------------------
     "MDV060": "raw sqlite3.connect outside the storage engine",
     "MDV061": "thread-affinity hazard (check_same_thread=False or "
@@ -115,8 +105,6 @@ CODES: dict[str, str] = {
     "MDV073": "mapping function is type-mismatched for its properties",
     "MDV074": "mapped atom is unsatisfiable (no publishable source "
     "value can reach the subscribed constant)",
-    "MDV075": "semantic expansion pushes the rule base past the "
-    "counting-matcher threshold (advisor recommendation)",
 }
 
 

@@ -21,7 +21,7 @@ later schema revision dropped) and closure corruption:
   constant can never match (``MDV074``).
 
 ``audit_vocabulary`` never mutates the database; the ``audit`` CLI
-command runs it alongside the MDV03x/MDV05x audits.
+command runs it alongside the MDV03x invariant audit.
 """
 
 from __future__ import annotations

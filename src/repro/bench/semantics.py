@@ -14,8 +14,7 @@ any degree and the four measurements do byte-identical work except for
 the size of the triggering index the joins probe — the purest view of
 the hot-path overhead the expansion rows add.  Registration (where the
 rewriting actually runs) is recorded as each series' ``prepare_seconds``
-and stays outside the gated wall time, exactly like the rule-base build
-in :mod:`repro.bench.analysis`.
+and stays outside the gated wall time.
 
 ``BENCH_semantics.json``'s claims pin the acceptance bar: ``synonyms``
 publishes within noise of ``off`` (~0 hot-path overhead), every degree
@@ -67,7 +66,7 @@ def _measure(
     try:
         before = default_registry().counter_values()
         build_started = time.perf_counter()
-        registry = build_registry(db, size, mix="comp", semantics=mode)
+        registry = build_registry(db, size, semantics=mode)
         build_seconds = time.perf_counter() - build_started
         semantic_rows = sum(
             db.count(table, "semantic = 1") for table in TRIGGER_TABLES

@@ -43,7 +43,7 @@ import json
 import signal
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 from repro.errors import MDVError
 from repro.mdv.client import ProviderHandle
@@ -85,7 +85,6 @@ class ServiceConfig:
     # Provider knobs (MDP role), mirroring MetadataProvider's.
     triggering: str = "sql"
     consistency: str = "filter"
-    dedupe: str = "off"
     durability: str = "fast"
     durable_delivery: bool = False
     recovery: str = "off"
@@ -110,28 +109,70 @@ class ServiceConfig:
                 )
 
 
+def _is_a(value: Any, kind: type) -> bool:
+    """JSON-strict ``isinstance``: a bool is no int, an int is a float."""
+    if kind is bool:
+        return isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
 def config_from_dict(raw: dict[str, Any]) -> ServiceConfig:
-    """Build a :class:`ServiceConfig` from parsed JSON, strictly."""
+    """Build a :class:`ServiceConfig` from parsed JSON, strictly.
+
+    The one place a daemon's config is validated: unknown keys, each
+    scalar against its field's type (``str | None`` also takes
+    ``null``), the peer table and ``request_timeout_s > 0``.  Errors are
+    ``ValueError`` naming the key.
+    """
     if not isinstance(raw, dict):
         raise ValueError("service config must be a JSON object")
-    known = {f for f in ServiceConfig.__dataclass_fields__}
-    unknown = sorted(set(raw) - known)
+    hints = get_type_hints(ServiceConfig)
+    unknown = sorted(set(raw) - set(hints))
     if unknown:
         raise ValueError(f"unknown service config keys: {unknown}")
     if "name" not in raw or "role" not in raw:
         raise ValueError("service config needs at least 'name' and 'role'")
+    fields = dict(raw)
+    for key, value in raw.items():
+        if key == "peers":
+            continue
+        kinds = get_args(hints[key]) or (hints[key],)
+        if not any(_is_a(value, kind) for kind in kinds):
+            expected = " or ".join(
+                "null" if kind is type(None) else kind.__name__
+                for kind in kinds
+            )
+            raise ValueError(
+                f"service config key {key!r} must be {expected}, "
+                f"got {value!r}"
+            )
+        if hints[key] is float:
+            fields[key] = float(value)
+    if "request_timeout_s" in raw and raw["request_timeout_s"] <= 0:
+        raise ValueError(
+            f"service config key 'request_timeout_s' must be > 0, "
+            f"got {raw['request_timeout_s']!r}"
+        )
     peers_raw = raw.get("peers", {})
     if not isinstance(peers_raw, dict):
         raise ValueError("'peers' must map endpoint names to [host, port]")
     peers: dict[str, tuple[str, int]] = {}
     for peer_name, address in peers_raw.items():
-        if (not isinstance(address, (list, tuple)) or len(address) != 2):
+        if (
+            not isinstance(address, (list, tuple))
+            or len(address) != 2
+            or not _is_a(address[0], str)
+            or not _is_a(address[1], int)
+        ):
             raise ValueError(
                 f"peer {peer_name!r} address must be [host, port], "
                 f"got {address!r}"
             )
-        peers[peer_name] = (str(address[0]), int(address[1]))
-    fields = dict(raw)
+        peers[peer_name] = (address[0], address[1])
     fields["peers"] = peers
     return ServiceConfig(**fields)
 
@@ -159,7 +200,6 @@ def _build_node(
             consistency=config.consistency,
             analyze=config.analyze,
             triggering=config.triggering,
-            dedupe=config.dedupe,
             durability=config.durability,
             durable_delivery=config.durable_delivery,
             recovery=config.recovery,

@@ -104,7 +104,6 @@ class MetadataProvider:
         retry_policy: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
         triggering: str = "sql",
-        dedupe: str = "off",
         durability: str = "fast",
         durable_delivery: bool = False,
         recovery: str = "off",
@@ -145,7 +144,7 @@ class MetadataProvider:
         self.durable_delivery = durable_delivery
         self._in_op = False
         self._pending_flush: set[str] = set()
-        self.registry = RuleRegistry(self.db, dedupe=dedupe, semantics=semantics)
+        self.registry = RuleRegistry(self.db, semantics=semantics)
         #: Active S-ToPSS degree (``repro.semantics``, docs/SEMANTICS.md);
         #: the registry constructor validates the mode.
         self.semantics = semantics

@@ -17,7 +17,7 @@ its bus:
 2. audit the invariants (:func:`repro.analysis.invariants.audit_database`
    — the MDV03x pack);
 3. repair from source-of-truth tables: refcounts are recomputed from
-   ``subscription_rules``, orphaned index/materialized/canon rows are
+   ``subscription_rules``, orphaned index/materialized rows are
    dropped, unreachable atom trees are garbage-collected, and
    ``filter_data`` / ``resources`` rows are rebuilt from the registered
    documents' XML;
@@ -143,11 +143,10 @@ class RecoveryManager:
         return max(cursor.rowcount, 0)
 
     def _drop_orphan_index_rows(self) -> int:  # mdv: allow(MDV065): runs inside caller's transaction
-        """Index/materialized/canon rows referencing missing atoms."""
+        """Index/materialized/subscription rows referencing missing atoms."""
         dropped = 0
         guard = "(SELECT rule_id FROM atomic_rules)"
-        for table in (*TRIGGER_TABLES, "materialized", "rule_canon",
-                      "subscription_rules"):
+        for table in (*TRIGGER_TABLES, "materialized", "subscription_rules"):
             cursor = self._db.execute(
                 f"DELETE FROM {table} WHERE rule_id NOT IN {guard}"
             )
@@ -235,8 +234,9 @@ class RecoveryManager:
                 "OR target_rule = ?",
                 (rule_id, rule_id),
             )
-            for table in (*TRIGGER_TABLES, "materialized", "rule_canon",
-                          "subscription_rules"):
+            for table in (
+                *TRIGGER_TABLES, "materialized", "subscription_rules"
+            ):
                 self._db.execute(
                     f"DELETE FROM {table} WHERE rule_id = ?", (rule_id,)
                 )

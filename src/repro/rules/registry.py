@@ -49,7 +49,6 @@ __all__ = [
     "RuleMutation",
     "Subscription",
     "ANALYZE_POLICIES",
-    "DEDUPE_MODES",
     "MUTATION_LOG_LIMIT",
     "SEMANTICS_MODES",
 ]
@@ -59,16 +58,6 @@ __all__ = [
 #: result, ``"reject"`` additionally refuses to register when the
 #: analyzer reports errors.
 ANALYZE_POLICIES = ("off", "warn", "reject")
-
-#: Valid values for the ``dedupe=`` knob: ``"off"`` registers every
-#: decomposition as-is (atoms still share by exact key), ``"report"``
-#: additionally records an MDV051 diagnostic when a semantically
-#: equivalent rule is already stored, and ``"merge"`` lets the new
-#: subscription share the equivalent rule's triggering entry outright —
-#: fan-out is restored per subscription at notification time, so the
-#: delivered streams are identical to the undeduped path.
-DEDUPE_MODES = ("off", "report", "merge")
-
 
 #: Length bound of :attr:`RuleRegistry.mutation_log`.  Far above any
 #: realistic burst between two filter runs; consumers finding a gap the
@@ -138,7 +127,6 @@ class RuleRegistry:
         self,
         db: Database,
         deduplicate: bool = True,
-        dedupe: str = "off",
         semantics: str = "off",
     ):
         self._db = db
@@ -146,17 +134,6 @@ class RuleRegistry:
         #: design).  ``False`` disables the dependency-graph merge — an
         #: ablation knob: every subscription gets private atoms.
         self.deduplicate = deduplicate
-        if dedupe not in DEDUPE_MODES:
-            raise ValueError(
-                f"unknown dedupe mode {dedupe!r}; expected one of "
-                f"{DEDUPE_MODES}"
-            )
-        if dedupe != "off" and not deduplicate:
-            raise ValueError(
-                "dedupe requires atom deduplication (deduplicate=True)"
-            )
-        #: Semantic deduplication by canonical form (see DEDUPE_MODES).
-        self.dedupe = dedupe
         if semantics not in SEMANTICS_MODES:
             raise ValueError(
                 f"unknown semantics mode {semantics!r}; expected one of "
@@ -321,10 +298,9 @@ class RuleRegistry:
         """Add the active degree's expansion rows for one base atom.
 
         Every row carries ``semantic = 1`` so reconstruction
-        (:meth:`_load_triggering`) and the rule-base audit can recover
-        the subscriber's original predicate; both triggering paths give
-        multiple index rows of one rule OR semantics, so no matcher
-        change is needed.  ``INSERT OR IGNORE`` everywhere: expansions
+        (:meth:`_load_triggering`) can recover the subscriber's original
+        predicate; both triggering paths give multiple index rows of one
+        rule OR semantics, so no matcher change is needed.  ``INSERT OR IGNORE`` everywhere: expansions
         of synonym/taxonomy-overlapping vocabularies collide on the
         primary key and the first row wins.
         """
@@ -445,32 +421,8 @@ class RuleRegistry:
         diagnostics = self._analyze_candidate(
             subscriber, rule_text, decomposed, analyze
         )
-        canon_hash: str | None = None
-        equivalent_end: int | None = None
-        if self.dedupe != "off":
-            canon_hash, equivalent_end, dedupe_diagnostics = (
-                self._dedupe_candidate(decomposed)
-            )
-            diagnostics.extend(dedupe_diagnostics)
-        if equivalent_end is not None and self.dedupe == "merge":
-            # Share the equivalent rule's triggering entry: no new atoms,
-            # no index mutation — the subscription rides the stored tree.
-            end_id = equivalent_end
-            all_ids = self._tree_rule_ids(equivalent_end)
-            created: list[int] = []
-            self._db.metrics.counter("analysis.dedupe_merged").inc()
-        else:
-            end_id, all_ids, created = self.ensure_atoms(decomposed)
+        end_id, all_ids, created = self.ensure_atoms(decomposed)
         with self._db.transaction():
-            if canon_hash is not None and equivalent_end is None:
-                # Inside the subscription's transaction: a torn
-                # registration never leaves a canon entry without its
-                # subscription (crash-safety, docs/DURABILITY.md).
-                self._db.execute(
-                    "INSERT OR IGNORE INTO rule_canon (canon_hash, rule_id) "
-                    "VALUES (?, ?)",
-                    (canon_hash, end_id),
-                )
             duplicate = self._db.query_one(
                 "SELECT sub_id FROM subscriptions WHERE subscriber = ? AND "
                 "rule_text = ?",
@@ -529,74 +481,6 @@ class RuleRegistry:
                 diagnostics=report.diagnostics,
             )
         return list(report.diagnostics)
-
-    def _dedupe_candidate(
-        self, decomposed: DecomposedRule
-    ) -> tuple[str, int | None, list["Diagnostic"]]:
-        """Look the candidate's canonical form up in ``rule_canon``.
-
-        Returns ``(canon_hash, equivalent_end_rule_or_None, diagnostics)``.
-        A stored rule only counts as *equivalent* (not identical) when
-        its end-rule key differs from the candidate's — identical keys
-        already share atoms through :meth:`ensure_atoms`.
-        """
-        from repro.analysis.diagnostics import Diagnostic, Severity
-        from repro.analysis.rulebase import canonicalize
-
-        canon = canonicalize(decomposed.end)
-        row = self._db.query_one(
-            "SELECT rule_id FROM rule_canon WHERE canon_hash = ?",
-            (canon.hash,),
-        )
-        if row is None:
-            return canon.hash, None, []
-        existing_id = int(row["rule_id"])
-        diagnostics: list[Diagnostic] = []
-        if self.load_atom(existing_id).key != decomposed.end.key:
-            if self.dedupe == "report":
-                diagnostics.append(
-                    Diagnostic(
-                        Severity.WARNING,
-                        "MDV051",
-                        f"rule is semantically equivalent to stored end "
-                        f"rule {existing_id} (different spelling)",
-                        hint="dedupe='merge' would share one triggering "
-                        "entry",
-                        source=decomposed.end.key,
-                    )
-                )
-            else:
-                diagnostics.append(
-                    Diagnostic(
-                        Severity.INFO,
-                        "MDV051",
-                        f"rule merged into equivalent stored end rule "
-                        f"{existing_id}",
-                        source=decomposed.end.key,
-                    )
-                )
-        return canon.hash, existing_id, diagnostics
-
-    def _tree_rule_ids(self, end_id: int) -> list[int]:
-        """All rule ids of the stored dependency tree under ``end_id``."""
-        seen: set[int] = set()
-        stack = [end_id]
-        while stack:
-            rule_id = stack.pop()
-            if rule_id in seen:
-                continue
-            seen.add(rule_id)
-            row = self._db.query_one(
-                "SELECT left_rule, right_rule FROM atomic_rules "
-                "WHERE rule_id = ?",
-                (rule_id,),
-            )
-            if row is None:
-                raise SubscriptionError(f"no atomic rule with id {rule_id}")
-            for child in (row["left_rule"], row["right_rule"]):
-                if child is not None:
-                    stack.append(int(child))
-        return sorted(seen)
 
     def unsubscribe(self, subscriber: str, rule_text: str) -> list[int]:
         """Remove a subscription; returns the ids of atoms garbage-collected."""
@@ -675,9 +559,6 @@ class RuleRegistry:
             self._db.execute(f"DELETE FROM {table} WHERE rule_id = ?", (rule_id,))
         self._db.execute(
             "DELETE FROM materialized WHERE rule_id = ?", (rule_id,)
-        )
-        self._db.execute(
-            "DELETE FROM rule_canon WHERE rule_id = ?", (rule_id,)
         )
         self._db.execute(
             "DELETE FROM atomic_rules WHERE rule_id = ?", (rule_id,)

@@ -354,7 +354,7 @@ class SemanticStore:
     # -- statistics -----------------------------------------------------
 
     def vocabulary_counts(self) -> dict[str, int]:
-        """Row counts per vocabulary table (for stats and the advisor)."""
+        """Row counts per vocabulary table."""
         counts: dict[str, int] = {}
         for key, sql in (
             ("synonym_terms", "SELECT COUNT(*) FROM semantic_synonyms"),

@@ -34,9 +34,6 @@ Table inventory (paper name → ours):
 - ``subscriptions`` / ``subscription_rules``: which subscriber registered
   which rule, and which atomic rules each subscription contributed to
   (reference counts drive unsubscription cleanup).
-- ``rule_canon``: canonical-form hash → end rule, maintained when the
-  registry's ``dedupe`` knob is active so semantically equivalent rules
-  can share one triggering entry (repro.analysis.rulebase).
 - ``documents`` / ``resources``: registered documents and the
   resource → document mapping used when publishing content.
 - ``semantic_*``: the vocabulary store of the semantic matching tier
@@ -216,12 +213,6 @@ CREATE TABLE IF NOT EXISTS subscription_rules (
     PRIMARY KEY (sub_id, rule_id)
 ) WITHOUT ROWID;
 CREATE INDEX IF NOT EXISTS idx_sr_rule ON subscription_rules(rule_id);
-
-CREATE TABLE IF NOT EXISTS rule_canon (
-    canon_hash TEXT PRIMARY KEY,
-    rule_id    INTEGER NOT NULL REFERENCES atomic_rules(rule_id)
-) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS idx_rc_rule ON rule_canon(rule_id);
 
 -- Durable-state tables (docs/DURABILITY.md).  ``doc_versions`` persists
 -- the provider's per-document (counter, origin) version vector entries,

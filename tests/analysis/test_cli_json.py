@@ -1,6 +1,5 @@
-"""CLI tests for the machine-readable surface added with the optimizer:
-``--format json`` on every subcommand, the ``audit`` registry section +
-``--analysis-json`` dump, and the ``code`` lint-pack subcommand."""
+"""CLI tests for the machine-readable surface: ``--format json`` on every
+subcommand, and the ``code`` lint-pack subcommand."""
 
 import json
 
@@ -15,23 +14,6 @@ REDUNDANT_RULE = (
     "search CycleProvider c register c "
     "where c.serverPort > 5 and c.serverPort > 3"
 )
-
-
-@pytest.fixture()
-def mdp_db(tmp_path):
-    """A file-backed MDP store with two equivalent subscriptions."""
-    path = str(tmp_path / "mdp.db")
-    provider = MetadataProvider(objectglobe_schema(), db=Database(path))
-    provider.subscribe(
-        "lmr1", "search CycleProvider c register c where c.serverPort > 5"
-    )
-    provider.subscribe(
-        "lmr2",
-        "search CycleProvider c register c "
-        "where c.serverPort > 5.0 and c.serverPort > -1",
-    )
-    provider.db.commit()
-    return path
 
 
 def _json_out(capsys):
@@ -55,42 +37,19 @@ class TestLintJson:
 
 
 class TestAuditJson:
-    def test_registry_sections_present(self, mdp_db, capsys):
-        code = main(["audit", "--db", mdp_db, "--format", "json"])
-        payload = _json_out(capsys)
-        rulebase = payload["rulebase"]
-        assert rulebase["registry"]["end_rules"] >= 1
-        assert rulebase["equivalence"]["equivalent_groups"]
-        assert set(rulebase["advisor"]) == {
-            "join_evaluation",
-            "triggering",
-            "stats",
-        }
-        # The equivalent pair surfaces as MDV051 — a warning, exit 1.
-        assert code == 1
-        assert any(
-            d["code"] == "MDV051" for d in payload["diagnostics"]
+    def test_payload_is_invariants_and_vocabulary(self, tmp_path, capsys):
+        path = str(tmp_path / "mdp.db")
+        provider = MetadataProvider(objectglobe_schema(), db=Database(path))
+        provider.subscribe(
+            "lmr1", "search CycleProvider c register c where c.serverPort > 5"
         )
-
-    def test_analysis_json_dump(self, mdp_db, tmp_path, capsys):
-        out = tmp_path / "ANALYSIS.json"
-        main(["audit", "--db", mdp_db, "--analysis-json", str(out)])
-        capsys.readouterr()
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["generated_by"] == "repro.analysis.rulebase"
+        provider.db.commit()
+        assert main(["audit", "--db", path, "--format", "json"]) == 0
+        payload = _json_out(capsys)
         assert set(payload) == {
-            "generated_by",
-            "registry",
-            "equivalence",
-            "subsumption",
-            "advisor",
-            "diagnostics",
+            "database", "diagnostics", "summary", "exit_code"
         }
-
-    def test_text_format_mentions_registry(self, mdp_db, capsys):
-        main(["audit", "--db", mdp_db])
-        out = capsys.readouterr().out
-        assert "MDV051" in out
+        assert payload["exit_code"] == 0
 
 
 class TestCodeSubcommand:
@@ -123,8 +82,9 @@ class TestCodeSubcommand:
         assert "MDV064" in capsys.readouterr().out
 
 
-def test_codes_json_lists_rulebase_and_lint_pack(capsys):
+def test_codes_json_lists_audit_and_lint_pack(capsys):
     assert main(["codes", "--format", "json"]) == 0
     payload = _json_out(capsys)
     codes = set(payload)
-    assert {"MDV050", "MDV051", "MDV054", "MDV060", "MDV064"} <= codes
+    assert {"MDV031", "MDV060", "MDV064", "MDV070"} <= codes
+    assert not any(code.startswith("MDV05") for code in codes)

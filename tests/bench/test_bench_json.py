@@ -189,7 +189,6 @@ class TestRegressionGate:
             path.name for path in Path("benchmarks/baselines").glob("*.json")
         )
         assert names == [
-            "BENCH_analysis.json",
             "BENCH_fig11.json", "BENCH_fig12.json", "BENCH_fig13.json",
             "BENCH_fig14.json", "BENCH_fig15.json",
             "BENCH_matcher.json",

@@ -135,17 +135,13 @@ def _info_document(name: str, memory: int, cpu: int) -> Document:
     return doc
 
 
-def run_scenario(
-    seed: int,
-    triggering: str,
-    dedupe: str = "off",
-) -> bytes:
+def run_scenario(seed: int, triggering: str) -> bytes:
     """One seeded publish/subscribe workload; returns a canonical digest."""
     rng = random.Random(seed)
     schema = objectglobe_schema()
     db = Database()
     create_all(db)
-    registry = RuleRegistry(db, dedupe=dedupe)
+    registry = RuleRegistry(db)
     engine = FilterEngine(db, registry, triggering=triggering)
 
     conjunct_texts: dict[str, list[str]] = {}
@@ -224,8 +220,8 @@ def run_scenario(
         ends[both] = subscribe(50, both)
         over_both = _HOST_HEAD + "memory > 64"
         ends[over_both] = subscribe(51, over_both)
-        # An end rule nothing joins on, and (what dedupe="merge" folds
-        # into one stored rule) a base with its equivalent respelling.
+        # An end rule nothing joins on, and a base with an equivalent
+        # respelling, which registers a tree of its own.
         lone = _INFO_HEAD + "s.cpu > 950"
         ends[lone] = subscribe(52, lone)
         base = _INFO_HEAD + "s.memory < 10"
@@ -287,13 +283,4 @@ def run_scenario(
 def test_counting_matches_sql_oracle(seed):
     baseline = run_scenario(seed, triggering="sql")
     variant = run_scenario(seed, triggering="counting")
-    assert variant == baseline
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_counting_matches_sql_oracle_under_merged_rules(seed):
-    """``dedupe="merge"`` folds the respelled rule into its base, which
-    therefore stays an end rule nothing joins on."""
-    baseline = run_scenario(seed, "sql", dedupe="merge")
-    variant = run_scenario(seed, "counting", dedupe="merge")
     assert variant == baseline

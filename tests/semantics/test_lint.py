@@ -1,25 +1,17 @@
-"""The MDV07x vocabulary audit and the MDV075 advisor extension."""
+"""The MDV07x vocabulary audit."""
 
 from __future__ import annotations
 
 import pytest
 
-import repro.analysis.rulebase as rulebase
-from repro.analysis import (
-    Severity,
-    advise_indexes,
-    audit_registry,
-    audit_vocabulary,
-)
+from repro.analysis import audit_vocabulary
 from repro.mdv.provider import MetadataProvider
-from repro.storage.engine import Database
 from repro.workload.marketplace import (
     SUBSCRIPTIONS,
     listings,
     marketplace_schema,
     seed_vocabulary,
 )
-from repro.workload.registry import build_registry, semantic_schema
 
 
 @pytest.fixture()
@@ -113,38 +105,3 @@ def test_mdv074_unsatisfiable_mapped_equality():
         )
     finally:
         mdp.close()
-
-
-def test_mdv075_semantic_fanout_flips_advisor(monkeypatch):
-    monkeypatch.setattr(rulebase, "COUNTING_RULE_THRESHOLD", 10)
-    db = Database()
-    try:
-        # 6 COMP rules, each doubled by the synthMeasure synonym: 6
-        # rules but 12 expanded rows — past the (patched) crossover.
-        build_registry(db, 6, mix="comp", semantics="synonyms")
-        advice = advise_indexes(db)
-        assert advice.stats["triggering_rules"] < 10
-        assert advice.stats["expanded_triggering_rows"] >= 10
-        assert advice.triggering == "counting"
-        audit = audit_registry(db, semantic_schema())
-        found = [d for d in audit.report if d.code == "MDV075"]
-        assert len(found) == 1
-        assert found[0].severity == Severity.WARNING
-        assert "12" in found[0].message
-    finally:
-        db.close()
-
-
-def test_mdv075_not_emitted_without_semantics(monkeypatch):
-    monkeypatch.setattr(rulebase, "COUNTING_RULE_THRESHOLD", 10)
-    db = Database()
-    try:
-        build_registry(db, 12, mix="comp")
-        advice = advise_indexes(db)
-        # Past the threshold on rule count alone: counting is advised
-        # through the *existing* heuristic, not the semantic one.
-        assert advice.triggering == "counting"
-        audit = audit_registry(db, semantic_schema())
-        assert not [d for d in audit.report if d.code == "MDV075"]
-    finally:
-        db.close()

@@ -96,7 +96,6 @@ MODULES_WITH_DOCSTRINGS = [
     "repro.analysis.lint",
     "repro.analysis.subsume",
     "repro.analysis.invariants",
-    "repro.analysis.rulebase",
     "repro.analysis.code",
     "repro.mdv.provider",
     "repro.mdv.repository",
@@ -116,7 +115,6 @@ MODULES_WITH_DOCSTRINGS = [
     "repro.bench.figures",
     "repro.bench.ablations",
     "repro.bench.reporting",
-    "repro.bench.analysis",
     "repro.xmlext.adapter",
 ]
 
