@@ -1,4 +1,4 @@
-"""Operating MDV: persistence, batch registration, TTL mode, statistics.
+"""Operating MDV: persistence, batch registration, statistics.
 
 The systems side of the reproduction, beyond the paper's algorithms:
 
@@ -7,9 +7,7 @@ The systems side of the reproduction, beyond the paper's algorithms:
 2. the **periodic batching** mode the paper's evaluation motivates
    ("to process several documents in one batch"), via
    :class:`~repro.mdv.batching.BatchingRegistrar`;
-3. the **TTL consistency** alternative of Section 3.5 — cheap updates,
-   staleness bounded by the expiry pass;
-4. the statistics snapshot operators monitor.
+3. the statistics snapshot operators monitor.
 
 Run:  python examples/operating_mdv.py
 """
@@ -85,20 +83,6 @@ def main() -> None:
         print("\n" + collect_statistics(mdp).summary())
         mdp.db.close()
 
-    # --- 4. TTL consistency mode --------------------------------------
-    print("\n--- TTL consistency mode ---")
-    ttl_mdp = MetadataProvider(schema, consistency="ttl")
-    ttl_lmr = LocalMetadataRepository("ttl-lmr", ttl_mdp)
-    ttl_lmr.subscribe(RULE)
-    ttl_mdp.register_document(make_doc(0, memory=92))
-    ttl_mdp.register_document(make_doc(0, memory=16))  # stops matching
-    stale = "doc0.rdf#host" in ttl_lmr.cache
-    print("stale entry served before expiry:", stale)
-    assert stale
-    ttl_lmr.clock += 10
-    evicted = ttl_lmr.expire(ttl=5)
-    print(f"expiry pass evicted {evicted} entr(ies)")
-    assert "doc0.rdf#host" not in ttl_lmr.cache
     print("\noperating MDV OK")
 
 

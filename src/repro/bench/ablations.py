@@ -9,10 +9,7 @@ Available ablations (also runnable via ``python -m repro.bench``):
 - ``rule-groups`` — grouped versus per-join-rule evaluation (§3.3.3);
 - ``dedup`` — dependency-graph merging versus private atoms (§3.3.2);
 - ``join-evaluation`` — the paper's member-scan combined evaluation
-  versus the delta-probe optimization (beyond the paper);
-- ``consistency`` — the §3.5 three-pass filter versus per-resource
-  subscriber lists versus TTL expiry, on a single update touching many
-  rules.
+  versus the delta-probe optimization (beyond the paper).
 """
 
 from __future__ import annotations
@@ -21,15 +18,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.bench.harness import FilterBench
-from repro.mdv.consistency import (
-    FilterStrategy,
-    ResourceListStrategy,
-    TTLStrategy,
-)
-from repro.mdv.provider import MetadataProvider
-from repro.rdf.diff import diff_documents
-from repro.rdf.model import Document, URIRef
-from repro.rdf.schema import objectglobe_schema
 from repro.workload.scenarios import WorkloadSpec
 
 __all__ = [
@@ -37,7 +25,6 @@ __all__ = [
     "ablation_rule_groups",
     "ablation_dedup",
     "ablation_join_evaluation",
-    "ablation_consistency",
     "ABLATIONS",
 ]
 
@@ -167,72 +154,8 @@ def ablation_join_evaluation(
     return result
 
 
-def ablation_consistency(rules_per_resource: int = 40) -> AblationResult:
-    """Three-pass filter vs. resource lists vs. TTL on one update."""
-    result = AblationResult(
-        "consistency",
-        f"update-consistency strategies ({rules_per_resource} rules on "
-        f"the updated resource)",
-    )
-    strategies = {
-        "filter": FilterStrategy,
-        "resource-list": ResourceListStrategy,
-        "ttl": TTLStrategy,
-    }
-    schema = objectglobe_schema()
-    for label, strategy_class in strategies.items():
-        samples = []
-        for __ in range(3):
-            mdp = MetadataProvider(schema)
-            mdp.connect_subscriber("lmr", lambda batch: None)
-            for index in range(rules_per_resource):
-                mdp.subscribe(
-                    "lmr",
-                    f"search CycleProvider c register c "
-                    f"where c.serverInformation.memory > {index}",
-                )
-            strategy = strategy_class(mdp)
-            doc = _consistency_doc(rules_per_resource + 1)
-            strategy.process_diff(diff_documents(None, doc))
-            updated = doc.copy()
-            updated.get("doc0.rdf#info").set(
-                "memory", rules_per_resource // 2
-            )
-            diff = diff_documents(doc, updated)
-            started = time.perf_counter()
-            strategy.process_diff(diff)
-            samples.append(time.perf_counter() - started)
-            mdp.db.close()
-        samples.sort()
-        result.timings[label] = samples[len(samples) // 2]
-    result.claims = [
-        (
-            "TTL (imprecise) is the cheapest per update",
-            result.timings["ttl"] <= min(result.timings.values()) * 1.001,
-        ),
-        (
-            "the filter beats per-resource lists when many rules attach "
-            "to the updated resource",
-            result.timings["filter"] < result.timings["resource-list"],
-        ),
-    ]
-    return result
-
-
-def _consistency_doc(memory: int) -> Document:
-    doc = Document("doc0.rdf")
-    provider = doc.new_resource("host", "CycleProvider")
-    provider.add("serverHost", "a.uni-passau.de")
-    provider.add("serverInformation", URIRef("doc0.rdf#info"))
-    info = doc.new_resource("info", "ServerInformation")
-    info.add("memory", memory)
-    info.add("cpu", 600)
-    return doc
-
-
 ABLATIONS = {
     "rule-groups": ablation_rule_groups,
     "dedup": ablation_dedup,
     "join-evaluation": ablation_join_evaluation,
-    "consistency": ablation_consistency,
 }

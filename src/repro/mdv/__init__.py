@@ -10,13 +10,6 @@ from repro.mdv.batching import BatchingRegistrar, BatchStats
 from repro.mdv.cache import CacheEntry, CacheStore
 from repro.mdv.stats import ProviderStatistics, collect_statistics
 from repro.mdv.client import MDVClient, ProviderHandle, ServiceClient
-from repro.mdv.consistency import (
-    FilterStrategy,
-    ResourceListStrategy,
-    StrategyCost,
-    TTLStrategy,
-    expire_stale_entries,
-)
 from repro.mdv.gc import GarbageCollector, GcReport
 from repro.mdv.outbox import (
     DeadLetter,
@@ -47,11 +40,6 @@ __all__ = [
     "MDVClient",
     "ProviderHandle",
     "ServiceClient",
-    "FilterStrategy",
-    "ResourceListStrategy",
-    "StrategyCost",
-    "TTLStrategy",
-    "expire_stale_entries",
     "GarbageCollector",
     "GcReport",
     "MetadataProvider",

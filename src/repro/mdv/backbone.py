@@ -27,7 +27,7 @@ from typing import Any
 
 from repro.errors import MDVError, NetworkError
 from repro.filter.results import PublishOutcome
-from repro.mdv.outbox import Outbox, ReplicaUpdate, RetryPolicy
+from repro.mdv.outbox import Outbox, ReplicaUpdate
 from repro.mdv.provider import MetadataProvider
 from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -44,12 +44,10 @@ class Backbone:
         self,
         schema: Schema,
         bus: Transport | None = None,
-        retry_policy: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         self.schema = schema
         self.bus = bus
-        self.retry_policy = retry_policy
         self.providers: dict[str, MetadataProvider] = {}
         self.replications = 0
         #: Outboxes for bus-less backbones (direct peer calls); with a
@@ -67,10 +65,7 @@ class Backbone:
         """Create and wire a new MDP into the backbone."""
         if name in self.providers:
             raise MDVError(f"provider {name!r} already exists")
-        provider = MetadataProvider(
-            self.schema, name=name, bus=self.bus,
-            retry_policy=self.retry_policy,
-        )
+        provider = MetadataProvider(self.schema, name=name, bus=self.bus)
         provider.set_replication_hook(
             lambda uri, doc, version, origin=name: self._replicate(
                 origin, uri, doc, version
@@ -94,11 +89,7 @@ class Backbone:
             return provider.outbox
         outbox = self._direct_outboxes.get(origin)
         if outbox is None:
-            outbox = Outbox(
-                origin,
-                transport=self._direct_transport,
-                policy=self.retry_policy,
-            )
+            outbox = Outbox(origin, transport=self._direct_transport)
             self._direct_outboxes[origin] = outbox
         return outbox
 

@@ -45,8 +45,6 @@ class CacheEntry:
     matched_subs: set[int] = field(default_factory=set)
     strong_refcount: int = 0
     is_local: bool = False
-    #: Logical timestamp of the last refresh (used by the TTL strategy).
-    refreshed_at: int = 0
 
     @property
     def retained(self) -> bool:
@@ -93,19 +91,18 @@ class CacheStore:
     # ------------------------------------------------------------------
     # Content upserts with edge-accurate strong accounting
     # ------------------------------------------------------------------
-    def _upsert_content(self, resource: Resource, now: int) -> CacheEntry:
+    def _upsert_content(self, resource: Resource) -> CacheEntry:
         """Insert or update content, reconciling strong-target counts."""
         uri = resource.uri
         entry = self._entries.get(uri)
         new_targets = set(strong_targets(resource, self._schema))
         if entry is None:
-            entry = CacheEntry(resource=resource, refreshed_at=now)
+            entry = CacheEntry(resource=resource)
             self._entries[uri] = entry
             old_targets: set[URIRef] = set()
         else:
             old_targets = set(strong_targets(entry.resource, self._schema))
             entry.resource = resource
-            entry.refreshed_at = now
         for gone in old_targets - new_targets:
             self._release_strong(gone)
         for added in new_targets - old_targets:
@@ -119,13 +116,13 @@ class CacheStore:
                 self._pending_edges[added] += 1
         return entry
 
-    def apply_match(self, sub_id: int, payload: ResourcePayload, now: int = 0) -> None:
+    def apply_match(self, sub_id: int, payload: ResourcePayload) -> None:
         """Apply a match notification: content + closure + accounting."""
         self._pending_edges: dict[URIRef, int] = {}
-        main = self._upsert_content(payload.resource, now)
+        main = self._upsert_content(payload.resource)
         main.matched_subs.add(sub_id)
         for child in payload.strong_closure:
-            self._upsert_content(child, now)
+            self._upsert_content(child)
         # Resolve edges whose target arrived later in the payload walk.
         for uri, count in self._pending_edges.items():
             target = self._entries.get(uri)
@@ -134,7 +131,7 @@ class CacheStore:
         self._pending_edges = {}
 
     def apply_matches(
-        self, matches: Iterable[tuple[int, ResourcePayload]], now: int = 0
+        self, matches: Iterable[tuple[int, ResourcePayload]]
     ) -> None:
         """Apply one batch's ``(sub_id, payload)`` matches, in order,
         upserting each distinct payload resource once.
@@ -153,12 +150,12 @@ class CacheStore:
                 self._entries[uri].matched_subs.add(sub_id)
                 continue
             upserted_at[uri] = self.evictions
-            self.apply_match(sub_id, payload, now)
+            self.apply_match(sub_id, payload)
 
-    def insert_local(self, resource: Resource, now: int = 0) -> CacheEntry:
+    def insert_local(self, resource: Resource) -> CacheEntry:
         """Insert local metadata (not subject to notification eviction)."""
         self._pending_edges = {}
-        entry = self._upsert_content(resource, now)
+        entry = self._upsert_content(resource)
         entry.is_local = True
         for uri, count in self._pending_edges.items():
             target = self._entries.get(uri)
@@ -179,7 +176,11 @@ class CacheStore:
         return self._maybe_evict(uri)
 
     def apply_delete(self, uri: URIRef) -> bool:
-        """Drop a deleted resource's content regardless of bookkeeping."""
+        """Drop a resource's content regardless of bookkeeping.
+
+        Serves delete notifications and the collector's evictions alike;
+        strong targets are released and cascade as usual.
+        """
         entry = self._entries.pop(URIRef(uri), None)
         if entry is None:
             return False
@@ -216,16 +217,6 @@ class CacheStore:
         if entry is None or entry.retained:
             return False
         del self._entries[uri]
-        self.evictions += 1
-        for target in strong_targets(entry.resource, self._schema):
-            self._release_strong(target)
-        return True
-
-    def evict(self, uri: URIRef) -> bool:
-        """Forced eviction with cascading release (used by TTL expiry)."""
-        entry = self._entries.pop(URIRef(uri), None)
-        if entry is None:
-            return False
         self.evictions += 1
         for target in strong_targets(entry.resource, self._schema):
             self._release_strong(target)

@@ -84,7 +84,6 @@ class ServiceConfig:
     schema: str = "objectglobe"
     # Provider knobs (MDP role), mirroring MetadataProvider's.
     triggering: str = "sql"
-    consistency: str = "filter"
     durability: str = "fast"
     durable_delivery: bool = False
     recovery: str = "off"
@@ -197,7 +196,6 @@ def _build_node(
             name=config.name,
             db=db,
             bus=transport,
-            consistency=config.consistency,
             analyze=config.analyze,
             triggering=config.triggering,
             durability=config.durability,

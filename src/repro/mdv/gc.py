@@ -57,7 +57,7 @@ class GarbageCollector:
                 continue
             report.examined += 1
             if not entry.retained:
-                cache.evict(uri)
+                cache.apply_delete(uri)
                 report.evicted += 1
         return report
 
@@ -92,7 +92,7 @@ class GarbageCollector:
                     frontier.append(target)
         for uri in list(cache.uris()):
             if uri not in marked:
-                cache.evict(uri)
+                cache.apply_delete(uri)
                 report.evicted += 1
                 report.cycles_broken += 1
         return report

@@ -239,7 +239,8 @@ class Outbox:
         #: further delivery is attempted until a redrive unparks them,
         #: preserving sequence order across the outage.
         self._parked: set[str] = set()
-        #: Acknowledged entries retained per destination for replay.
+        #: Acknowledged entries retained per destination for replay;
+        #: with a store, replay reads the store and this stays empty.
         self._history: dict[str, list[OutboxEntry]] = {}
         self.dead_letters: list[DeadLetter] = []
         self.enqueued = 0
@@ -382,7 +383,8 @@ class Outbox:
             queue.popleft()
             if self._store is not None:
                 self._store.mark_delivered(destination, entry.seq)
-            self._history.setdefault(destination, []).append(entry)
+            else:
+                self._history.setdefault(destination, []).append(entry)
             self.delivered += 1
             delivered += 1
             self._m_delivered.inc()

@@ -51,7 +51,6 @@ from repro.mdv.outbox import (
     Outbox,
     OutboxStore,
     ReplicaUpdate,
-    RetryPolicy,
 )
 from repro.mdv.recovery import RecoveryManager, RecoveryReport
 from repro.net.transport import Transport
@@ -97,11 +96,8 @@ class MetadataProvider:
         name: str = "mdp",
         db: Database | None = None,
         bus: Transport | None = None,
-        use_rule_groups: bool = True,
-        consistency: str = "filter",
         join_evaluation: str = "probe",
         analyze: str = "off",
-        retry_policy: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
         triggering: str = "sql",
         durability: str = "fast",
@@ -109,11 +105,6 @@ class MetadataProvider:
         recovery: str = "off",
         semantics: str = "off",
     ):
-        if consistency not in ("filter", "resource-list", "ttl"):
-            raise ValueError(
-                f"consistency must be 'filter', 'resource-list' or 'ttl', "
-                f"got {consistency!r}"
-            )
         if analyze not in ANALYZE_POLICIES:
             raise ValueError(
                 f"analyze must be one of {ANALYZE_POLICIES}, got {analyze!r}"
@@ -153,7 +144,7 @@ class MetadataProvider:
             # taxonomy; user edges arrive via register_taxonomy_edge().
             self.registry.seed_schema_taxonomy(schema)
         self.engine = FilterEngine(
-            self.db, self.registry, use_rule_groups, join_evaluation,
+            self.db, self.registry, join_evaluation=join_evaluation,
             metrics=self.metrics, triggering=triggering,
         )
         #: Triggering-stage evaluator ("sql" = the paper's joins,
@@ -161,10 +152,6 @@ class MetadataProvider:
         #: constructor validates the mode).
         self.triggering = triggering
         self.publisher = Publisher(schema, self.registry, self.resource)
-        #: Update-consistency strategy (paper §3.5 and its alternatives);
-        #: instantiated lazily to avoid a circular import.
-        self.consistency = consistency
-        self._strategy = None
         #: Default pre-subscription analysis policy (see ANALYZE_POLICIES).
         self.analyze = analyze
         #: Diagnostics of the most recent analyzed subscribe call.
@@ -201,7 +188,6 @@ class MetadataProvider:
                 transport=self._transport,
                 clock=bus.now_ms,
                 sleep=bus.sleep,
-                policy=retry_policy,
                 metrics=self.metrics,
                 store=store,
             )
@@ -209,7 +195,6 @@ class MetadataProvider:
             self.outbox = Outbox(
                 name,
                 transport=self._transport,
-                policy=retry_policy,
                 metrics=self.metrics,
                 store=store,
             )
@@ -325,7 +310,7 @@ class MetadataProvider:
         with self._op():
             old = self._documents.get(document.uri)
             diff = diff_documents(old, document)
-            outcome = self._process_diff(diff)
+            outcome = self.engine.process_diff(diff)
             self._store_document(document, diff.deleted)
             self._republish_strong_parents(outcome, diff)
             self._publish(outcome)
@@ -335,24 +320,6 @@ class MetadataProvider:
                 if self._replication_hook is not None:
                     self._replication_hook(document.uri, document, version)
         return outcome
-
-    def _process_diff(self, diff) -> PublishOutcome:
-        """Route a diff through the configured consistency strategy."""
-        if self.consistency == "filter":
-            return self.engine.process_diff(diff)
-        if self._strategy is None:
-            from repro.mdv.consistency import (
-                ResourceListStrategy,
-                TTLStrategy,
-            )
-
-            strategy_class = (
-                ResourceListStrategy
-                if self.consistency == "resource-list"
-                else TTLStrategy
-            )
-            self._strategy = strategy_class(self)
-        return self._strategy.process_diff(diff)
 
     def register_documents(
         self, documents: Sequence[Document]
@@ -428,7 +395,7 @@ class MetadataProvider:
         if old is None:
             raise DocumentNotFoundError(document_uri)
         with self._op():
-            outcome = self._process_diff(deletion_diff(old))
+            outcome = self.engine.process_diff(deletion_diff(old))
             del self._documents[document_uri]
             with self.db.transaction():
                 self._document_table.delete(document_uri)

@@ -117,8 +117,6 @@ class LocalMetadataRepository:
         self.collector = GarbageCollector(self.schema)
         self._local: dict[URIRef, Resource] = {}
         self._subscriptions: dict[str, list[int]] = {}
-        #: Logical clock advanced per notification batch (TTL support).
-        self.clock = 0
         self.notifications_received = 0
         #: Exactly-once application of reliable batches by (source, seq).
         self.dedup = DedupIndex()
@@ -205,16 +203,13 @@ class LocalMetadataRepository:
             if not self.dedup.check_and_record(batch.source, batch.seq):
                 self._m_duplicates.inc()
                 return False
-        self.clock += 1
         self.notifications_received += len(batch)
         self._m_batches_applied.inc()
         self._m_notifications.inc(len(batch))
         matches = [n for n in batch if isinstance(n, MatchNotification)]
         unmatches = [n for n in batch if isinstance(n, UnmatchNotification)]
         deletes = [n for n in batch if isinstance(n, DeleteNotification)]
-        self.cache.apply_matches(
-            ((n.sub_id, n.payload) for n in matches), now=self.clock
-        )
+        self.cache.apply_matches((n.sub_id, n.payload) for n in matches)
         for notification in unmatches:
             self.cache.apply_unmatch(notification.sub_id, notification.uri)
         for notification in deletes:
@@ -342,10 +337,7 @@ class LocalMetadataRepository:
                     resource=resource.copy(),
                     strong_closure=[child.copy() for child in closure],
                 )
-                self.clock += 1
-                self.cache.apply_match(
-                    int(sub["sub_id"]), payload, now=self.clock
-                )
+                self.cache.apply_match(int(sub["sub_id"]), payload)
                 cached += 1
         self._subscriptions = subscriptions
         self.dedup.prime(self.provider.name, watermark)
@@ -462,23 +454,12 @@ class LocalMetadataRepository:
         return self._call_provider("delete_document", document_uri)
 
     # ------------------------------------------------------------------
-    # Garbage collection and expiry
+    # Garbage collection
     # ------------------------------------------------------------------
     def collect_garbage(self, cycles: bool = False) -> GcReport:
         if cycles:
             return self.collector.collect_cycles(self.cache)
         return self.collector.sweep(self.cache)
-
-    def expire(self, ttl: int) -> int:
-        """TTL expiry pass (for providers in ``consistency="ttl"`` mode).
-
-        Evicts cached entries not refreshed within ``ttl`` notification
-        batches; local metadata never expires.  Returns the number of
-        evictions.
-        """
-        from repro.mdv.consistency import expire_stale_entries
-
-        return expire_stale_entries(self.cache, now=self.clock, ttl=ttl)
 
     # ------------------------------------------------------------------
     # Plumbing

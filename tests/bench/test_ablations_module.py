@@ -2,7 +2,6 @@
 
 from repro.bench.ablations import (
     ABLATIONS,
-    ablation_consistency,
     ablation_dedup,
     ablation_join_evaluation,
     ablation_rule_groups,
@@ -10,12 +9,7 @@ from repro.bench.ablations import (
 
 
 def test_registry_complete():
-    assert set(ABLATIONS) == {
-        "rule-groups",
-        "dedup",
-        "join-evaluation",
-        "consistency",
-    }
+    assert set(ABLATIONS) == {"rule-groups", "dedup", "join-evaluation"}
 
 
 def test_rule_groups_structure():
@@ -37,14 +31,6 @@ def test_dedup_structure():
 def test_join_evaluation_structure():
     result = ablation_join_evaluation(rule_count=50, batch_size=2)
     assert set(result.timings) == {"scan", "probe"}
-
-
-def test_consistency_structure():
-    result = ablation_consistency(rules_per_resource=6)
-    assert set(result.timings) == {"filter", "resource-list", "ttl"}
-    rendered = result.render()
-    assert "consistency" in result.ablation_id
-    assert "ms" in rendered
 
 
 def test_cli_ablations_wiring(monkeypatch, capsys):

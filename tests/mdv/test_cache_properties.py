@@ -210,7 +210,7 @@ def cache_state(cache: CacheStore):
         {
             uri: (
                 entry.resource, set(entry.matched_subs),
-                entry.strong_refcount, entry.refreshed_at,
+                entry.strong_refcount,
             )
             for uri, entry in ((uri, cache.get(uri)) for uri in cache.uris())
         },
@@ -223,11 +223,11 @@ def cache_state(cache: CacheStore):
 def test_apply_batch_equals_one_notification_at_a_time(batches):
     lmr = LocalMetadataRepository("lmr", MetadataProvider(NODE_SCHEMA))
     reference = CacheStore(NODE_SCHEMA)
-    for clock, notifications in enumerate(batches, start=1):
+    for notifications in batches:
         lmr.apply_batch(NotificationBatch("lmr", list(notifications)))
         for n in notifications:
             if isinstance(n, MatchNotification):
-                reference.apply_match(n.sub_id, n.payload, now=clock)
+                reference.apply_match(n.sub_id, n.payload)
         for n in notifications:
             if isinstance(n, UnmatchNotification):
                 reference.apply_unmatch(n.sub_id, n.uri)

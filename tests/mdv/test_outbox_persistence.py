@@ -56,6 +56,25 @@ class TestOutboxStore:
         assert store.entries_since("missing", 0) == []
         db.close()
 
+    def test_stored_outbox_keeps_no_delivered_history_in_memory(self):
+        db = Database()
+        create_all(db)
+        transport = RecordingTransport()
+        outbox = Outbox("src", transport, store=OutboxStore(db))
+        for n in range(100):
+            outbox.enqueue("lmr", "note", n)
+        assert outbox.flush() == 100
+        # The store is the replay source; payloads are not held twice.
+        assert outbox._history == {}
+        assert outbox.replay_since("lmr", 0) == 100
+        assert outbox.pending_count("lmr") == 100
+        transport.calls.clear()
+        outbox.flush()
+        assert [payload for _, _, payload in transport.calls] == list(
+            range(100)
+        )
+        db.close()
+
 
 class TestRestartRecovery:
     def test_recover_resumes_watermarks_and_tail(self, tmp_path):

@@ -180,9 +180,9 @@ def test_decoded_batch_applies_like_the_shared_payload_one(schema):
     upserts = []
     upsert = remote.cache._upsert_content
 
-    def counted_upsert(resource, now):
+    def counted_upsert(resource):
         upserts.append(resource.uri)
-        return upsert(resource, now)
+        return upsert(resource)
 
     remote.cache._upsert_content = counted_upsert
     for batch in sent:

@@ -103,7 +103,6 @@ MODULES_WITH_DOCSTRINGS = [
     "repro.mdv.gc",
     "repro.mdv.client",
     "repro.mdv.backbone",
-    "repro.mdv.consistency",
     "repro.mdv.batching",
     "repro.mdv.stats",
     "repro.text.ngrams",
