@@ -12,23 +12,27 @@ materialized data as input."*
 
 Implementation notes:
 
+- An iteration's dependent groups are found by one loose index scan of
+  ``rule_dependencies`` (using the denormalized ``group_id`` the paper
+  stores there "for efficiency reasons"): one seek per distinct
+  ``(source rule, group)`` pair, however many member rules of the group
+  read that source.  The same statement returns each group's
+  ``rule_groups`` row and which of its input sides received a delta.
 - Evaluation is **delta-driven**: each statement starts at the previous
-  iteration's ``result_objects`` rows, probes ``rule_dependencies`` for
-  dependent member rules (using the denormalized ``group_id`` the paper
-  stores there "for efficiency reasons"), follows the group's shared
-  where part through indexed ``filter_data`` lookups, and finally probes
-  the other input side.  Work is therefore proportional to the delta
-  size times the average fan-out — independent of how many member rules
-  a group has.  This is the paper's "combine their input data, evaluate
-  the shared where part, split up the result" (Figure 6): the split is
-  the ``rd.target_rule`` carried through each produced row.
+  iteration's ``result_objects`` rows, follows the group's shared where
+  part through indexed ``filter_data`` lookups, and finally probes the
+  other input side.  This is the paper's "combine their input data,
+  evaluate the shared where part, split up the result" (Figure 6): the
+  split is the member rule carried through each produced row.
 - The join order is forced with ``CROSS JOIN`` (a SQLite planner
   directive); every probe is a full-key index lookup.
-- Both delta sides are tried (a new resource may arrive on either input
-  of a join); the primary key of ``result_objects`` deduplicates.
+- Only the delta sides that received rows are tried (a new resource may
+  arrive on either input of a join); the primary key of
+  ``result_objects`` deduplicates.
 - A full (non-incremental) evaluation with both sides read from
   ``materialized`` initializes newly registered join rules against
-  pre-existing metadata.
+  pre-existing metadata.  It issues no join when either input is empty,
+  and a plain equality is driven from the smaller input.
 """
 
 from __future__ import annotations
@@ -301,13 +305,14 @@ def _evaluate_spec(
     iteration: int,
     member_condition: str,
     member_order: str,
+    delta_sides: tuple[str, ...] = ("left", "right"),
 ) -> int:
     if group.self_join:
         return _evaluate_self_join(
             db, group, prev_iteration, iteration, member_condition
         )
     inserted = 0
-    for delta_side in ("left", "right"):
+    for delta_side in delta_sides:
         for other_source in ("materialized", "result_objects"):
             inserted += _evaluate_delta_side(
                 db,
@@ -322,15 +327,63 @@ def _evaluate_spec(
     return inserted
 
 
-#: The dependency rows of the *distinct* source rules of one iteration:
-#: the ``IN`` list is built once from ``idx_ro_iter_rule``, each rule
-#: then probes the ``rule_dependencies`` primary key once — a class atom
-#: shared by every member of a group costs its fan-out once per run, not
-#: once per resource that hit it.  (A derived table would do the same
-#: but plans as a ``SCAN`` of its alias.)
-_DEPENDENTS_OF_ITERATION = (
-    "FROM rule_dependencies rd WHERE rd.source_rule IN "
-    "(SELECT rule_id FROM result_objects WHERE iteration = ?)"
+#: Whether the iteration's delta reaches ``side`` of group ``f``.
+_SIDE_FED = (
+    "EXISTS (SELECT 1 FROM result_objects d CROSS JOIN rule_dependencies rd"
+    " WHERE d.iteration = :prev AND rd.source_rule = d.rule_id"
+    " AND rd.group_id = f.group_id AND rd.side = '{side}')"
+)
+#: The first member of group ``f`` reading its first source on ``side``.
+_FIRST_MEMBER = (
+    "(SELECT MIN(target_rule) FROM rule_dependencies"
+    " WHERE source_rule = f.source_rule AND group_id = f.group_id"
+    " AND side = '{side}')"
+)
+
+#: The rule groups depending on one iteration, by a loose index scan of
+#: ``idx_rd_source_group``.  ``walk`` visits each distinct source rule's
+#: groups one seek at a time, so a class atom read by thousands of
+#: members of one group costs one seek, not a walk of its thousands of
+#: dependency rows.  Each group then comes once, with its
+#: ``rule_groups`` row and the input sides the delta reaches, ordered by
+#: its first source rule and then that source's first member: the order
+#: a walk of the primary key meets the groups in.
+_DEPENDENT_GROUPS = (
+    "WITH RECURSIVE "
+    "sources(source_rule) AS ("
+    " SELECT DISTINCT rule_id FROM result_objects WHERE iteration = :prev), "
+    "walk(source_rule, group_id) AS ("
+    " SELECT source_rule, (SELECT MIN(group_id) FROM rule_dependencies"
+    "  WHERE source_rule = sources.source_rule) FROM sources"
+    " WHERE EXISTS (SELECT 1 FROM rule_dependencies"
+    "  WHERE source_rule = sources.source_rule)"
+    " UNION ALL"
+    " SELECT source_rule, (SELECT MIN(group_id) FROM rule_dependencies"
+    "  WHERE source_rule = walk.source_rule AND group_id > walk.group_id)"
+    " FROM walk WHERE group_id IS NOT NULL), "
+    "firsts(group_id, source_rule) AS MATERIALIZED ("
+    " SELECT group_id, MIN(source_rule) FROM walk"
+    " WHERE group_id IS NOT NULL GROUP BY group_id) "
+    "SELECT g.*, "
+    + _SIDE_FED.format(side="left") + " AS left_fed, "
+    + _SIDE_FED.format(side="right") + " AS right_fed "
+    "FROM firsts f CROSS JOIN rule_groups g WHERE g.group_id = f.group_id "
+    "ORDER BY f.source_rule, MIN("
+    "IFNULL(" + _FIRST_MEMBER.format(side="left") + ", "
+    + _FIRST_MEMBER.format(side="right") + "), "
+    "IFNULL(" + _FIRST_MEMBER.format(side="right") + ", "
+    + _FIRST_MEMBER.format(side="left") + "))"
+)
+
+#: The dependent join rules of one iteration, one by one (the
+#: ``use_rule_groups=False`` ablation pays per member on purpose), in
+#: the order a walk of the primary key meets them.
+_DEPENDENT_RULES = (
+    "SELECT rd.target_rule, rd.group_id FROM rule_dependencies rd "
+    "WHERE rd.source_rule IN "
+    "(SELECT rule_id FROM result_objects WHERE iteration = ?) "
+    "GROUP BY rd.target_rule, rd.group_id "
+    "ORDER BY MIN(rd.source_rule), rd.target_rule"
 )
 
 
@@ -347,33 +400,26 @@ def evaluate_groups_at(
     Dependent rules are found through ``rule_dependencies`` (with the
     denormalized ``group_id`` the paper stores there "for efficiency
     reasons").  With ``use_rule_groups`` (the paper's design) all member
-    rules of a group are handled by one set of statements; without it
-    (ablation) each dependent join rule runs its own statements,
-    restricted to its ``rule_id``.  ``member_order`` selects the paper's
-    member-scan evaluation (``"scan"``) or the delta-probe optimization
+    rules of a group are handled by one set of statements, run only for
+    the input sides the iteration fed; without it (ablation) each
+    dependent join rule runs its own statements, restricted to its
+    ``rule_id``.  ``member_order`` selects the paper's member-scan
+    evaluation (``"scan"``) or the delta-probe optimization
     (``"probe"``); see :func:`_evaluate_delta_side`.
 
     Returns the number of new ``result_objects`` rows.
     """
+    inserted = 0
     if use_rule_groups:
-        rows = db.query_all(
-            "SELECT DISTINCT rd.group_id " + _DEPENDENTS_OF_ITERATION,
-            (prev_iteration,),
-        )
-        inserted = 0
+        rows = db.query_all(_DEPENDENT_GROUPS, {"prev": prev_iteration})
         for row in rows:
-            group = load_group(db, int(row["group_id"]))
+            sides = tuple(s for s in ("left", "right") if row[f"{s}_fed"])
             inserted += _evaluate_spec(
-                db, group, prev_iteration, iteration,
-                "ar.group_id = :group_id", member_order,
+                db, _group_from_row(row), prev_iteration, iteration,
+                "ar.group_id = :group_id", member_order, sides,
             )
     else:
-        rows = db.query_all(
-            "SELECT DISTINCT rd.target_rule, rd.group_id "
-            + _DEPENDENTS_OF_ITERATION,
-            (prev_iteration,),
-        )
-        inserted = 0
+        rows = db.query_all(_DEPENDENT_RULES, (prev_iteration,))
         for row in rows:
             group = load_group(db, int(row["group_id"]))
             inserted += _evaluate_spec(
@@ -404,8 +450,17 @@ def initialize_join_rule(
     initialized first (the registry yields atoms children-first) — and
     the result goes straight into the rule's own materialized set.  This
     step is what makes a *new* subscription see metadata registered
-    before it existed.
+    before it existed.  An empty input means no join runs at all; a
+    plain equality is driven from the smaller input, since its other
+    side is a full-key probe either way.
     """
+    counts = db.query_one(
+        "SELECT (SELECT COUNT(*) FROM materialized WHERE rule_id = ?), "
+        "(SELECT COUNT(*) FROM materialized WHERE rule_id = ?)",
+        (left_rule, right_rule),
+    )
+    if not counts[0] or not counts[1]:
+        return 0
     params: dict[str, object] = {
         "rule_id": rule_id,
         "left_rule": left_rule,
@@ -434,27 +489,38 @@ def initialize_join_rule(
     out_uri = (
         "l.uri_reference" if group.register_side == "left" else "r.uri_reference"
     )
-    tables = ["materialized l"]
-    where = ["l.rule_id = :left_rule"]
-    if group.left_property is None:
-        left_value = "l.uri_reference"
-    else:
-        tables.append("filter_data fdl")
-        where.append("fdl.uri_reference = l.uri_reference")
-        where.append("fdl.property = :left_prop")
-        left_value = "fdl.value"
-    if group.right_property is None:
-        right_value = "r.uri_reference"
-    else:
-        tables.append("filter_data fdr")
-        where.append("fdr.property = :right_prop")
-        right_value = "fdr.value"
-    tables.append("materialized r")
-    where.append("r.rule_id = :right_rule")
-    if group.right_property is not None:
-        where.append("r.uri_reference = fdr.uri_reference")
+    drive, probe = ("left", "right")
+    plain_equality = group.operator == "=" and not group.numeric
+    if plain_equality and counts[1] < counts[0]:
+        drive, probe = probe, drive
+    inputs = {
+        "left": ("l", "fdl", group.left_property),
+        "right": ("r", "fdr", group.right_property),
+    }
+    values: dict[str, str] = {}
+    alias, fd, prop = inputs[drive]
+    tables = [f"materialized {alias}"]
+    where = [f"{alias}.rule_id = :{drive}_rule"]
+    values[drive] = f"{alias}.uri_reference"
+    if prop is not None:
+        tables.append(f"filter_data {fd}")
+        where.append(f"{fd}.uri_reference = {alias}.uri_reference")
+        where.append(f"{fd}.property = :{drive}_prop")
+        values[drive] = f"{fd}.value"
+    alias, fd, prop = inputs[probe]
+    values[probe] = f"{alias}.uri_reference"
+    if prop is not None:
+        tables.append(f"filter_data {fd}")
+        where.append(f"{fd}.property = :{probe}_prop")
+        values[probe] = f"{fd}.value"
+    tables.append(f"materialized {alias}")
+    where.append(f"{alias}.rule_id = :{probe}_rule")
+    if prop is not None:
+        where.append(f"{alias}.uri_reference = {fd}.uri_reference")
     where.append(
-        _value_comparison(group.operator, group.numeric, left_value, right_value)
+        _value_comparison(
+            group.operator, group.numeric, values["left"], values["right"]
+        )
     )
     sql = (
         f"INSERT OR IGNORE INTO materialized (rule_id, uri_reference) "

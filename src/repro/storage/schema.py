@@ -148,7 +148,12 @@ CREATE TABLE IF NOT EXISTS rule_dependencies (
     group_id    INTEGER,
     PRIMARY KEY (source_rule, target_rule, side)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS idx_rd_source ON rule_dependencies(source_rule);
+-- One seek per (source rule, group) finds an iteration's groups
+-- (repro.filter.joins).  It supersedes idx_rd_source(source_rule), the
+-- primary key's own prefix, which the DROP removes from older stores.
+DROP INDEX IF EXISTS idx_rd_source;
+CREATE INDEX IF NOT EXISTS idx_rd_source_group
+    ON rule_dependencies(source_rule, group_id, side);
 CREATE INDEX IF NOT EXISTS idx_rd_target ON rule_dependencies(target_rule);
 
 CREATE TABLE IF NOT EXISTS rule_groups (

@@ -113,6 +113,29 @@ def rich_schema() -> Schema:
     return schema
 
 
+def count_vm_steps(db: Database, fn) -> int:
+    """SQLite VM instructions ``fn()`` executes on ``db``, to the hundred.
+
+    A progress handler runs every 100 instructions.  Unlike
+    ``storage.rows_read``, which counts the rows a statement returns,
+    this sees every b-tree step it takes: an index range walked inside a
+    subquery to return one row shows here and nowhere else.
+    """
+    ticks = 0
+
+    def tick() -> int:
+        nonlocal ticks
+        ticks += 1
+        return 0
+
+    db.connection.set_progress_handler(tick, 100)
+    try:
+        fn()
+    finally:
+        db.connection.set_progress_handler(None, 0)
+    return ticks * 100
+
+
 @pytest.fixture()
 def db() -> Database:
     database = Database()

@@ -1,7 +1,7 @@
 """The provider path pays for what an operation touched, not for the
 rule base (paper, Fig. 11, on the path users call).
 
-Two deterministic guards, no timings:
+Three deterministic guards, no timings:
 
 - *plan guard*: every statement the provider's database executes during
   a publish, an update, a delete, a batch and an unsubscribe is
@@ -11,6 +11,10 @@ Two deterministic guards, no timings:
 - *counter flatness*: rows read and statements of an OID subscribe,
   publish, update and delete are equal at 1 000 and 10 000
   subscriptions, and none of them asks the registry for every end rule.
+- *VM-step flatness*: the SQLite instructions of a PATH/JOIN publish,
+  update and delete stay flat when 10x the join rules read the atoms
+  the operation hits — the one count that sees an index range a
+  statement walks to return a single row.
 """
 
 from __future__ import annotations
@@ -18,25 +22,27 @@ from __future__ import annotations
 import re
 import sqlite3
 
+from repro.filter.joins import _DEPENDENT_GROUPS
 from repro.mdv.provider import MetadataProvider
 from repro.mdv.repository import LocalMetadataRepository
 from repro.rdf.model import Document, URIRef
 from repro.rdf.schema import objectglobe_schema
 from repro.rules.registry import RuleRegistry
 
+from tests.conftest import count_vm_steps
+
 #: The benchmark's deployment profile (benchmarks/e2e/adapter.py).
 PROFILE = {"triggering": "counting", "join_evaluation": "probe"}
 
-#: All a statement may scan: the transient tables of one filter run, the
-#: ids it was handed as a JSON array, its own CTE — and ``named_rules``
-#: (the foreign-key check of ``DELETE FROM atomic_rules``; a row per
-#: named rule, never per subscription or document).  Every other table —
-#: ``subscriptions``, ``subscription_rules``, ``atomic_rules``,
-#: ``rule_dependencies``, ``filter_data``, ``materialized``,
-#: ``resources``, ``documents`` … — has to be probed through an index.
-SCANNABLE = {
-    "result_objects", "filter_input", "json_each", "names", "named_rules",
-}
+#: All a statement may scan besides its own CTEs: the transient tables
+#: of one filter run, the ids it was handed as a JSON array — and
+#: ``named_rules`` (the foreign-key check of ``DELETE FROM
+#: atomic_rules``; a row per named rule, never per subscription or
+#: document).  Every other table — ``subscriptions``,
+#: ``subscription_rules``, ``atomic_rules``, ``rule_dependencies``,
+#: ``filter_data``, ``materialized``, ``resources``, ``documents`` … —
+#: has to be probed through an index.
+SCANNABLE = {"result_objects", "filter_input", "json_each", "named_rules"}
 
 HEAD = "search CycleProvider c register c where "
 
@@ -57,6 +63,20 @@ def oid_rule(index: int) -> str:
     return HEAD + f"c = 'doc{index}.rdf#host'"
 
 
+def path_rule(index: int) -> str:
+    """Every PATH rule reads the one CycleProvider class atom."""
+    return HEAD + f"c.serverInformation.memory = {60 + index}"
+
+
+def join_rule(index: int) -> str:
+    """Every JOIN rule reads the one ``contains`` and ``cpu`` atoms."""
+    return (
+        HEAD + "c.serverHost contains 'uni-passau.de' "
+        f"and c.serverInformation.cpu = 600 "
+        f"and c.serverInformation.memory = {60 + index}"
+    )
+
+
 def five_type_rules(count: int) -> list[str]:
     """``count`` rules of each Figure-10 type."""
     rules = []
@@ -64,10 +84,8 @@ def five_type_rules(count: int) -> list[str]:
         rules += [
             oid_rule(k),
             HEAD + f"c.synthValue > {k}",
-            HEAD + f"c.serverInformation.memory = {60 + k}",
-            HEAD + "c.serverHost contains 'uni-passau.de' "
-            f"and c.serverInformation.cpu = 600 "
-            f"and c.serverInformation.memory = {60 + k}",
+            path_rule(k),
+            join_rule(k),
             HEAD + f"c.serverHost contains 'host{k}.'",
         ]
     return rules
@@ -103,15 +121,31 @@ _KEYWORDS = {
     "where", "on", "join", "cross", "left", "inner", "order", "group",
     "set", "select", "values", "union", "using", "limit",
 }
+#: A name a ``WITH`` clause defines: ``WITH [RECURSIVE] name[(cols)] AS
+#: [[NOT] MATERIALIZED] (`` or ``, name[(cols)] AS (``.
+_CTE = re.compile(
+    r"(?:\bWITH\s+(?:RECURSIVE\s+)?|,\s*)(\w+)\s*(?:\([^)]*\))?\s+AS\s+"
+    r"(?:(?:NOT\s+)?MATERIALIZED\s+)?\(",
+    re.I,
+)
 
 
 def scanned_tables(db, sql: str, parameters) -> set[str]:
-    """The tables (aliases resolved) the plan of ``sql`` scans."""
+    """The tables (aliases resolved) the plan of ``sql`` scans.
+
+    A scan of a common table expression reads only what the CTE
+    produced, so it is skipped; a table scanned inside a CTE is not.
+    """
     names = {}
     for table, alias in _SOURCE.findall(sql):
         names[table] = table
         if alias and alias.lower() not in _KEYWORDS:
             names[alias] = table
+    ctes = (
+        set(_CTE.findall(sql))
+        if sql.lstrip()[:4].upper() == "WITH"
+        else set()
+    )
     plan = db.connection.execute(
         "EXPLAIN QUERY PLAN " + sql, parameters
     ).fetchall()
@@ -120,7 +154,9 @@ def scanned_tables(db, sql: str, parameters) -> set[str]:
         detail = row["detail"]
         if detail.startswith("SCAN "):
             name = detail.split()[1]
-            scanned.add(names.get(name, name))
+            name = names.get(name, name)
+            if name not in ctes:
+                scanned.add(name)
     return scanned
 
 
@@ -151,17 +187,18 @@ def test_no_operation_scans_a_persistent_table(monkeypatch):
 
     assert len(log.seen) > 40  # the log really saw the operations
     # ... the group discovery of the join iterations among them: the
-    # one CycleProvider class atom feeds all eight PATH members.
-    assert any(
-        "FROM rule_dependencies rd WHERE rd.source_rule IN" in sql
-        for sql in log.seen
-    )
+    # one CycleProvider class atom feeds all eight PATH members, and one
+    # seek per (source rule, group) finds their group.
+    assert _DEPENDENT_GROUPS in log.seen
     offenders = {}
     for sql, parameters in log.seen.items():
         scanned = scanned_tables(mdp.db, sql, parameters) - SCANNABLE
         if scanned:
             offenders[sql] = scanned
     assert not offenders, offenders
+    assert "idx_rd_source_group" in mdp.db.explain(
+        _DEPENDENT_GROUPS, log.seen[_DEPENDENT_GROUPS]
+    )
 
 
 def test_the_guard_sees_a_scan_behind_an_alias(db):
@@ -172,6 +209,23 @@ def test_the_guard_sees_a_scan_behind_an_alias(db):
         (),
     )
     assert "subscriptions" in scanned
+
+
+def test_the_guard_skips_a_cte_but_not_a_table_scanned_inside_one(db):
+    walk = (
+        "WITH RECURSIVE walk(sub_id) AS ("
+        "SELECT MIN(sub_id) FROM subscriptions UNION ALL "
+        "SELECT (SELECT MIN(sub_id) FROM subscriptions"
+        " WHERE sub_id > walk.sub_id) "
+        "FROM walk WHERE walk.sub_id IS NOT NULL) "
+        "SELECT w.sub_id FROM walk w"
+    )
+    assert scanned_tables(db, walk, ()) == set()
+    ids = (
+        "WITH ids(rule_id) AS MATERIALIZED "
+        "(SELECT end_rule FROM subscriptions) SELECT i.rule_id FROM ids i"
+    )
+    assert scanned_tables(db, ids, ()) == {"subscriptions"}
 
 
 def test_a_deletion_needs_no_sql_variable_per_rule():
@@ -247,3 +301,94 @@ def test_a_new_rule_is_initialized_from_its_own_index_table(monkeypatch):
     assert len(initializations) == 1
     assert "FROM filter_rules_eq fr" in initializations[0]
     assert lmr.cache.get("doc3.rdf#host") is not None
+
+
+def join_initializations(log: StatementLog) -> list[str]:
+    return [
+        sql
+        for sql in log.seen
+        if sql.startswith("INSERT OR IGNORE INTO materialized")
+        and "FROM materialized" in sql
+    ]
+
+
+def test_a_new_join_rule_starts_at_its_smaller_input(monkeypatch):
+    """The PATH join of ``memory = 62`` starts at the three matching
+    infos, not at the twelve hosts of the class atom; with an empty
+    input no join statement runs at all."""
+    mdp = MetadataProvider(objectglobe_schema(), **PROFILE)
+    lmr = LocalMetadataRepository("lmr", mdp)
+    mdp.register_documents([make_doc(i, memory=60 + i % 4) for i in range(12)])
+
+    log = StatementLog(mdp.db, monkeypatch)
+    lmr.subscribe(path_rule(2))
+    (initialization,) = join_initializations(log)
+    assert "FROM materialized r CROSS JOIN filter_data fdl" in initialization
+    hosts = [i for i in range(12) if f"doc{i}.rdf#host" in lmr.cache]
+    assert hosts == [2, 6, 10]
+
+    log = StatementLog(mdp.db, monkeypatch)
+    lmr.subscribe(path_rule(9))
+    assert join_initializations(log) == []
+    assert mdp.db.count("materialized") == 12 + 3 + 3
+
+
+def _path_join_operation_steps(members: int) -> dict[str, int]:
+    """VM steps of a publish, an update and a delete behind ``members``
+    PATH and ``members`` JOIN rules.  Every PATH rule reads the one
+    CycleProvider class atom and every JOIN rule the one ``contains``
+    and ``cpu`` atoms, and each operation hits all three."""
+    mdp = MetadataProvider(objectglobe_schema(), **PROFILE)
+    lmr = LocalMetadataRepository("lmr", mdp)
+    for index in range(members):
+        lmr.subscribe(path_rule(index))
+        lmr.subscribe(join_rule(index))
+    mdp.register_documents([make_doc(i, memory=60 + i) for i in range(20)])
+    steps = {}
+    for name, operation in (
+        ("publish", lambda: mdp.register_document(make_doc(500, memory=63))),
+        ("update", lambda: mdp.register_document(make_doc(500, memory=64))),
+        ("delete", lambda: mdp.delete_document("doc500.rdf")),
+    ):
+        received = lmr.notifications_received
+        steps[name] = count_vm_steps(mdp.db, operation)
+        assert lmr.notifications_received > received, name
+    mdp.close()
+    return steps
+
+
+def test_join_iterations_are_flat_in_the_members_of_a_shared_atom():
+    """A group's discovery and evaluation cost one seek per (source rule,
+    group), not one step per member rule reading the source: 10x the
+    members reading the shared atoms, the same work per operation
+    (``storage.rows_read`` cannot see this — the walk returns one row)."""
+    small, large = (
+        _path_join_operation_steps(20), _path_join_operation_steps(200)
+    )
+    for name in small:
+        assert large[name] <= 1.3 * small[name], (name, small, large)
+
+
+def test_a_delta_on_one_side_runs_only_that_sides_statements(monkeypatch):
+    mdp = MetadataProvider(objectglobe_schema(), **PROFILE)
+    lmr = LocalMetadataRepository("lmr", mdp)
+    for index in range(4):
+        lmr.subscribe(path_rule(index))
+    mdp.register_document(make_doc(0, memory=62))
+
+    # A host whose information resource is already stored: the delta
+    # reaches the PATH group's left input (the class atom) only, and
+    # the match comes from the right input's materialized rows.
+    doc = Document("late.rdf")
+    host = doc.new_resource("host", "CycleProvider")
+    host.add("serverInformation", URIRef("doc0.rdf#info"))
+    log = StatementLog(mdp.db, monkeypatch)
+    mdp.register_document(doc)
+
+    joins = [
+        sql for sql in log.seen
+        if sql.startswith("INSERT OR IGNORE INTO result_objects")
+    ]
+    assert len(joins) == 2, joins
+    assert all("ar.left_rule = d.rule_id" in sql for sql in joins)
+    assert lmr.cache.get("late.rdf#host") is not None

@@ -448,13 +448,15 @@ def _publish_bytes() -> tuple[float, float]:
             client.send(
                 "cli", "mdp-1", "register_document", benchmark_document(index)
             )
-        return (
-            client.metrics.counter("net.socket.bytes_sent").value,
-            node.metrics.counter("net.socket.bytes_sent").value,
-        )
     finally:
         client.close()
         node.close()
+    # Read after the node's thread has stopped: it counts a reply's bytes
+    # once ``sendall`` returns, which may be after the client read them.
+    return (
+        client.metrics.counter("net.socket.bytes_sent").value,
+        node.metrics.counter("net.socket.bytes_sent").value,
+    )
 
 
 def test_wire_bytes_repeat_across_identical_runs():

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.analysis import audit_database
+from repro.mdv.provider import MetadataProvider
+from repro.rdf.schema import objectglobe_schema
+from repro.storage.engine import Database
 from repro.storage.schema import (
     COMPARISON_TABLES,
     TRIGGER_TABLES,
@@ -16,6 +20,17 @@ from repro.storage.tables import (
     ResourceTable,
     ResultObjectsTable,
 )
+
+from tests.conftest import figure1_document
+
+PATH_RULE = (
+    "search CycleProvider c register c where c.serverInformation.memory > 64"
+)
+
+
+def index_names(db: Database) -> set[str]:
+    rows = db.query_all("SELECT name FROM sqlite_master WHERE type = 'index'")
+    return {row["name"] for row in rows}
 
 
 class TestDDL:
@@ -54,13 +69,36 @@ class TestDDL:
         assert len(TRIGGER_TABLES) == 8  # class + 7 comparison operators
 
     def test_core_indexes_exist(self, db):
-        rows = db.query_all(
-            "SELECT name FROM sqlite_master WHERE type = 'index'"
-        )
-        names = {row["name"] for row in rows}
+        names = index_names(db)
         assert "idx_fd_class_prop_value" in names
         assert "idx_ar_group" in names
-        assert "idx_rd_source" in names
+        assert "idx_rd_source_group" in names
+        assert "idx_rd_source" not in names
+
+    def test_an_older_store_loses_the_superseded_index(self, tmp_path):
+        """A store created while ``idx_rd_source(source_rule)`` was in the
+        DDL keeps it under ``CREATE INDEX IF NOT EXISTS`` alone: a write
+        per join-rule insert that no query reads."""
+        path = str(tmp_path / "mdp.db")
+        old = Database(path)
+        (subscription,) = MetadataProvider(
+            objectglobe_schema(), db=old
+        ).subscribe("lmr", PATH_RULE)
+        old.executescript(
+            "DROP INDEX idx_rd_source_group;"
+            "CREATE INDEX idx_rd_source ON rule_dependencies(source_rule);"
+        )
+        old.close()
+
+        with Database(path) as db, Database() as fresh:
+            mdp = MetadataProvider(objectglobe_schema(), db=db)
+            create_all(fresh)
+            assert index_names(db) == index_names(fresh)
+            assert audit_database(db).is_clean
+            mdp.engine.process_insertions(list(figure1_document()))
+            assert mdp.engine.current_matches(subscription.end_rule) == [
+                "doc.rdf#host"
+            ]
 
 
 class TestDocumentTable:
