@@ -7,9 +7,10 @@ Commands:
   ``#`` starts a comment line).  With ``--db`` the rules are also
   checked for duplication/subsumption against the registry stored in
   that MDP database.
-- ``audit --db PATH`` — audit a live MDP database for what recovery and
-  the crash oracle rely on: storage/graph invariants (``MDV03x``) plus
-  the semantic vocabulary audit (``MDV07x``).
+- ``audit --db PATH`` — audit a live MDP database for what the crash
+  oracle checks after every crash: storage/graph invariants
+  (``MDV03x``) plus the semantic vocabulary audit (``MDV07x``).  Start-up
+  never runs it; an operator does, e.g. after an unclean shutdown.
 - ``code [PATH ...] [--root DIR]`` — run the source-code lint pack
   (``MDV06x``) over Python files; defaults to the installed ``repro``
   package tree.

@@ -24,7 +24,7 @@ review:
 - **MDV065** — durability hygiene for the write path
   (:data:`DURABILITY_SCOPE`: ``repro/mdv``, ``repro/rules``): no raw
   ``.commit()`` calls (atomicity belongs to ``with db.transaction()``
-  blocks, which compose through savepoints), and no function may mutate
+  blocks, which nest by joining the outer one), and no function may mutate
   two or more distinct tables outside such a block — a crash between
   the statements would tear related state (docs/DURABILITY.md).  A line
   may carry ``# mdv: allow(MDV065)`` to waive a site that is provably

@@ -30,7 +30,6 @@ runs in minutes; ``full`` mode uses the paper's sizes (10k/100k rules).
 from __future__ import annotations
 
 from repro.bench.matcher import figure_matcher
-from repro.bench.recovery import figure_recovery
 from repro.bench.semantics import figure_semantics
 from repro.bench.harness import FilterBench, SweepResult
 from repro.bench.reporting import FigureResult
@@ -322,9 +321,6 @@ FIGURES = {
     "fig13": figure13,
     "fig14": figure14,
     "fig15": figure15,
-    # Beyond the paper: startup recovery (audit + repair) wall time vs.
-    # store size (BENCH_recovery.json; see repro.bench.recovery).
-    "recovery": figure_recovery,
     # Triggering backends (sql scan / counting) vs.
     # rule-base size (BENCH_matcher.json; see repro.bench.matcher).
     "matcher": figure_matcher,

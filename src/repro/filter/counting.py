@@ -50,7 +50,7 @@ the :class:`~repro.rules.registry.RuleRegistry` appends a
 ``mutation_version`` moves; :meth:`CountingMatcher.refresh` re-syncs
 exactly the touched rules from the database when the log covers the
 version gap and falls back to a full rebuild otherwise (fresh matcher,
-log overflow, crash recovery).  Re-syncing — drop then reload from the
+log overflow, a restarted provider).  Re-syncing — drop then reload from the
 store — is idempotent and rollback-proof: a log entry whose transaction
 never committed simply reloads the unchanged rows.
 

@@ -307,9 +307,8 @@ class FilterEngine:
         predicate index; a no-op for the SQL path.  The benchmark
         harness calls it before its timing loop so the one-time build is
         excluded from the measured region (it amortizes over a server's
-        lifetime, not per batch); the provider calls it after crash
-        recovery so the index is rebuilt from the repaired store before
-        the first publish.
+        lifetime, not per batch); the provider calls it at start-up so
+        the first publish does not pay for the build.
         """
         if self.triggering == "counting":
             self._counting_matcher()

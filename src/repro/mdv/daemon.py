@@ -10,7 +10,7 @@ to (docs/SERVICE.md has the full format and a worked example):
 
     {"name": "mdp-1", "role": "mdp", "port": 7401,
      "db_path": "mdp-1.db", "durability": "safe",
-     "durable_delivery": true, "recovery": "auto",
+     "durable_delivery": true,
      "peers": {"lmr-a": ["127.0.0.1", 7402]}}
 
 Process model
@@ -31,9 +31,11 @@ requests, then serves until SIGTERM/SIGINT.  Shutdown is a graceful
 drain: received requests are answered, an MDP attempts one last outbox
 delivery pass, ``--metrics-dump PATH`` writes the final metrics
 snapshot, and only then do the transport and database close.  A crash
-(kill -9) skips all of that by definition — recovering from it is the
-job of the durability knobs (``durability="safe"``,
-``durable_delivery``, ``recovery="auto"``) plus the subscriber-side
+(kill -9) skips all of that by definition.  Start-up repairs nothing:
+every provider operation is one SQLite transaction, so the store holds
+whole operations only, and a restarted MDP simply resumes.  What the
+crash must not lose is kept by the durability knobs
+(``durability="safe"``, ``durable_delivery``) plus the subscriber-side
 dedup floor, which the socket chaos suite exercises end to end.
 """
 
@@ -86,7 +88,6 @@ class ServiceConfig:
     triggering: str = "sql"
     durability: str = "fast"
     durable_delivery: bool = False
-    recovery: str = "off"
     #: Subscription-analysis policy (LMR role).
     analyze: str = "off"
     request_timeout_s: float = 30.0
@@ -200,7 +201,6 @@ def _build_node(
             triggering=config.triggering,
             durability=config.durability,
             durable_delivery=config.durable_delivery,
-            recovery=config.recovery,
         )
         return provider, None, db
     handle = ProviderHandle(config.provider or "", schema)

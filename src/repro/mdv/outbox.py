@@ -27,9 +27,10 @@ again stalls the loop.
 
 With an :class:`OutboxStore` the outbox becomes a *transactional*
 outbox (docs/DURABILITY.md): entries are written to the
-``outbox_messages`` table as they are enqueued — inside the same
-database transaction as the state change that produced them — and
-marked delivered after a successful transport call.  A process crash
+``outbox_messages`` table as they are staged (:meth:`Outbox.stage`) —
+inside the same database transaction as the state change that produced
+them — queued once it commits, and marked delivered after a successful
+transport call.  A process crash
 between commit and delivery therefore loses nothing: a restarted outbox
 :meth:`Outbox.recover`\\ s its sequence watermarks and its undelivered
 tail from the store before the bus reattaches.
@@ -294,27 +295,46 @@ class Outbox:
         self._next_seq[destination] = seq
         return seq
 
+    def rewind_seq(self, destination: str, seq: int) -> None:
+        """Give back ``seq`` and every later reservation for
+        ``destination`` — the transaction that used them rolled back."""
+        if self._next_seq.get(destination, 0) >= seq:
+            self._next_seq[destination] = seq - 1
+
     def enqueue(
         self, destination: str, kind: str, payload: Any, seq: int | None = None
     ) -> OutboxEntry:
-        """Queue a message; ``seq`` defaults to a freshly reserved one.
-
-        With a persistent store the entry is recorded durably as part of
-        the caller's open transaction (transactional outbox).
-        """
+        """Queue a message; ``seq`` defaults to a freshly reserved one."""
         if seq is None:
             seq = self.reserve_seq(destination)
+        entry = self.stage(destination, kind, payload, seq)
+        self.queue(entry)
+        return entry
+
+    def stage(
+        self, destination: str, kind: str, payload: Any, seq: int
+    ) -> OutboxEntry:
+        """Build a stamped entry and persist it without queueing it.
+
+        With a persistent store the row joins the caller's open
+        transaction (transactional outbox), so it commits or vanishes
+        with the state change that produced it; :meth:`queue` the entry
+        once that transaction has committed.
+        """
         entry = OutboxEntry(
             destination, kind, payload, seq, enqueued_ms=self._clock()
         )
         if self._store is not None:
             self._store.record(entry)
             self._m_persisted.inc()
-        self._queues.setdefault(destination, deque()).append(entry)
+        return entry
+
+    def queue(self, entry: OutboxEntry) -> None:
+        """Append a staged entry to its destination's send queue."""
+        self._queues.setdefault(entry.destination, deque()).append(entry)
         self.enqueued += 1
         self._m_enqueued.inc()
         self._g_pending.set(self.pending_count())
-        return entry
 
     # ------------------------------------------------------------------
     # Delivery
@@ -354,9 +374,9 @@ class Outbox:
             except CrashError:
                 # An injected crash is a process death, not a receiver
                 # rejection — it must never be absorbed as poison.  The
-                # entry stays undelivered in the store; recovery will
-                # re-enqueue and redeliver it (receiver dedup absorbs
-                # the duplicate if the handler already ran).
+                # entry stays undelivered in the store; the restarted
+                # outbox re-enqueues and redelivers it (receiver dedup
+                # absorbs the duplicate if the handler already ran).
                 raise
             except NetworkError as exc:
                 entry.attempts += 1
@@ -637,6 +657,12 @@ class DedupIndex:
                 )
         self.applied += 1
         return True
+
+    def forget(self, source: str, seq: int) -> None:
+        """Undo a :meth:`check_and_record` whose transaction rolled back
+        (the ``dedup_entries`` row went with it)."""
+        self._seen[source].discard(seq)
+        self.applied -= 1
 
     def prime(self, source: str, upto_seq: int) -> None:
         """Mark every seq of ``source`` up to ``upto_seq`` as seen."""

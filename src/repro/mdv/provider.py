@@ -31,6 +31,7 @@ from collections.abc import (
     Sequence,
 )
 from contextlib import contextmanager
+from functools import partial
 from typing import Any
 
 from repro.analysis import check_subsumption, lint_rule_text
@@ -49,10 +50,10 @@ from repro.filter.results import PublishOutcome
 from repro.mdv.outbox import (
     DedupIndex,
     Outbox,
+    OutboxEntry,
     OutboxStore,
     ReplicaUpdate,
 )
-from repro.mdv.recovery import RecoveryManager, RecoveryReport
 from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.pubsub.notifications import NotificationBatch
@@ -102,16 +103,11 @@ class MetadataProvider:
         triggering: str = "sql",
         durability: str = "fast",
         durable_delivery: bool = False,
-        recovery: str = "off",
         semantics: str = "off",
     ):
         if analyze not in ANALYZE_POLICIES:
             raise ValueError(
                 f"analyze must be one of {ANALYZE_POLICIES}, got {analyze!r}"
-            )
-        if recovery not in ("off", "auto"):
-            raise ValueError(
-                f"recovery must be 'off' or 'auto', got {recovery!r}"
             )
         self.name = name
         self.schema = schema
@@ -129,12 +125,17 @@ class MetadataProvider:
         )
         self.db = db or Database(metrics=self.metrics, durability=durability)
         create_all(self.db)
-        #: Crash-atomic operations: every state change plus the outbox
-        #: rows carrying its notifications commit in one transaction,
-        #: and delivery happens after commit (docs/DURABILITY.md).
+        #: The outbox and the replica dedup index persist, so
+        #: notifications committed with an operation survive a crash
+        #: until delivered (docs/DURABILITY.md).
         self.durable_delivery = durable_delivery
         self._in_op = False
-        self._pending_flush: set[str] = set()
+        #: Per-operation state of :meth:`_op`: how to undo in-memory
+        #: changes on rollback, and what to hand out after the commit.
+        self._undo: list[Callable[[], None]] = []
+        self._batches: list[NotificationBatch] = []
+        self._replications: list[tuple[str, Document | None,
+                                       tuple[int, str]]] = []
         self.registry = RuleRegistry(self.db, semantics=semantics)
         #: Active S-ToPSS degree (``repro.semantics``, docs/SEMANTICS.md);
         #: the registry constructor validates the mode.
@@ -174,8 +175,6 @@ class MetadataProvider:
         self.replica_dedup = DedupIndex(self.db if durable_delivery else None)
         #: Replica updates ignored because a newer version was applied.
         self.stale_replicas_ignored = 0
-        #: Report of the startup recovery pass (``recovery="auto"``).
-        self.last_recovery: RecoveryReport | None = None
         #: Reliable delivery of notifications and replication; present
         #: with a bus, or without one when ``durable_delivery`` routes
         #: direct subscribers through the transactional outbox too.
@@ -198,17 +197,9 @@ class MetadataProvider:
                 metrics=self.metrics,
                 store=store,
             )
-        if recovery == "auto":
-            # Audit and repair the store before trusting anything in it
-            # — and before the outbox resumes the delivery streams.
-            self.last_recovery = RecoveryManager(
-                self.db, schema, self.metrics
-            ).recover()
         if triggering == "counting":
-            # Build the in-memory predicate index eagerly — after any
-            # recovery repairs, so a provider reopened on a crashed
-            # store matches against the repaired rule base from the
-            # first publish on.
+            # Build the in-memory predicate index eagerly, so the first
+            # publish does not pay for it.
             self.engine.warm()
         if self.outbox is not None:
             self.outbox.recover()
@@ -260,36 +251,63 @@ class MetadataProvider:
 
     @contextmanager
     def _op(self) -> Iterator[None]:
-        """One crash-atomic provider operation (docs/DURABILITY.md).
+        """One provider operation, one transaction (docs/DURABILITY.md).
 
-        With ``durable_delivery`` every write the operation performs —
-        filter tables, documents, subscriptions, versions, and the
-        outbox rows carrying its notifications — joins one transaction;
-        nested ``transaction()`` calls become savepoints.  Deliveries
-        requested during the operation are deferred and flushed *after*
-        the commit, so a crash at any statement or commit boundary
-        either leaves no trace of the operation or leaves it fully
-        committed with its notifications queued for redelivery.
-        Without ``durable_delivery`` this is a no-op wrapper.
+        Every write the operation performs — filter tables, documents,
+        subscriptions, versions and, with ``durable_delivery``, the
+        outbox rows carrying its notifications — joins one SQLite
+        transaction; nested ``transaction()`` blocks join it too.  The
+        batches and replicated changes the operation produces are handed
+        out only *after* the commit, so a crash at any statement or
+        commit boundary leaves either no trace of the operation or all
+        of it.  A rolled-back operation also undoes its in-memory
+        changes (documents, versions, reserved seqs, replica dedup)
+        from the undo journal, so memory agrees with the store again.
         """
-        if not self.durable_delivery or self._in_op:
+        if self._in_op:
             yield
             return
         self._in_op = True
-        self._pending_flush = set()
+        staged: list[OutboxEntry] = []
         try:
             with self.db.transaction():
                 yield
+                if self.durable_delivery:
+                    staged = [self._stage(batch) for batch in self._batches]
         except BaseException:
-            self._pending_flush = set()
+            for undo in reversed(self._undo):
+                undo()
             raise
         finally:
             self._in_op = False
-        pending = sorted(self._pending_flush)
-        self._pending_flush = set()
-        if self.outbox is not None:
-            for destination in pending:
+            batches, self._batches = self._batches, []
+            replications, self._replications = self._replications, []
+            self._undo = []
+        self._m_batches_sent.inc(len(batches))
+        if self.durable_delivery:
+            for entry in staged:
+                self.outbox.queue(entry)
+            for destination in sorted({entry.destination for entry in staged}):
                 self.outbox.flush(destination)
+        else:
+            for batch in batches:
+                self._send(batch)
+        for uri, document, version in replications:
+            self._replication_hook(uri, document, version)
+
+    def _remember(self, mapping: dict, key: str) -> None:
+        """Journal ``mapping[key]`` so a rolled-back :meth:`_op` restores it."""
+        if key in mapping:
+            self._undo.append(partial(mapping.__setitem__, key, mapping[key]))
+        else:
+            self._undo.append(partial(mapping.pop, key, None))
+
+    def _replicate(
+        self, uri: str, document: Document | None, version: tuple[int, str]
+    ) -> None:
+        """Queue a local change for the replication hook (after commit)."""
+        if self._replication_hook is not None:
+            self._replications.append((uri, document, version))
 
     # ------------------------------------------------------------------
     # Document administration (paper, Section 2.2)
@@ -316,9 +334,9 @@ class MetadataProvider:
             self._publish(outcome)
             self._m_registrations.inc()
             if not _replicated:
-                version = self._next_version(document.uri)
-                if self._replication_hook is not None:
-                    self._replication_hook(document.uri, document, version)
+                self._replicate(
+                    document.uri, document, self._next_version(document.uri)
+                )
         return outcome
 
     def register_documents(
@@ -356,7 +374,7 @@ class MetadataProvider:
                 _merge_outcomes(merged, self._register_fresh(fresh.values()))
         return merged
 
-    def _register_fresh(
+    def _register_fresh(  # mdv: allow(MDV065): runs inside _op()
         self, documents: Collection[Document]
     ) -> PublishOutcome:
         """Register brand-new documents: one filter run, and one
@@ -367,27 +385,24 @@ class MetadataProvider:
         )
         versions = {}
         for document in documents:
+            self._remember(self._documents, document.uri)
             self._documents[document.uri] = document
             versions[document.uri] = self._bump_version(document.uri)
-        with self.db.transaction():
-            self._document_table.upsert_many(
-                (document.uri, to_rdfxml(document)) for document in documents
-            )
-            self._resource_table.insert_many(
-                (str(resource.uri), resource.rdf_class, document.uri)
-                for document in documents
-                for resource in document
-            )
-            self._persist_versions(versions.items())
-        if self._replication_hook is not None:
-            for document in documents:
-                self._replication_hook(
-                    document.uri, document, versions[document.uri]
-                )
+        self._document_table.upsert_many(
+            (document.uri, to_rdfxml(document)) for document in documents
+        )
+        self._resource_table.insert_many(
+            (str(resource.uri), resource.rdf_class, document.uri)
+            for document in documents
+            for resource in document
+        )
+        self._persist_versions(versions.items())
+        for document in documents:
+            self._replicate(document.uri, document, versions[document.uri])
         self._publish(outcome)
         return outcome
 
-    def delete_document(
+    def delete_document(  # mdv: allow(MDV065): writes inside its _op()
         self, document_uri: str, _replicated: bool = False
     ) -> PublishOutcome:
         """Remove a document with all its content."""
@@ -396,16 +411,16 @@ class MetadataProvider:
             raise DocumentNotFoundError(document_uri)
         with self._op():
             outcome = self.engine.process_diff(deletion_diff(old))
+            self._remember(self._documents, document_uri)
             del self._documents[document_uri]
-            with self.db.transaction():
-                self._document_table.delete(document_uri)
-                self._resource_table.delete_many(str(r.uri) for r in old)
+            self._document_table.delete(document_uri)
+            self._resource_table.delete_many(str(r.uri) for r in old)
             self._publish(outcome)
             self._m_deletions.inc()
             if not _replicated:
-                version = self._next_version(document_uri)
-                if self._replication_hook is not None:
-                    self._replication_hook(document_uri, None, version)
+                self._replicate(
+                    document_uri, None, self._next_version(document_uri)
+                )
         return outcome
 
     def _check_uri_ownership(self, documents: Iterable[Document]) -> None:
@@ -422,14 +437,16 @@ class MetadataProvider:
                     f"document {owner!r}"
                 )
 
-    def _store_document(self, document: Document, deleted: list[Resource]) -> None:
+    def _store_document(  # mdv: allow(MDV065): runs inside _op()
+        self, document: Document, deleted: list[Resource]
+    ) -> None:
+        self._remember(self._documents, document.uri)
         self._documents[document.uri] = document
-        with self.db.transaction():
-            self._document_table.upsert(document.uri, to_rdfxml(document))
-            self._resource_table.delete_many(str(r.uri) for r in deleted)
-            self._resource_table.insert_many(
-                (str(r.uri), r.rdf_class, document.uri) for r in document
-            )
+        self._document_table.upsert(document.uri, to_rdfxml(document))
+        self._resource_table.delete_many(str(r.uri) for r in deleted)
+        self._resource_table.insert_many(
+            (str(r.uri), r.rdf_class, document.uri) for r in document
+        )
 
     # ------------------------------------------------------------------
     # Schema exchange (the backbone "shares the same schema", §2.2)
@@ -663,8 +680,9 @@ class MetadataProvider:
                 f"subscriber {subscriber!r} has no subscription "
                 f"{rule_text!r}"
             )
-        for stored_text in stored:
-            self.registry.unsubscribe(subscriber, stored_text)
+        with self._op():
+            for stored_text in stored:
+                self.registry.unsubscribe(subscriber, stored_text)
 
     def register_named_rule(self, name: str, rule_text: str) -> None:
         """Register a rule usable as a search extension by later rules."""
@@ -679,10 +697,11 @@ class MetadataProvider:
         decomposed = decompose_rule(
             conjuncts[0], self.schema, self.registry.named_producers()
         )
-        registration = self.registry.register_named_rule(
-            name, rule_text, decomposed
-        )
-        self.engine.initialize_rules(registration.created)
+        with self._op():
+            registration = self.registry.register_named_rule(
+                name, rule_text, decomposed
+            )
+            self.engine.initialize_rules(registration.created)
 
     # ------------------------------------------------------------------
     # Browsing (direct MDP queries)
@@ -780,26 +799,37 @@ class MetadataProvider:
             self._deliver(batch)
 
     def _deliver(self, batch: NotificationBatch) -> None:
-        if not batch.notifications:
-            return
-        self._m_batches_sent.inc()
+        """Hold a batch of the running :meth:`_op` until it commits."""
+        if batch.notifications:
+            self._batches.append(batch)
+
+    def _stamp(self, batch: NotificationBatch) -> int:
+        """Give ``batch`` its source and its subscriber's next seq."""
+        seq = self.outbox.reserve_seq(batch.subscriber)
+        batch.source = self.name
+        batch.seq = seq
+        return seq
+
+    def _stage(self, batch: NotificationBatch) -> OutboxEntry:
+        """Stamp a batch and persist its outbox row in the open
+        transaction; :meth:`_op` queues it once that commits."""
+        seq = self._stamp(batch)
+        self._undo.append(
+            partial(self.outbox.rewind_seq, batch.subscriber, seq)
+        )
+        return self.outbox.stage(batch.subscriber, "notifications", batch, seq)
+
+    def _send(self, batch: NotificationBatch) -> None:
+        """Hand a committed batch to its subscriber."""
         if self.outbox is not None and (
-            self.durable_delivery
-            or batch.subscriber not in self._direct_subscribers
+            batch.subscriber not in self._direct_subscribers
         ):
             # Reliable at-least-once delivery: stamp, queue, attempt.
             # Failures are retried by later flushes; they never abort
-            # the publish that produced the batch.  Inside a durable
-            # operation the entry is persisted with the transaction and
-            # the flush is deferred until after the commit.
-            seq = self.outbox.reserve_seq(batch.subscriber)
-            batch.source = self.name
-            batch.seq = seq
+            # the publish that produced the batch.
+            seq = self._stamp(batch)
             self.outbox.enqueue(batch.subscriber, "notifications", batch, seq)
-            if self._in_op:
-                self._pending_flush.add(batch.subscriber)
-            else:
-                self.outbox.flush(batch.subscriber)
+            self.outbox.flush(batch.subscriber)
             return
         handler = self._direct_subscribers.get(batch.subscriber)
         if handler is not None:
@@ -826,7 +856,7 @@ class MetadataProvider:
         return self.outbox.flush(subscriber)
 
     def deliver_pending(self) -> int:
-        """Flush every queued outbox entry (post-recovery redelivery).
+        """Flush every queued outbox entry (redelivery after a restart).
 
         A restarted durable provider recovers its committed-but-
         undelivered batches into the outbox queues; call this once the
@@ -900,18 +930,18 @@ class MetadataProvider:
         current = self._doc_versions.get(document_uri)
         counter = (current[0] if current is not None else 0) + 1
         version = (counter, self.name)
+        self._remember(self._doc_versions, document_uri)
         self._doc_versions[document_uri] = version
         return version
 
-    def _persist_versions(
+    def _persist_versions(  # mdv: allow(MDV065): runs inside _op()
         self, versions: Iterable[tuple[str, tuple[int, str]]]
     ) -> None:
-        with self.db.transaction():
-            self.db.executemany(
-                "INSERT OR REPLACE INTO doc_versions "
-                "(document_uri, counter, origin) VALUES (?, ?, ?)",
-                ((uri, counter, origin) for uri, (counter, origin) in versions),
-            )
+        self.db.executemany(
+            "INSERT OR REPLACE INTO doc_versions "
+            "(document_uri, counter, origin) VALUES (?, ?, ?)",
+            ((uri, counter, origin) for uri, (counter, origin) in versions),
+        )
 
     def document_version(self, document_uri: str) -> tuple[int, str] | None:
         return self._doc_versions.get(document_uri)
@@ -951,12 +981,16 @@ class MetadataProvider:
             if source is not None and seq is not None:
                 if not self.replica_dedup.check_and_record(source, seq):
                     return "duplicate"
+                self._undo.append(
+                    partial(self.replica_dedup.forget, source, seq)
+                )
             if version is not None:
                 local = self._doc_versions.get(document_uri)
                 if local is not None and local >= version:
                     self.stale_replicas_ignored += 1
                     self._m_stale_replicas.inc()
                     return "stale"
+                self._remember(self._doc_versions, document_uri)
                 self._doc_versions[document_uri] = version
                 self._persist_versions([(document_uri, version)])
             if document is None:

@@ -251,7 +251,7 @@ class LocalMetadataRepository:
                 self.bus.sleep(2.0 * (attempt + 1))
 
     # ------------------------------------------------------------------
-    # Crash recovery (docs/DURABILITY.md)
+    # Provider restarts (docs/DURABILITY.md)
     # ------------------------------------------------------------------
     def reattach(self, provider: MetadataProvider) -> None:
         """Rebind to a restarted provider object (same logical node).

@@ -19,7 +19,7 @@ contract explicit in two halves:
   raises :class:`~repro.errors.CrashError` — the storage-level view of
   ``kill -9``: committed state survives, the in-flight transaction is
   torn away.  A plan with no target never fires and doubles as a
-  boundary *counter*, which is how the crash-recovery oracle enumerates
+  boundary *counter*, which is how the crash oracle enumerates
   every crash point of a scripted workload before sweeping them
   (:mod:`repro.workload.crashes`).
 """

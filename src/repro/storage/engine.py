@@ -76,7 +76,8 @@ class Database:
             self._connection.execute(pragma)
         self._in_transaction = False
         self._transaction_owner: int | None = None
-        self._savepoint_serial = 0
+        #: Set when a nested block raised: the outermost block rolls back.
+        self._rollback_only = False
         self._crash_plan: CrashPlan | None = None
         # Instrument handles are resolved once; every statement then
         # pays one attribute-add, keeping the hot path hot.
@@ -224,14 +225,15 @@ class Database:
 
         The top-level block opens one SQLite transaction, committed on
         normal exit and rolled back on any exception.  Nested
-        invocations from the *same* thread join it through a SAVEPOINT:
-        their work commits with the outer block, but a raising nested
-        block is guaranteed to roll back its own writes (``ROLLBACK
-        TO``) instead of leaving half its work inside the outer
-        transaction.  Nested invocations from a *different* thread are
-        rejected with a diagnostic — two threads sharing one connection
-        would silently commit each other's partial work (SQLite has a
-        single transaction per connection).
+        invocations from the *same* thread simply join it: their work
+        commits or vanishes with the outer block.  A raising nested
+        block marks the whole transaction rollback-only — if a caller
+        swallows the exception, the outermost block still rolls back and
+        raises :class:`~repro.errors.StorageError` instead of committing
+        half an operation.  Nested invocations from a *different* thread
+        are rejected with a diagnostic — two threads sharing one
+        connection would silently commit each other's partial work
+        (SQLite has a single transaction per connection).
         """
         if self._in_transaction:
             if threading.get_ident() != self._transaction_owner:
@@ -241,30 +243,19 @@ class Database:
                     f"{self._transaction_owner}; serialize access or give "
                     "each thread its own Database (docs/CONCURRENCY.md)"
                 )
-            self._savepoint_serial += 1
-            name = f"mdv_sp_{self._savepoint_serial}"
-            self.connection.execute(f"SAVEPOINT {name}")
             try:
                 yield self
             except BaseException:
-                # After an injected crash the whole transaction (and its
-                # savepoint stack) is already gone — nothing to unwind.
-                if self.connection.in_transaction:
-                    self.connection.execute(f"ROLLBACK TO {name}")
-                    self.connection.execute(f"RELEASE {name}")
+                self._rollback_only = True
                 raise
-            else:
-                if self.connection.in_transaction:
-                    self.connection.execute(f"RELEASE {name}")
             return
         self._m_transactions.inc()
         self._in_transaction = True
+        self._rollback_only = False
         self._transaction_owner = threading.get_ident()
         if not self.connection.in_transaction:
-            # An explicit BEGIN, so nested SAVEPOINTs always live inside
-            # a real transaction (releasing an outermost savepoint would
-            # otherwise commit).  When raw statements already opened an
-            # implicit transaction, join it — same commit scope as ever.
+            # When raw statements already opened an implicit
+            # transaction, join it — same commit scope as ever.
             self.connection.execute("BEGIN")
         try:
             yield self
@@ -272,10 +263,17 @@ class Database:
             self.connection.rollback()
             raise
         else:
+            if self._rollback_only:
+                self.connection.rollback()
+                raise StorageError(
+                    "a nested transaction() block raised and its caller "
+                    "went on; the whole transaction was rolled back"
+                )
             self._commit_boundary()
             self.connection.commit()
         finally:
             self._in_transaction = False
+            self._rollback_only = False
             self._transaction_owner = None
 
     def commit(self) -> None:

@@ -1,24 +1,28 @@
-"""Crash-recovery differential oracle (docs/DURABILITY.md).
+"""Crash differential oracle (docs/DURABILITY.md).
 
 The acceptance contract of the durability layer: a scripted pub/sub
-workload that is killed at *any* statement or commit boundary, recovered
+workload that is killed at *any* statement or commit boundary, restarted
 and resumed must be indistinguishable from the same workload run with no
 crash — the stream of applied notification batches is byte-identical
 (sources, sequence numbers, batch contents, order), the LMR cache holds
-the same resources, and the post-run invariant audit is clean.
+the same resources, and the invariant audit is clean both right after
+every crash and at the end of the run.  Nothing is repaired in between:
+every provider operation is one transaction, so a crash can only leave
+whole operations behind.
 
-:func:`run_crash_scenario` executes one run: a durable provider
-(``durable_delivery=True``) with one directly connected LMR, a seeded
-workload of subscriptions, registrations, updates and a deletion.  With
-a :class:`~repro.storage.durability.CrashPoint` the run is killed at
-that boundary (:class:`~repro.errors.CrashError`), "restarted" — the
-provider object is discarded and a new one constructed on the same
-database with ``recovery="auto"`` — reattached, redelivered, and the
-interrupted operation is retried.  Retries of operations the crashed run
-had already committed are no-ops: a re-registration produces an empty
-diff, a re-delete raises ``DocumentNotFoundError``, a re-subscribe
-raises ``SubscriptionError``; both exceptions are absorbed only when a
-crash preceded them.  Redelivered batches the LMR already applied are
+:func:`run_crash_scenario` executes one run: a provider (durable or
+in-process delivery, ``durable_delivery``) with one directly connected
+LMR, a seeded workload of subscriptions, registrations, updates and a
+deletion.  With a :class:`~repro.storage.durability.CrashPoint` the run
+is killed at that boundary (:class:`~repro.errors.CrashError`), the
+store is audited, the provider "restarted" — the object is discarded
+and a new one constructed on the same database — reattached,
+redelivered, and the interrupted operation is retried.  Retries of
+operations the crashed run had already committed are no-ops: a
+re-registration produces an empty diff, a re-delete raises
+``DocumentNotFoundError``, a re-subscribe raises
+``SubscriptionError``; both exceptions are absorbed only when a crash
+preceded them.  Redelivered batches the LMR already applied are
 dropped by its ``(source, seq)`` dedup index and never re-enter the
 stream.
 
@@ -30,6 +34,7 @@ baseline run) and diffs each crashed run against the baseline.
 CLI::
 
     python -m repro.workload.crashes --seed 7 --stride 5
+    python -m repro.workload.crashes --seed 1 --no-durable-delivery
 """
 
 from __future__ import annotations
@@ -157,10 +162,8 @@ class CrashRunResult:
     crash: CrashPoint | None = None
     #: Whether the installed plan actually fired.
     crashed: bool = False
-    #: Crashes survived (restart + recovery cycles).
+    #: Crashes survived (restart cycles).
     recoveries: int = 0
-    #: Total repairs reported by the startup recovery passes.
-    repairs: int = 0
     #: Boundary totals observed by the run's (counting) crash plan.
     statements: int = 0
     commits: int = 0
@@ -169,15 +172,14 @@ class CrashRunResult:
 def _new_provider(
     db: Database,
     schema: Schema,
-    recovery: str = "off",
-    triggering: str = "sql",
+    triggering: str,
+    durable_delivery: bool,
 ) -> MetadataProvider:
     return MetadataProvider(
         schema,
         name="mdp",
         db=db,
-        durable_delivery=True,
-        recovery=recovery,
+        durable_delivery=durable_delivery,
         triggering=triggering,
     )
 
@@ -208,6 +210,7 @@ def run_crash_scenario(
     crash_point: CrashPoint | None = None,
     documents: int = 6,
     triggering: str = "sql",
+    durable_delivery: bool = True,
 ) -> CrashRunResult:
     """One workload run, optionally killed at ``crash_point``.
 
@@ -218,7 +221,7 @@ def run_crash_scenario(
     schema = objectglobe_schema()
     db = Database(metrics=None)
     result = CrashRunResult(crash=crash_point)
-    provider = _new_provider(db, schema, triggering=triggering)
+    provider = _new_provider(db, schema, triggering, durable_delivery)
     lmr = LocalMetadataRepository("lmr", provider)
 
     def attach(to_provider: MetadataProvider) -> None:
@@ -244,15 +247,13 @@ def run_crash_scenario(
                     recovered_this_op = True
                     db.clear_crash_plan()
                     provider.close()
-                    provider = _new_provider(
-                        db, schema, recovery="auto", triggering=triggering
-                    )
-                    report = provider.last_recovery
-                    assert report is not None
-                    result.repairs += report.repaired
+                    # The store as the crash left it must need no repair.
                     result.audit_findings.extend(
-                        f"[{d.code}] {d.message}"
-                        for d in report.findings_after
+                        f"at restart: [{d.code}] {d.message}"
+                        for d in audit_database(db).diagnostics
+                    )
+                    provider = _new_provider(
+                        db, schema, triggering, durable_delivery
                     )
                     lmr.reattach(provider)
                     attach(provider)
@@ -286,6 +287,7 @@ class CrashSweepReport:
 
     seed: int
     triggering: str = "sql"
+    durable_delivery: bool = True
     statements: int = 0
     commits: int = 0
     points_tested: int = 0
@@ -298,8 +300,9 @@ class CrashSweepReport:
 
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.failures)} FAILURE(S)"
+        delivery = "" if self.durable_delivery else " durable_delivery=False"
         return (
-            f"seed={self.seed} triggering={self.triggering}: "
+            f"seed={self.seed} triggering={self.triggering}{delivery}: "
             f"{self.points_tested} crash point(s) over "
             f"{self.statements} statements / "
             f"{self.commits} commits — {status}"
@@ -311,6 +314,7 @@ def run_crash_sweep(
     statement_stride: int = 5,
     documents: int = 6,
     triggering: str = "sql",
+    durable_delivery: bool = True,
 ) -> CrashSweepReport:
     """Kill the workload at every enumerated boundary and diff each run
     against the never-crashed baseline."""
@@ -319,8 +323,9 @@ def run_crash_sweep(
         None,
         documents=documents,
         triggering=triggering,
+        durable_delivery=durable_delivery,
     )
-    report = CrashSweepReport(seed, triggering)
+    report = CrashSweepReport(seed, triggering, durable_delivery)
     report.statements = baseline.statements
     report.commits = baseline.commits
     if baseline.audit_findings:
@@ -336,6 +341,7 @@ def run_crash_sweep(
             point,
             documents=documents,
             triggering=triggering,
+            durable_delivery=durable_delivery,
         )
         report.points_tested += 1
         if result.crashed:
@@ -345,7 +351,7 @@ def run_crash_sweep(
             continue
         if result.audit_findings:
             report.failures.append(
-                f"{point}: audit findings after recovery: "
+                f"{point}: audit findings: "
                 f"{result.audit_findings}"
             )
         if result.stream != baseline.stream:
@@ -365,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Crash-recovery differential oracle sweep"
+        description="Crash differential oracle sweep"
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
@@ -376,12 +382,18 @@ def main(argv: list[str] | None = None) -> int:
         help="test every Nth statement boundary (commits: all)",
     )
     parser.add_argument("--documents", type=int, default=6)
+    parser.add_argument(
+        "--durable-delivery", action=argparse.BooleanOptionalAction,
+        default=True,
+        help="persist the outbox (default) or deliver in-process",
+    )
     args = parser.parse_args(argv)
     report = run_crash_sweep(
         args.seed,
         statement_stride=args.stride,
         documents=args.documents,
         triggering=args.triggering,
+        durable_delivery=args.durable_delivery,
     )
     print(report.summary())
     for failure in report.failures:

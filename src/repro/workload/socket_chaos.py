@@ -7,15 +7,21 @@ proves the same contract against *real* failure: an actual
 through a seeded registration stream, then restarted on the same port
 and database.  No graceful drain, no flushed buffers — whatever
 survives is what the durability knobs (``durability="safe"``,
-``durable_delivery=True``, ``recovery="auto"``) actually persisted.
+``durable_delivery=True``) actually persisted.
+
+Between the kill and the relaunch the store is audited
+(:func:`~repro.analysis.invariants.audit_database`, the MDV03x pack)
+exactly as the crash left it: every provider operation is one
+transaction, so the audit must be clean — the restarted daemon repairs
+nothing.
 
 Convergence contract: after the restart, client-side retries (a
 network error means the request *may not* have been processed —
 re-registering a committed document is an empty diff, so no duplicate
-notifications), the Outbox redrive on recovery, the LMR daemon's
-dedup floor, and one ``resync``, the LMR cache must be byte-identical
-(same canonical digest) to the cache of an uninterrupted run of the
-same seed.
+notifications), the Outbox redelivering its committed tail, the LMR
+daemon's dedup floor, and one ``resync``, the LMR cache must be
+byte-identical (same canonical digest) to the cache of an uninterrupted
+run of the same seed.
 
 The tier-1 test runs a small stream; the nightly lane runs this
 module's CLI at full scale::
@@ -38,9 +44,11 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
+from repro.analysis.invariants import audit_database
 from repro.errors import NetworkError
 from repro.mdv.client import ServiceClient
 from repro.net.codec import dumps
+from repro.storage.engine import Database
 from repro.workload.chaos import resource_snapshot
 from repro.workload.documents import benchmark_document
 
@@ -124,6 +132,8 @@ class SocketChaosReport:
     #: Registrations re-sent after a network error (interrupted runs).
     retries: int = 0
     duplicates_ignored: int = 0
+    #: MDV03x findings on the killed MDP's store, before the relaunch.
+    audit_findings: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
         return (
@@ -192,7 +202,6 @@ def run_socket_chaos(
                 "db_path": os.path.join(base, "mdp-1.db"),
                 "durability": "safe",
                 "durable_delivery": True,
-                "recovery": "auto",
                 "peers": {},
             },
         )
@@ -222,7 +231,6 @@ def run_socket_chaos(
                 "db_path": os.path.join(base, "mdp-1.db"),
                 "durability": "safe",
                 "durable_delivery": True,
-                "recovery": "auto",
                 "peers": {"lmr-a": ["127.0.0.1", lmr.port]},
             },
         )
@@ -238,6 +246,9 @@ def run_socket_chaos(
             ):
                 if interrupted and ordinal == kill_at:
                     mdp.kill_hard()  # SIGKILL mid-stream: the crash
+                    report.audit_findings = _audit_store(
+                        os.path.join(base, "mdp-1.db")
+                    )
                     mdp = launch_node(mdp_config)
                 report.retries += _register_with_retry(mdp_client, document)
             lmr_client.call("resync")
@@ -262,11 +273,25 @@ def run_socket_chaos(
         return report
 
 
+def _audit_store(path: str) -> list[str]:
+    """MDV03x findings on a store exactly as a crash left it."""
+    db = Database(path, durability="safe")
+    try:
+        return [
+            f"[{d.code}] {d.message}" for d in audit_database(db).diagnostics
+        ]
+    finally:
+        db.close()
+
+
 def compare_runs(
     interrupted: SocketChaosReport, clean: SocketChaosReport
 ) -> list[str]:
     """The convergence assertions; returns human-readable failures."""
-    failures: list[str] = []
+    failures: list[str] = [
+        f"store audit after the kill: {finding}"
+        for finding in interrupted.audit_findings
+    ]
     if interrupted.cache_digest != clean.cache_digest:
         missing = sorted(
             set(clean.cache_snapshot) - set(interrupted.cache_snapshot)

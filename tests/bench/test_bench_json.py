@@ -192,6 +192,5 @@ class TestRegressionGate:
             "BENCH_fig11.json", "BENCH_fig12.json", "BENCH_fig13.json",
             "BENCH_fig14.json", "BENCH_fig15.json",
             "BENCH_matcher.json",
-            "BENCH_recovery.json",
             "BENCH_semantics.json",
         ]

@@ -73,7 +73,6 @@ def test_real_figures_registered():
         "fig13",
         "fig14",
         "fig15",
-        "recovery",
         "matcher",
         "semantics",
     }

@@ -1,8 +1,9 @@
-"""Crash-recovery differential oracle (tier-1 matrix).
+"""Crash differential oracle (tier-1 matrix).
 
-Every enumerated crash point must leave the recovered, resumed run
+Every enumerated crash point must leave the restarted, resumed run
 byte-identical to the never-crashed baseline: same applied notification
-stream, same LMR cache, clean invariant audit.  The full sweep
+stream, same LMR cache, and an invariant audit that is clean right after
+each crash (nothing needs repair) and at the end.  The full sweep
 (``--stride 5``) runs in CI; here a coarser statement stride keeps the
 matrix inside tier-1 budgets while still covering every commit boundary.
 """
@@ -12,26 +13,35 @@ import pytest
 from repro.workload.crashes import run_crash_scenario, run_crash_sweep
 
 MATRIX = [
-    pytest.param(seed, triggering, id=f"seed{seed}-{triggering}")
-    for seed, triggering in [
-        (1, "sql"),
-        (7, "sql"),
-        (42, "sql"),
-        # The counting matcher rebuilds its in-memory index during
-        # recovery (the mutation log dies with the process) — the
-        # resumed stream must still be byte-identical.
-        (7, "counting"),
+    pytest.param(
+        seed, triggering, durable,
+        id=f"seed{seed}-{triggering}" + ("" if durable else "-in-process"),
+    )
+    for seed, triggering, durable in [
+        (1, "sql", True),
+        (7, "sql", True),
+        (42, "sql", True),
+        # The counting matcher rebuilds its in-memory index on restart
+        # (the mutation log dies with the process) — the resumed stream
+        # must still be byte-identical.
+        (7, "counting", True),
+        # In-process delivery: no persisted outbox, so only the single
+        # transaction per operation keeps a crash from tearing it.
+        (1, "sql", False),
+        (7, "sql", False),
+        (7, "counting", False),
     ]
 ]
 
 
-@pytest.mark.parametrize("seed,triggering", MATRIX)
-def test_crash_sweep_matches_baseline(seed, triggering):
+@pytest.mark.parametrize("seed,triggering,durable", MATRIX)
+def test_crash_sweep_matches_baseline(seed, triggering, durable):
     report = run_crash_sweep(
         seed,
         triggering=triggering,
         statement_stride=45,
         documents=4,
+        durable_delivery=durable,
     )
     assert report.points_tested > 0
     assert report.points_fired > 0

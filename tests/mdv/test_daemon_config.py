@@ -42,7 +42,8 @@ def test_mistyped_peer_address_rejected(address):
 # Each names a provider knob that was deleted: a config still setting it
 # must fail loudly, not be silently ignored.
 @pytest.mark.parametrize(
-    "key", ["dedupe", "contains_index", "parallelism", "consistency"]
+    "key",
+    ["dedupe", "contains_index", "parallelism", "consistency", "recovery"],
 )
 def test_removed_knob_rejected_as_unknown_key(key):
     with pytest.raises(ValueError, match=f"unknown service config keys.*{key}"):

@@ -1,4 +1,4 @@
-"""Durable-outbox persistence: store roundtrips, recovery across a
+"""Durable-outbox persistence: store roundtrips, redelivery across a
 process restart, redrive of persisted dead letters, durable dedup."""
 
 import os
@@ -185,8 +185,7 @@ class TestDurableProviderRestart:
 
         # New provider "process" on the same store.
         restarted = MetadataProvider(
-            schema, name="mdp", db=mdp.db, durable_delivery=True,
-            recovery="auto",
+            schema, name="mdp", db=mdp.db, durable_delivery=True
         )
         lmr.reattach(restarted)
         restarted.register_document(benchmark_document(1, synth_value=7))

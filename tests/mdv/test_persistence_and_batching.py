@@ -65,6 +65,31 @@ class TestPersistence:
         assert batches
         second.db.close()
 
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_reopen_repairs_nothing(self, schema, tmp_path, durable):
+        """Start-up trusts the store: no transaction, no written row."""
+        from repro.obs.metrics import MetricsRegistry
+
+        path = str(tmp_path / "mdp.sqlite")
+        first = MetadataProvider(
+            schema, db=Database(path), durable_delivery=durable
+        )
+        first.connect_subscriber("lmr", lambda batch: None)
+        first.subscribe("lmr", PASSAU_RULE)
+        first.register_document(make_doc(1))
+        first.db.close()
+
+        metrics = MetricsRegistry()
+        db = Database(path, metrics=metrics)
+        second = MetadataProvider(
+            schema, db=db, metrics=metrics, durable_delivery=durable,
+            triggering="counting",
+        )
+        assert metrics.counter("storage.transactions").value == 0
+        assert metrics.counter("storage.rows_written").value == 0
+        assert second.document_count() == 1
+        db.close()
+
     def test_browse_after_reopen(self, schema, tmp_path):
         path = str(tmp_path / "mdp.sqlite")
         first = MetadataProvider(schema, db=Database(path))
@@ -197,3 +222,69 @@ class TestBatchRegistration:
         )
         assert browsed == []
         assert batched.resource("doc1.rdf#info").get_one("memory").value == 2
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["in-process", "durable"])
+def test_rolled_back_batch_leaves_no_state_in_memory(schema, durable):
+    """Regression: a batch that failed on its last document rolled the
+    store back but kept the earlier documents, their versions and their
+    queued notifications in memory."""
+    from repro.errors import SchemaValidationError
+    from repro.rdf.model import Resource
+    from repro.workload.chaos import resource_snapshot
+
+    def system():
+        mdp = MetadataProvider(schema, durable_delivery=durable)
+        lmr = LocalMetadataRepository("lmr", mdp)
+        lmr.subscribe(PASSAU_RULE)
+        mdp.register_document(make_doc(0))
+        return mdp, lmr
+
+    def cache_image(lmr):
+        return sorted(resource_snapshot(r) for r in lmr.cache.resources())
+
+    mdp, lmr = system()
+    thief = Document("docB.rdf")
+    stolen = Resource(URIRef("doc0.rdf#host"), "CycleProvider")
+    stolen.add("serverHost", "b.uni-passau.de")
+    thief.resources[stolen.uri] = stolen
+    with pytest.raises(SchemaValidationError, match="already registered"):
+        mdp.register_documents(
+            [make_doc(1), make_doc(1, memory=93), thief]
+        )
+    assert mdp.document_count() == mdp.db.count("documents") == 1
+    assert mdp.document("doc1.rdf") is None
+    assert mdp.document_version("doc1.rdf") is None
+    # The next operation hands out nothing the store never committed.
+    mdp.register_document(make_doc(2))
+    assert "doc1.rdf#host" not in lmr.cache
+    assert "doc1.rdf#info" not in lmr.cache
+
+    reference, reference_lmr = system()
+    reference.register_document(make_doc(2))
+    outcome = mdp.register_document(make_doc(1))
+    expected = reference.register_document(make_doc(1))
+    assert outcome.matched == expected.matched
+    assert outcome.unmatched == expected.unmatched
+    assert mdp.version_digest() == reference.version_digest()
+    assert cache_image(lmr) == cache_image(reference_lmr)
+    assert lmr.dedup.watermarks() == reference_lmr.dedup.watermarks()
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["in-process", "durable"])
+def test_rolled_back_replica_is_not_a_duplicate(schema, durable):
+    from repro.errors import SchemaValidationError
+
+    mdp = MetadataProvider(schema, durable_delivery=durable)
+    mdp.register_document(make_doc(0))
+    clash = make_doc(1)
+    clash.resources[URIRef("doc0.rdf#info")] = make_doc(0).get("doc0.rdf#info")
+    with pytest.raises(SchemaValidationError):
+        mdp.apply_replica("doc1.rdf", clash, (1, "peer"), "peer", 1)
+    assert mdp.document_version("doc1.rdf") is None
+    # The retry of the same (source, seq) is fresh, not a duplicate.
+    assert mdp.apply_replica(
+        "doc1.rdf", make_doc(1), (1, "peer"), "peer", 1
+    ) == "applied"
+    assert mdp.document_version("doc1.rdf") == (1, "peer")
+    assert mdp.replica_dedup.applied == 1

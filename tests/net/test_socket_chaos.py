@@ -2,13 +2,18 @@
 
 Kills the MDP daemon with SIGKILL mid-stream, restarts it, and asserts
 the surviving LMR daemon converges to the exact state a clean run
-reaches.  The nightly lane runs the same harness at full scale via
+reaches; the killed MDP's store must pass the invariant audit as the
+crash left it.  The nightly lane runs the same harness at full scale via
 ``python -m repro.workload.socket_chaos``.
 """
 
 from __future__ import annotations
 
-from repro.workload.socket_chaos import compare_runs, run_socket_chaos
+from repro.workload.socket_chaos import (
+    SocketChaosReport,
+    compare_runs,
+    run_socket_chaos,
+)
 
 
 def test_kill9_restart_converges_to_clean_run_state(tmp_path):
@@ -25,3 +30,13 @@ def test_kill9_restart_converges_to_clean_run_state(tmp_path):
     assert interrupted.cache_digest == clean.cache_digest
     # The stream survived the crash: every document landed.
     assert interrupted.lmr_stats["entries"] == clean.lmr_stats["entries"]
+
+
+def test_store_audit_finding_fails_the_comparison():
+    interrupted = SocketChaosReport(
+        seed=11, interrupted=True, audit_findings=["[MDV031] torn refcount"]
+    )
+    clean = SocketChaosReport(seed=11, interrupted=False)
+    assert compare_runs(interrupted, clean) == [
+        "store audit after the kill: [MDV031] torn refcount"
+    ]

@@ -175,37 +175,28 @@ def test_rollback_inside_transaction_block_rejected():
     db.close()
 
 
-def test_nested_transaction_rolls_back_inner_only():
+def test_swallowed_nested_failure_rolls_back_everything():
     db = Database()
     db.execute("CREATE TABLE t (a)")
     db.commit()
-    with db.transaction():
-        db.execute("INSERT INTO t VALUES (1)")
-        with pytest.raises(RuntimeError):
+    with pytest.raises(StorageError, match="nested"):
+        with db.transaction():
+            db.execute("INSERT INTO t VALUES (1)")
             with db.transaction():
                 db.execute("INSERT INTO t VALUES (2)")
-                raise RuntimeError("inner boom")
-        db.execute("INSERT INTO t VALUES (3)")
-    # The savepoint unwound row 2; rows 1 and 3 committed.
-    rows = sorted(row["a"] for row in db.query_all("SELECT a FROM t"))
-    assert rows == [1, 3]
-    db.close()
-
-
-def test_deeply_nested_savepoints():
-    db = Database()
-    db.execute("CREATE TABLE t (a)")
-    db.commit()
+                try:
+                    with db.transaction():
+                        db.execute("INSERT INTO t VALUES (3)")
+                        raise RuntimeError("inner boom")
+                except RuntimeError:
+                    pass  # the caller goes on as if nothing happened
+            db.execute("INSERT INTO t VALUES (4)")
+    # Nested blocks join the outer transaction: nothing committed.
+    assert db.count("t") == 0
+    # The flag does not outlive the transaction.
     with db.transaction():
-        db.execute("INSERT INTO t VALUES (1)")
-        with db.transaction():
-            db.execute("INSERT INTO t VALUES (2)")
-            with pytest.raises(RuntimeError):
-                with db.transaction():
-                    db.execute("INSERT INTO t VALUES (3)")
-                    raise RuntimeError("boom")
-    rows = sorted(row["a"] for row in db.query_all("SELECT a FROM t"))
-    assert rows == [1, 2]
+        db.execute("INSERT INTO t VALUES (5)")
+    assert db.count("t") == 1
     db.close()
 
 
