@@ -175,7 +175,28 @@ def test_rollback_inside_transaction_block_rejected():
     db.close()
 
 
-def test_swallowed_nested_failure_rolls_back_everything():
+def test_nested_transaction_rolls_back_inner_only():
+    # A nested block joins the outer transaction, so its failure cannot be
+    # unwound on its own: when the caller swallows it, the outermost exit
+    # rolls back everything and raises instead of committing.
+    db = Database()
+    db.execute("CREATE TABLE t (a)")
+    db.commit()
+    with pytest.raises(StorageError, match="nested"):
+        with db.transaction():
+            db.execute("INSERT INTO t VALUES (1)")
+            with pytest.raises(RuntimeError):
+                with db.transaction():
+                    db.execute("INSERT INTO t VALUES (2)")
+                    raise RuntimeError("inner boom")
+            db.execute("INSERT INTO t VALUES (3)")
+    assert db.count("t") == 0
+    db.close()
+
+
+def test_deeply_nested_savepoints():
+    # No level of nesting opens a savepoint: a swallowed failure two levels
+    # down still rolls back the whole transaction.
     db = Database()
     db.execute("CREATE TABLE t (a)")
     db.commit()
@@ -191,7 +212,6 @@ def test_swallowed_nested_failure_rolls_back_everything():
                 except RuntimeError:
                     pass  # the caller goes on as if nothing happened
             db.execute("INSERT INTO t VALUES (4)")
-    # Nested blocks join the outer transaction: nothing committed.
     assert db.count("t") == 0
     # The flag does not outlive the transaction.
     with db.transaction():
