@@ -16,8 +16,9 @@ Public surface:
 - :meth:`MetadataProvider.register_named_rule` — register a rule under a
   name so later rules can use it as a search extension (Section 2.3).
 - :meth:`MetadataProvider.browse` — evaluate a query directly at the MDP
-  (the "real users can also browse metadata at an MDP" path), via the
-  SQL translation.
+  (the "real users can also browse metadata at an MDP" path): the query
+  is initialized like a new rule over the stored metadata, through the
+  filter's SQL joins, in an operation that always rolls back.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections.abc import (
     Iterator,
     Sequence,
 )
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import partial
 from typing import Any
 
@@ -58,7 +59,6 @@ from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.pubsub.notifications import NotificationBatch
 from repro.pubsub.publisher import Publisher
-from repro.query.sql import run_query_sql
 from repro.rdf.diff import deletion_diff, diff_documents
 from repro.rdf.model import Document, Resource, URIRef
 from repro.rdf.parser import parse_document
@@ -83,6 +83,11 @@ def _merge_outcomes(into, outcome) -> None:
         into.unmatched.setdefault(rule_id, set()).update(uris)
     into.deleted.update(outcome.deleted)
     into.passes.extend(outcome.passes)
+
+
+class _Discard(Exception):
+    """Unwinds :meth:`MetadataProvider.browse`'s always-rolled-back op."""
+
 
 #: Handler type for directly connected subscribers (no network bus).
 BatchHandler = Callable[[NotificationBatch], None]
@@ -707,28 +712,33 @@ class MetadataProvider:
     # Browsing (direct MDP queries)
     # ------------------------------------------------------------------
     def browse(self, query_text: str) -> list[Resource]:
-        """Evaluate a query at the MDP via the SQL translation.
+        """Evaluate a query at the MDP through the filter's own joins.
 
-        Named-rule extensions are inlined first so their predicates
-        apply — the query paths have no atomic rules to carry them.
+        The query runs the subscription pipeline — normalize, decompose
+        with named rules as producers, merge into the rule base and
+        initialize the new atoms over the stored metadata (§3.4) — and
+        reads each conjunct's end rule; the operation then always rolls
+        back, so no rule, group or materialized row outlives the call.
+        A query equal to a live rule creates no atom and reads that
+        rule's materialized matches.
         """
-        from repro.rules.inline import inline_named_query
-        from repro.rules.parser import parse_rule as _parse_rule
-
         query = parse_query(query_text)
-        definitions = {
-            name: _parse_rule(text)
-            for name, text in self.registry.named_rule_definitions().items()
-        }
-        if definitions:
-            query = inline_named_query(query, definitions)
-        uris = run_query_sql(self.db, query, self.schema)
-        resources = []
-        for uri in uris:
-            content = self.resource(uri)
-            if content is not None:
-                resources.append(content)
-        return resources
+        conjuncts = normalize_rule(
+            query.as_rule(), self.schema, self.registry.named_rule_types()
+        )
+        named_producers = self.registry.named_producers()
+        uris: set[URIRef] = set()
+        with suppress(_Discard), self._op():
+            for normalized in conjuncts:
+                decomposed = decompose_rule(
+                    normalized, self.schema, named_producers
+                )
+                end, __, created = self.registry.ensure_atoms(decomposed)
+                self.engine.initialize_rules(created)
+                uris.update(self.engine.current_matches(end))
+            raise _Discard
+        resources = (self.resource(uri) for uri in sorted(uris))
+        return [resource for resource in resources if resource is not None]
 
     # ------------------------------------------------------------------
     # Publishing

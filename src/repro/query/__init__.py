@@ -5,20 +5,17 @@ language", Section 2.2); here it is the rule grammar without the
 ``register`` clause.  Two evaluation paths exist:
 
 - :func:`~repro.query.evaluator.evaluate_query` — in-memory evaluation
-  over resources, used by Local Metadata Repositories on their cache;
-- :func:`~repro.query.sql.run_query_sql` — translation into SQL join
-  queries over the ``filter_data`` store, used when browsing a Metadata
-  Provider directly.
+  over resources, used by Local Metadata Repositories on their cache
+  (and by the tests as the oracle);
+- :meth:`~repro.mdv.provider.MetadataProvider.browse` — browsing a
+  Metadata Provider directly: the query is initialized like a new rule
+  over the stored metadata, through the filter's SQL joins (§3.4).
 """
 
 from repro.query.evaluator import compare_values, evaluate_normalized, evaluate_query
-from repro.query.sql import run_query_sql, sql_string_literal, translate_normalized
 
 __all__ = [
     "compare_values",
     "evaluate_normalized",
     "evaluate_query",
-    "run_query_sql",
-    "sql_string_literal",
-    "translate_normalized",
 ]

@@ -263,9 +263,10 @@ def evaluate_query(
     """Evaluate a parsed query; ``or`` branches union their results.
 
     Queries referencing named rules as extensions must be expanded with
-    :func:`repro.rules.inline.inline_named_query` first — resolving only
-    the extension's *class* would silently drop the named rule's
-    predicates.
+    :func:`repro.rules.inline.inline_named_query` first (the LMR does) —
+    resolving only the extension's *class* would silently drop the named
+    rule's predicates.  The MDP's browse needs no inlining: it runs the
+    filter, where a named rule is its end atom's producer.
     """
     normalized = normalize_rule(query.as_rule(), schema)
     merged: dict[URIRef, Resource] = {}

@@ -2,11 +2,12 @@
 
 The *filter* handles named extensions structurally: the named rule's
 end atom becomes the producer of the variable, so its predicates apply
-by construction.  The *query* paths (LMR evaluation, MDP browse) have
-no atomic rules — for them a named extension must be expanded
-textually: the named rule's search entries and where part are merged
-into the referencing rule, with variables renamed apart and the named
-rule's register variable unified with the referencing variable.
+by construction — for subscriptions and for an MDP browse alike, which
+runs through the filter's rule initialisation.  The LMR's in-memory
+query evaluation has no atomic rules — for it a named extension must be
+expanded textually: the named rule's search entries and where part are
+merged into the referencing rule, with variables renamed apart and the
+named rule's register variable unified with the referencing variable.
 
 Expansion is recursive (named rules may reference named rules) with
 cycle detection.

@@ -152,7 +152,10 @@ class RuleRegistry:
             else None
         )
         self._salt_counter = 0
-        #: Cache of reconstructed atom nodes, keyed by rule id.
+        #: Cache of reconstructed atom nodes, keyed by rule id.  Only
+        #: :meth:`load_atom` fills it, never an insert: an atom whose
+        #: transaction rolls back (its AUTOINCREMENT id is reused by the
+        #: next insert) must not stay reachable under that id.
         self._node_cache: dict[int, AtomNode] = {}
         #: Bumped whenever triggering index rows change (inserts and
         #: atom garbage collection).  The counting matcher
@@ -191,7 +194,6 @@ class RuleRegistry:
                 rule_id = self._insert_atom(atom, ids)
                 ids[atom.key] = rule_id
                 created.append((rule_id, atom))
-                self._node_cache[rule_id] = atom
         end_id = ids[decomposed.end.key]
         all_ids = [ids[atom.key] for atom in decomposed.atoms]
         return end_id, all_ids, created
@@ -224,7 +226,6 @@ class RuleRegistry:
                     rule_id = existing
                 else:
                     rule_id = self._insert_triggering(atom)
-                    self._node_cache[rule_id] = atom
                     created.append((rule_id, atom))
                 cursor = self._db.execute(
                     "INSERT INTO subscriptions (subscriber, rule_text, "

@@ -1,8 +1,8 @@
 """Trigram tokenization and the one canonical ``contains`` semantics.
 
 Every path that evaluates a ``contains`` predicate — the filter's
-triggering join, the SQL query translator and the LMR's in-memory
-evaluator — must agree on what "contains" means.  The semantics, stated
+triggering join (which the MDP's browse runs too) and the LMR's
+in-memory evaluator — must agree on what "contains" means.  The semantics, stated
 once and enforced through the helpers below:
 
 - **Exact substring over canonical string values.**  ``needle contains``
@@ -13,8 +13,8 @@ once and enforced through the helpers below:
   ``True`` and SQLite's ``instr(x, '') = 1 > 0`` — both backends agree
   by construction.
 - **Values and needles are compared as text**, even when a needle
-  happens to look numeric; the SQL renderer must therefore quote
-  ``contains`` constants unconditionally (SQLite's ``instr`` applies
+  happens to look numeric; SQL must therefore bind or quote
+  ``contains`` constants as text unconditionally (SQLite's ``instr`` applies
   numeric affinity to unquoted operands: ``instr('12345', 234) = 2``).
 
 :func:`contains_match` is the Python-side implementation and
@@ -86,7 +86,8 @@ def contains_sql_condition(value_sql: str, needle_sql: str) -> str:
     """The SQL fragment equivalent to :func:`contains_match`.
 
     Both operands are already-rendered SQL expressions; string constants
-    must be quoted by the caller so no numeric affinity applies.
+    must be bound or quoted as text by the caller so no numeric affinity
+    applies.
     ``instr`` agrees with Python ``in`` on every case the language can
     produce: case sensitivity, UTF-8 codepoints and the empty needle.
     """

@@ -152,3 +152,20 @@ def test_real_work_after_abuse(conn):
     conn.sendall(_request("browse", "search CycleProvider c", frame_id=8))
     frame = _read_frame(conn)
     assert frame["type"] == "response"
+
+
+def test_cyclic_browse_is_a_rule_error_frame(conn):
+    # Browse decomposes the query like a subscription, so a cyclic join
+    # graph fails the way subscribe does; the daemon keeps serving.
+    conn.sendall(_request(
+        "browse",
+        "search CycleProvider a, CycleProvider b "
+        "where a.serverPort = b.serverPort and a.serverHost = b.serverHost",
+        frame_id=12,
+    ))
+    frame = _read_frame(conn)
+    assert frame["type"] == "error"
+    assert frame["id"] == 12
+    assert frame["error"]["type"] == "DecompositionError"
+    conn.sendall(_request("ping", frame_id=13))
+    assert _read_frame(conn)["payload"] == "pong"

@@ -1,10 +1,10 @@
 """One ``contains`` semantics across every evaluation path.
 
-Four consumers evaluate ``contains`` predicates: the in-memory query
-evaluator, the SQL browse translator, and the filter's triggering stage
-under each ``triggering`` mode — the paper's scan join (``"sql"``) and
-the counting matcher's trigram postings (``"counting"``).  All four
-must agree — exact, case-sensitive substring over canonical string
+Three consumers evaluate ``contains`` predicates: the in-memory query
+evaluator, and the filter's triggering stage under each ``triggering``
+mode — the paper's scan join (``"sql"``) and the counting matcher's
+trigram postings (``"counting"``) — which the MDP's browse runs too,
+initializing the query like a new rule.  All of them must agree — exact, case-sensitive substring over canonical string
 values (see :mod:`repro.text.ngrams`) — on every value/needle shape the
 language can produce: case variants, numeric-looking text, unicode, and
 needles shorter than a trigram (the counting matcher's short list).
@@ -18,8 +18,8 @@ from hypothesis import given, strategies as st
 from repro.filter.counting import CountingMatcher
 from repro.filter.engine import FilterEngine
 from repro.obs.metrics import MetricsRegistry
+from repro.mdv.provider import MetadataProvider
 from repro.query.evaluator import evaluate_query
-from repro.query.sql import run_query_sql
 from repro.rdf.diff import diff_documents
 from repro.rdf.model import Document, URIRef
 from repro.rdf.schema import objectglobe_schema
@@ -118,14 +118,27 @@ def test_evaluator_agrees(needle):
     assert [str(r.uri) for r in matches] == _expected(needle)
 
 
+@pytest.fixture(scope="module")
+def browsers():
+    """One provider per triggering mode, documents stored, no rules."""
+    mdps = [
+        MetadataProvider(SCHEMA, triggering=triggering)
+        for triggering in _CONTAINS_PATHS.values()
+    ]
+    for mdp in mdps:
+        mdp.register_documents(_documents())
+    yield mdps
+    for mdp in mdps:
+        mdp.close()
+
+
 @pytest.mark.parametrize("needle", _NEEDLES)
-def test_sql_browse_agrees(filter_state, needle):
-    db, __, __ends = filter_state["scan"]
-    query = parse_query(
-        f"search CycleProvider c where c.serverHost contains '{needle}'"
-    )
-    uris = run_query_sql(db, query, SCHEMA)
-    assert [str(u) for u in uris] == _expected(needle)
+def test_sql_browse_agrees(browsers, needle):
+    for mdp in browsers:
+        resources = mdp.browse(
+            f"search CycleProvider c where c.serverHost contains '{needle}'"
+        )
+        assert [str(r.uri) for r in resources] == _expected(needle)
 
 
 @pytest.mark.parametrize("path", _CONTAINS_PATHS)

@@ -1,23 +1,20 @@
-"""Property-based equivalence: in-memory evaluator vs. SQL translation.
+"""Property-based equivalence: in-memory evaluator vs. MDP browse.
 
 The two query paths — the LMR's in-memory evaluation and the MDP's
-SQL-join translation over ``filter_data`` — must agree on arbitrary
-documents and queries.  They share only the normalizer, so agreement
+browse, which initializes the query like a rule through the filter's
+SQL joins — must agree on arbitrary documents and queries, under both
+``triggering`` modes.  They share only the normalizer, so agreement
 pins down the semantics of both.
 """
 
 from tests.conftest import prop_settings
 from hypothesis import given, settings, strategies as st
 
-from repro.filter.decompose import resources_atoms
+from repro.mdv.provider import MetadataProvider
 from repro.query.evaluator import evaluate_query
-from repro.query.sql import run_query_sql
 from repro.rdf.model import Document, URIRef
 from repro.rdf.schema import objectglobe_schema
 from repro.rules.parser import parse_query
-from repro.storage.engine import Database
-from repro.storage.schema import create_all
-from repro.storage.tables import FilterDataTable
 
 SCHEMA = objectglobe_schema()
 
@@ -97,17 +94,16 @@ def query_texts(draw):
 @prop_settings(60)
 @given(documents=document_sets(), text=query_texts())
 def test_sql_translation_agrees_with_evaluator(documents, text):
-    db = Database()
-    create_all(db)
-    try:
-        resources = [r for doc in documents for r in doc]
-        FilterDataTable(db).insert_atoms(resources_atoms(resources))
-        query = parse_query(text)
-        sql_result = [str(u) for u in run_query_sql(db, query, SCHEMA)]
-        pool = {r.uri: r for r in resources}
-        mem_result = [
-            str(r.uri) for r in evaluate_query(query, pool, SCHEMA)
-        ]
-        assert sql_result == mem_result, text
-    finally:
-        db.close()
+    resources = [r for doc in documents for r in doc]
+    pool = {r.uri: r for r in resources}
+    expected = [
+        str(r.uri) for r in evaluate_query(parse_query(text), pool, SCHEMA)
+    ]
+    for triggering in ("sql", "counting"):
+        mdp = MetadataProvider(SCHEMA, triggering=triggering)
+        try:
+            mdp.register_documents(documents)
+            browsed = [str(r.uri) for r in mdp.browse(text)]
+            assert browsed == expected, (triggering, text)
+        finally:
+            mdp.close()

@@ -1,25 +1,28 @@
-"""Unit tests for the query → SQL translation (the MDP browse path)."""
+"""The MDP's browse path: queries answered by the filter's SQL joins.
+
+A browsed query is initialized like a new rule over the stored metadata
+and read from its end rule's materialized matches (paper §2.2: "search
+requests are translated into SQL join queries").  Every case runs under
+both ``triggering`` modes, which must answer alike.
+"""
 
 import pytest
 
-from repro.errors import QuerySyntaxError
-from repro.filter.decompose import resources_atoms
-from repro.query.sql import run_query_sql, sql_string_literal, translate_normalized
+from repro.mdv.provider import MetadataProvider
+from repro.query.evaluator import evaluate_query
 from repro.rdf.model import Document, URIRef
-from repro.rules.normalize import normalize_rule
 from repro.rules.parser import parse_query
-from repro.storage.tables import FilterDataTable
+
+SPECS = [
+    (0, "a.uni-passau.de", 92, 600, 1),
+    (1, "b.tum.de", 128, 400, 2),
+    (2, "c.uni-passau.de", 32, 700, 3),
+]
 
 
-@pytest.fixture()
-def loaded_db(db, schema):
-    specs = [
-        (0, "a.uni-passau.de", 92, 600, 1),
-        (1, "b.tum.de", 128, 400, 2),
-        (2, "c.uni-passau.de", 32, 700, 3),
-    ]
-    resources = []
-    for index, host, memory, cpu, synth in specs:
+def _documents():
+    documents = []
+    for index, host, memory, cpu, synth in SPECS:
         doc = Document(f"doc{index}.rdf")
         provider = doc.new_resource("host", "CycleProvider")
         provider.add("serverHost", host)
@@ -28,112 +31,102 @@ def loaded_db(db, schema):
         info = doc.new_resource("info", "ServerInformation")
         info.add("memory", memory)
         info.add("cpu", cpu)
-        resources.extend(doc)
-    FilterDataTable(db).insert_atoms(resources_atoms(resources))
-    return db
+        documents.append(doc)
+    return documents
 
 
-def run(db, schema, text):
-    return [str(u) for u in run_query_sql(db, parse_query(text), schema)]
+@pytest.fixture()
+def providers(schema):
+    """One loaded provider per triggering mode."""
+    mdps = []
+    for triggering in ("sql", "counting"):
+        mdp = MetadataProvider(schema, triggering=triggering)
+        mdp.register_documents(_documents())
+        mdps.append(mdp)
+    yield mdps
+    for mdp in mdps:
+        mdp.close()
 
 
-def test_sql_string_literal_escapes_quotes():
-    assert sql_string_literal("o'neil") == "'o''neil'"
+def run(providers, text):
+    """The browse answer, asserted equal under every triggering mode."""
+    answers = [[str(r.uri) for r in mdp.browse(text)] for mdp in providers]
+    assert all(answer == answers[0] for answer in answers), text
+    return answers[0]
 
 
-def test_class_query(loaded_db, schema):
-    assert run(loaded_db, schema, "search ServerInformation s") == [
+def test_class_query(providers):
+    assert run(providers, "search ServerInformation s") == [
         "doc0.rdf#info",
         "doc1.rdf#info",
         "doc2.rdf#info",
     ]
 
 
-def test_constant_predicates(loaded_db, schema):
+def test_constant_predicates(providers):
     assert run(
-        loaded_db,
-        schema,
+        providers,
         "search CycleProvider c where c.serverHost contains 'passau'",
     ) == ["doc0.rdf#host", "doc2.rdf#host"]
 
 
-def test_numeric_comparison(loaded_db, schema):
+def test_numeric_comparison(providers):
     assert run(
-        loaded_db,
-        schema,
+        providers,
         "search ServerInformation s where s.memory > 64",
     ) == ["doc0.rdf#info", "doc1.rdf#info"]
 
 
-def test_path_join(loaded_db, schema):
+def test_path_join(providers):
     assert run(
-        loaded_db,
-        schema,
+        providers,
         "search CycleProvider c where c.serverInformation.cpu >= 600",
     ) == ["doc0.rdf#host", "doc2.rdf#host"]
 
 
-def test_multi_hop_and_multi_predicate(loaded_db, schema):
+def test_multi_hop_and_multi_predicate(providers):
     assert run(
-        loaded_db,
-        schema,
+        providers,
         "search CycleProvider c where c.serverInformation.memory > 64 "
         "and c.serverInformation.cpu > 500",
     ) == ["doc0.rdf#host"]
 
 
-def test_oid_query(loaded_db, schema):
+def test_oid_query(providers):
     assert run(
-        loaded_db, schema, "search CycleProvider c where c = 'doc1.rdf#host'"
+        providers, "search CycleProvider c where c = 'doc1.rdf#host'"
     ) == ["doc1.rdf#host"]
 
 
-def test_or_union(loaded_db, schema):
+def test_or_union(providers):
     assert run(
-        loaded_db,
-        schema,
+        providers,
         "search CycleProvider c where c.synthValue = 1 or c.synthValue = 3",
     ) == ["doc0.rdf#host", "doc2.rdf#host"]
 
 
-def test_explicit_join_registers_chosen_variable(loaded_db, schema):
+def test_explicit_join_registers_chosen_variable(providers):
     assert run(
-        loaded_db,
-        schema,
+        providers,
         "search ServerInformation s, CycleProvider c "
         "where c.serverInformation = s and c.serverHost contains 'tum'",
     ) == ["doc1.rdf#info"]
 
 
-def test_string_constant_with_quote_is_safe(loaded_db, schema):
+def test_string_constant_with_quote_is_safe(providers):
     assert (
         run(
-            loaded_db,
-            schema,
+            providers,
             "search CycleProvider c where c.serverHost = 'o''neil'",
         )
         == []
     )
 
 
-def test_agreement_with_evaluator(loaded_db, schema):
-    """SQL path and in-memory path agree on a batch of queries."""
-    from repro.query.evaluator import evaluate_query
-
+def test_agreement_with_evaluator(providers, schema):
+    """Browse and the in-memory evaluator agree on a batch of queries."""
     resources = {}
-    for index, host, memory, cpu, synth in [
-        (0, "a.uni-passau.de", 92, 600, 1),
-        (1, "b.tum.de", 128, 400, 2),
-        (2, "c.uni-passau.de", 32, 700, 3),
-    ]:
-        doc = Document(f"doc{index}.rdf")
-        provider = doc.new_resource("host", "CycleProvider")
-        provider.add("serverHost", host)
-        provider.add("synthValue", synth)
-        provider.add("serverInformation", URIRef(f"doc{index}.rdf#info"))
-        info = doc.new_resource("info", "ServerInformation")
-        info.add("memory", memory)
-        info.add("cpu", cpu)
+    for doc in _documents():
         resources.update(doc.resources)
     queries = [
         "search CycleProvider c",
@@ -144,19 +137,8 @@ def test_agreement_with_evaluator(loaded_db, schema):
         "and c.serverInformation.memory > 50",
     ]
     for text in queries:
-        query = parse_query(text)
-        sql_result = run_query_sql(loaded_db, query, schema)
-        mem_result = [r.uri for r in evaluate_query(query, resources, schema)]
-        assert sql_result == mem_result, text
-
-
-def test_translate_normalized_is_single_statement(schema):
-    normalized = normalize_rule(
-        parse_query(
-            "search CycleProvider c where c.serverInformation.memory > 64"
-        ).as_rule(),
-        schema,
-    )[0]
-    sql = translate_normalized(normalized, schema)
-    assert sql.count("SELECT DISTINCT") == 1
-    assert "EXISTS" in sql
+        expected = [
+            str(r.uri)
+            for r in evaluate_query(parse_query(text), resources, schema)
+        ]
+        assert run(providers, text) == expected, text

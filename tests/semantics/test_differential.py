@@ -1,6 +1,6 @@
 """Differential suites for the semantic tier (repro.semantics).
 
-Two independent ground truths pin the registration-time rewrite:
+Three checks pin the registration-time rewrite:
 
 - **Cross-knob byte-identity** — at every semantics degree, the
   ``triggering="sql"`` engine is the baseline and the counting matcher
@@ -8,6 +8,9 @@ Two independent ground truths pin the registration-time rewrite:
   the final materialized match sets.  Semantic rows ride the same
   triggering tables as base rows, so any path-specific handling of
   ``semantic = 1`` rows would show up here.
+- **Browse equals subscription** — at every degree a browse of a rule
+  text answers what a subscription of that text matches, whether the
+  browse reuses the live rule or initializes it afresh.
 - **The naive oracle** — :class:`repro.semantics.SemanticOracle`
   evaluates the *original, unexpanded* atoms per resource, walking the
   vocabulary store at match time.  The engine's materialized match sets
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -97,6 +101,18 @@ def _seed_late_taxonomy(mdp: MetadataProvider) -> None:
     mdp.register_taxonomy_edge("Pickup", "Vehicle")
 
 
+def _matches(mdp: MetadataProvider, end_rules: list[int]) -> list[str]:
+    return sorted(
+        str(uri) for end in end_rules for uri in mdp.engine.current_matches(end)
+    )
+
+
+def _browse(mdp: MetadataProvider, rule_text: str) -> list[str]:
+    """Browse the query a rule text states (its ``register`` dropped)."""
+    query = re.sub(r" register \w+", "", rule_text)
+    return [str(resource.uri) for resource in mdp.browse(query)]
+
+
 def run_scenario(
     seed: int,
     semantics: str,
@@ -139,8 +155,12 @@ def run_scenario(
         # every rule re-expands and `materialized` is back-filled.
         _seed_late_taxonomy(mdp)
 
+        # A browse initializes the rule afresh (no live atom yet) and
+        # must answer what the subscription's initial batch carries.
         subscriber, text = LATE_RULE
+        browsed = _browse(mdp, text)
         ends[text] = [s.end_rule for s in mdp.subscribe(subscriber, text)]
+        assert browsed == _matches(mdp, ends[text]), semantics
         for doc in documents[6:]:
             digests.append(_outcome_key(mdp.register_document(doc)))
             track(doc)
@@ -163,13 +183,18 @@ def run_scenario(
             live.pop(str(resource.uri), None)
 
         final = {
-            text: sorted(
-                str(uri)
-                for end in end_rules
-                for uri in mdp.engine.current_matches(end)
-            )
+            text: _matches(mdp, end_rules)
             for text, end_rules in ends.items()
         }
+        # Browsing a live rule's text reads that rule's matches; the
+        # unsubscribed rule's atoms are gone, so its browse starts
+        # afresh and must equal a new subscription's initial matches.
+        for text in final:
+            assert _browse(mdp, text) == final[text], (text, semantics)
+        dropped = RULES[5][1]
+        browsed = _browse(mdp, dropped)
+        twin = mdp.subscribe("browse-twin", dropped)
+        assert browsed == _matches(mdp, [s.end_rule for s in twin])
 
         if oracle_check:
             oracle = SemanticOracle(mdp.registry.semantic_store, semantics)
