@@ -82,9 +82,6 @@ CODES: dict[str, str] = {
     "MDV036": "dangling reference to a missing atomic rule",
     "MDV037": "iteration-depth bound disagrees between edges and inputs",
     "MDV038": "orphaned materialized-result row (no owning atomic rule)",
-    # -- linter: performance hints (MDV039) ----------------------------
-    "MDV039": "contains needle shorter than a trigram has no trigram "
-    "postings (brute-forced per bucket by the counting matcher)",
     # -- source-code lint pack (MDV06x) --------------------------------
     "MDV060": "raw sqlite3.connect outside the storage engine",
     "MDV061": "thread-affinity hazard (check_same_thread=False or "

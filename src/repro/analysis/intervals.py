@@ -180,8 +180,9 @@ class StringConstraints:
             # `contains s` implies `!= v` whenever s is not inside v.
             return any(sub not in value for sub in self.substrings)
         if operator == "contains":
-            # contains t implies contains s when s is a substring of t.
-            return any(value in sub for sub in self.substrings)
+            # contains t implies contains s when s is a substring of t;
+            # every value contains the empty needle.
+            return value == "" or any(value in sub for sub in self.substrings)
         raise ValueError(f"not a string operator: {operator!r}")
 
 

@@ -33,7 +33,6 @@ from repro.rules.parser import parse_rule
 
 from repro.analysis.diagnostics import AnalysisReport, Severity
 from repro.analysis.intervals import NumericConstraints, StringConstraints
-from repro.text.ngrams import TRIGRAM_LENGTH, is_indexable
 
 __all__ = ["lint_rule", "lint_rule_text"]
 
@@ -311,19 +310,6 @@ class _RuleLinter:
                 predicate, class_name, prop, operator, value
             ):
                 return
-            if operator == "contains" and not is_indexable(str(value.value)):
-                self._add(
-                    Severity.WARNING,
-                    "MDV039",
-                    f"contains needle {str(value.value)!r} is shorter than "
-                    f"a trigram ({TRIGRAM_LENGTH} characters); it has no "
-                    f"trigram postings, so triggering='counting' checks it "
-                    f"against every value of its (class, property) — the "
-                    f"scan triggering='sql' pays for every contains rule",
-                    span=self._literal_span(predicate, constant),
-                    hint="lengthen the needle to at least "
-                    f"{TRIGRAM_LENGTH} characters if the match allows it",
-                )
             final_step = path.steps[-1]
             if prop.multivalued and not final_step.any:
                 self._add(
@@ -345,23 +331,6 @@ class _RuleLinter:
             _SlotConstraint(operator, stored, predicate.span)
         )
         slot_numeric[key] = numeric
-
-    def _literal_span(
-        self, predicate: Predicate, constant: Constant
-    ) -> tuple[int, int] | None:
-        """The span of ``constant``'s literal inside the rule text.
-
-        The AST records spans per predicate, not per operand, so the
-        literal is located by searching its rendered form from the
-        predicate's start; falls back to the predicate span.
-        """
-        if predicate.span is None:
-            return None
-        rendered = str(constant)
-        index = self.source.find(rendered, predicate.span[0])
-        if index < 0:
-            return predicate.span
-        return (index, index + len(rendered))
 
     def _check_constant_types(
         self,

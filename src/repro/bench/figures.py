@@ -18,10 +18,10 @@ a Sun E450 there), the curve shapes are what reproduces:
 
 Figures 13 and 15 additionally carry ``contains`` (CON) series beyond
 the paper: the same workload measured with the O(rules) scan join
-(``triggering="sql"``) and with the counting matcher's in-memory trigram
-postings (``triggering="counting"``), sharing one prepared rule base per
-size via :meth:`FilterBench.variant` so both curves see identical rules
-and documents.
+(``triggering="sql"``) and with the counting matcher's in-memory
+substring dictionary (``triggering="counting"``), sharing one prepared
+rule base per size via :meth:`FilterBench.variant` so both curves see
+identical rules and documents.
 
 ``quick`` mode shrinks rule bases and batch grids so the whole suite
 runs in minutes; ``full`` mode uses the paper's sizes (10k/100k rules).

@@ -28,7 +28,9 @@ Quick mode sweeps 1k/10k/50k rules (the committed
 nightly 10k/100k/1M lane.  Claims are ratio-based and hardware-honest:
 absolute milliseconds move with the host, the *shape* (flat counting
 curve, ≥10x over the scan join, sub-millisecond matching at the largest
-size) is what must reproduce.
+size) is what must reproduce.  One claim is no wall time at all: the
+``counting.contains_lookups`` counter per document is equal at every
+size, so the flatness of ``contains`` matching is asserted exactly.
 """
 
 from __future__ import annotations
@@ -161,6 +163,7 @@ def figure_matcher(quick: bool = True, sizes=None, batches=None) -> FigureResult
     per_size: list[tuple[int, SweepResult, SweepResult]] = []
     match_hist = default_registry().histogram("counting.match_ms")
     match_by_size: dict[int, float] = {}
+    lookups_by_size: dict[int, float] = {}
     for size in sizes:
         scan_bench = MatcherBench(size)
         try:
@@ -176,6 +179,10 @@ def figure_matcher(quick: bool = True, sizes=None, batches=None) -> FigureResult
                 # (the engine's closure/result writes are excluded).
                 match_by_size[size] = (
                     match_hist.total - hist_before
+                ) / documents
+                lookups_by_size[size] = sum(
+                    dict(p.counters).get("counting.contains_lookups", 0.0)
+                    for p in counting_sweep.points
                 ) / documents
             finally:
                 counting_bench.close()
@@ -232,6 +239,15 @@ def figure_matcher(quick: bool = True, sizes=None, batches=None) -> FigureResult
             f"hardware-dependent, the bound and the ratio are the claim)",
             match_by_size[second] < 1.0
             and match_by_size[largest] * 10.0 <= _plateau(scan_l),
+        ),
+        (
+            f"counting contains lookups per document are equal at every "
+            f"size ({', '.join(f'{v:.1f}' for v in lookups_by_size.values())}"
+            f" at n={', '.join(map(str, lookups_by_size))}): the substring "
+            f"dictionary's probe does not grow with the rule base "
+            f"(a deterministic counter, not a wall time)",
+            len(set(lookups_by_size.values())) == 1
+            and min(lookups_by_size.values()) > 0,
         ),
     ]
     return figure

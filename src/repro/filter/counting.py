@@ -1,12 +1,15 @@
 """In-memory counting matcher for the triggering stage.
 
 ``triggering="counting"`` replaces the paper's SQL triggering joins with
-the classic publish/subscribe *counting algorithm* (Yan & Garcia-Molina;
-the same skeleton Gryphon, Le Subscribe and SIENA's predicate indexes
-use): one compiled index per ``(class, property, operator)`` over the
-registered triggering predicates, probed once per input atom, plus a
-per-rule satisfied-conjunct counter that fires the rule when every
-conjunct of its predicate has been seen.
+the index half of the classic publish/subscribe *counting algorithm*
+(Yan & Garcia-Molina; the same skeleton Gryphon, Le Subscribe and
+SIENA's predicate indexes use): one compiled index per ``(class,
+property, operator)`` over the registered triggering predicates, probed
+once per input atom.  In this system a triggering atom is a *single*
+predicate (conjunctions become join rules in the dependency graph,
+evaluated by the shared closure) and extension classes are OR'd (one
+index entry per class), so an index hit fires its rule outright and
+matching a batch is a dedup of ``(resource, rule)`` pairs.
 
 Index layout (one structure per operator family):
 
@@ -22,21 +25,15 @@ Index layout (one structure per operator family):
   matching slice, O(log n + answers).  Bounds compare as SQLite REALs:
   both sides of the paper's join are ``CAST(… AS REAL)``, replicated by
   :func:`sqlite_cast_real`;
-- **contains** — trigram postings ``trigram → rules`` over the needles
-  (tokenized by :mod:`repro.text.ngrams`), candidates where the *entire*
-  needle-trigram set was found, verified with the canonical substring
-  check.  Needles shorter than a trigram sit in a per-bucket list and
-  are brute-forced, so the two paths partition the rules exactly.
-
-**Counter protocol.**  Matching a batch keeps a per-``(resource, rule)``
-counter and a satisfied-conjunct set; an index hit increments the
-counter once per distinct conjunct and the rule fires when the counter
-reaches the rule's conjunct count.  In this system a triggering atom is
-a *single* predicate (conjunctions become join rules in the dependency
-graph, evaluated by the shared closure) and extension classes are OR'd
-(one index entry per class), so every rule's conjunct count is 1 — the
-protocol is kept in its general form for fidelity to the algorithm and
-for the day decomposition inlines conjunctions.
+- **contains** — a substring dictionary ``(class, property) → needle
+  length → needle → rules`` (Yan & Garcia-Molina's *key* method).  A
+  probe looks up ``value[i:i+L]`` for every start ``i`` and every
+  distinct needle length ``L`` (``L = 0`` is the empty needle, which
+  every value contains).  A needle occurs in a value exactly when it
+  equals one of the value's windows of its length, so the answer is the
+  canonical :func:`~repro.text.ngrams.contains_match` with nothing to
+  verify, at O(|value| × distinct lengths) lookups whatever the rule
+  count.
 
 **Memory model.**  All index state lives in ``_idx_*`` attributes and
 every mutation happens under ``self._lock`` — the MDV066 lint enforces
@@ -56,9 +53,9 @@ never committed simply reloads the unchanged rows.
 
 Instruments: ``counting.rebuilds``, ``counting.incremental`` (log
 entries applied), ``counting.rules`` (gauge), ``counting.batches``,
-``counting.rows``, ``counting.hits``, ``counting.candidates`` /
-``counting.false_positives`` (contains verification) and the per-batch
-latency histogram ``counting.match_ms``.
+``counting.rows``, ``counting.hits``, ``counting.contains_lookups``
+(substring-dictionary lookups) and the per-batch latency histogram
+``counting.match_ms``.
 """
 
 from __future__ import annotations
@@ -68,14 +65,13 @@ import threading
 import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.rdf.namespaces import RDF_SUBJECT
 from repro.storage.engine import Database
 from repro.storage.schema import COMPARISON_TABLES
 from repro.storage.tables import AtomRow
-from repro.text.ngrams import contains_match, is_indexable, trigrams
 
 if TYPE_CHECKING:  # imported lazily to avoid a module cycle
     from repro.rules.registry import RuleMutation
@@ -93,6 +89,10 @@ TRIGGERING_MODES = ("sql", "counting")
 
 #: One ``(uri_reference, rule_id)`` triggering hit.
 Hit = tuple[str, int]
+
+#: One index entry of a rule: the ``_idx_*`` map it sits in and the key
+#: path to its slot there (for ranges, the bucket key and the bound).
+_Entry = tuple[dict[Any, Any], tuple[Any, ...]]
 
 #: The prefix of a string SQLite's ``CAST(… AS REAL)`` consumes:
 #: optional ASCII whitespace, optional sign, ASCII digits with optional
@@ -162,24 +162,21 @@ class _RangeIndex:
         return self.rules[: bisect_right(self.bounds, value)]  # >=
 
 
-class _ContainsBucket:
-    """Per ``(class, property)`` contains rules: postings + short list."""
-
-    __slots__ = ("postings", "needles", "short")
-
-    def __init__(self) -> None:
-        #: trigram → rules whose needle contains it (insertion-ordered
-        #: dict as a set, for O(1) removal).
-        self.postings: dict[str, dict[int, None]] = {}
-        #: rule → (needle, distinct trigram count) for indexable needles.
-        self.needles: dict[int, tuple[str, int]] = {}
-        #: rule → needle for sub-trigram needles (brute-forced per
-        #: bucket: they have no trigram to post).
-        self.short: dict[int, str] = {}
-
-    @property
-    def empty(self) -> bool:
-        return not self.needles and not self.short
+def _discard(
+    index: dict[Any, Any], keys: Sequence[Any], rule_id: int
+) -> None:
+    """Remove ``rule_id`` from the rule set at ``index[keys[0]][…]``,
+    deleting every level the removal empties (no-op when absent)."""
+    head, *rest = keys
+    inner = index.get(head)
+    if inner is None:
+        return
+    if rest:
+        _discard(inner, rest, rule_id)
+    else:
+        inner.pop(rule_id, None)
+    if not inner:
+        del index[head]
 
 
 class CountingMatcher:
@@ -199,26 +196,24 @@ class CountingMatcher:
         self._idx_eq: dict[tuple[str, str], dict[str, dict[int, None]]] = {}
         self._idx_ne: dict[tuple[str, str], dict[int, str]] = {}
         self._idx_rng: dict[tuple[str, str, str], _RangeIndex] = {}
-        self._idx_con: dict[tuple[str, str], _ContainsBucket] = {}
-        #: rule → reverse list of index entries, for drops/re-syncs.
-        self._idx_entries: dict[int, list[tuple[str, ...]]] = {}
-        #: rule → conjuncts required to fire (see the module docstring:
-        #: always 1 today, the protocol is kept general).
-        self._idx_needed: dict[int, int] = {}
+        self._idx_con: dict[
+            tuple[str, str], dict[int, dict[str, dict[int, None]]]
+        ] = {}
+        #: rule → its index entries, for drops/re-syncs.
+        self._idx_entries: dict[int, list[_Entry]] = {}
         self._m_rebuilds = self.metrics.counter("counting.rebuilds")
         self._m_incremental = self.metrics.counter("counting.incremental")
         self._m_rules = self.metrics.gauge("counting.rules")
         self._m_batches = self.metrics.counter("counting.batches")
         self._m_rows = self.metrics.counter("counting.rows")
         self._m_hits = self.metrics.counter("counting.hits")
-        self._m_candidates = self.metrics.counter("counting.candidates")
-        self._m_false = self.metrics.counter("counting.false_positives")
+        self._m_lookups = self.metrics.counter("counting.contains_lookups")
         self._m_match_ms = self.metrics.histogram("counting.match_ms")
 
     @property
     def rule_count(self) -> int:
         """Triggering rules currently indexed."""
-        return len(self._idx_needed)
+        return len(self._idx_entries)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -269,7 +264,6 @@ class CountingMatcher:
             self._idx_rng.clear()
             self._idx_con.clear()
             self._idx_entries.clear()
-            self._idx_needed.clear()
         for row in db.query_all(
             "SELECT rule_id, class FROM filter_rules_class "
             "ORDER BY rule_id, class"
@@ -309,105 +303,54 @@ class CountingMatcher:
                     rule_id, operator, str(row[0]), str(row[1]), str(row[2])
                 )
 
-    def _register(self, rule_id: int, entry: tuple[str, ...]) -> None:
-        with self._lock:
-            self._idx_entries.setdefault(rule_id, []).append(entry)
-            # Every entry of a rule belongs to its single conjunct
-            # (extension classes are OR'd); the conjunct count is 1
-            # either way.
-            self._idx_needed[rule_id] = 1
-
     def _add_class_entry(self, rule_id: int, cls: str) -> None:
         with self._lock:
             self._idx_class.setdefault(cls, {})[rule_id] = None
-        self._register(rule_id, ("class", cls))
+            self._idx_entries.setdefault(rule_id, []).append(
+                (self._idx_class, (cls,))
+            )
 
     def _add_op_entry(
         self, rule_id: int, operator: str, cls: str, prop: str, value: str
     ) -> None:
         key = (cls, prop)
-        entry: tuple[str, ...]
+        entry: _Entry
         with self._lock:
             if operator == "=":
                 self._idx_eq.setdefault(key, {}).setdefault(value, {})[
                     rule_id
                 ] = None
-                entry = ("eq", cls, prop, value)
+                entry = (self._idx_eq, (key, value))
             elif operator == "!=":
                 self._idx_ne.setdefault(key, {})[rule_id] = value
-                entry = ("ne", cls, prop)
+                entry = (self._idx_ne, (key,))
             elif operator == "contains":
-                bucket = self._idx_con.setdefault(key, _ContainsBucket())
-                if is_indexable(value):
-                    grams = trigrams(value)
-                    bucket.needles[rule_id] = (value, len(grams))
-                    for gram in sorted(grams):
-                        bucket.postings.setdefault(gram, {})[rule_id] = None
-                else:
-                    bucket.short[rule_id] = value
-                entry = ("con", cls, prop)
+                self._idx_con.setdefault(key, {}).setdefault(
+                    len(value), {}
+                ).setdefault(value, {})[rule_id] = None
+                entry = (self._idx_con, (key, len(value), value))
             else:  # <, <=, >, >=
                 bound = sqlite_cast_real(value)
                 self._idx_rng.setdefault(
                     (operator, cls, prop), _RangeIndex()
                 ).add(bound, rule_id)
-                entry = ("rng", operator, cls, prop, repr(bound))
-        self._register(rule_id, entry)
+                entry = (self._idx_rng, ((operator, cls, prop), bound))
+            self._idx_entries.setdefault(rule_id, []).append(entry)
 
     def _drop_rule(self, rule_id: int) -> None:
         """Remove every index entry of one rule (no-op when the rule
         was never indexed)."""
         with self._lock:
-            entries = self._idx_entries.pop(rule_id, None)
-            if entries is None:
-                return
-            self._idx_needed.pop(rule_id, None)
-            for entry in entries:
-                kind = entry[0]
-                if kind == "class":
-                    bucket = self._idx_class.get(entry[1])
-                    if bucket is not None:
-                        bucket.pop(rule_id, None)
-                        if not bucket:
-                            del self._idx_class[entry[1]]
-                elif kind == "eq":
-                    __, cls, prop, value = entry
-                    by_value = self._idx_eq.get((cls, prop))
-                    if by_value is not None:
-                        rules = by_value.get(value)
-                        if rules is not None:
-                            rules.pop(rule_id, None)
-                            if not rules:
-                                del by_value[value]
-                        if not by_value:
-                            del self._idx_eq[(cls, prop)]
-                elif kind == "ne":
-                    ne = self._idx_ne.get((entry[1], entry[2]))
-                    if ne is not None:
-                        ne.pop(rule_id, None)
-                        if not ne:
-                            del self._idx_ne[(entry[1], entry[2])]
-                elif kind == "rng":
-                    __, operator, cls, prop, bound_repr = entry
-                    rng = self._idx_rng.get((operator, cls, prop))
-                    if rng is not None:
-                        rng.remove(float(bound_repr), rule_id)
-                        if not rng.bounds:
-                            del self._idx_rng[(operator, cls, prop)]
-                else:  # con
-                    con = self._idx_con.get((entry[1], entry[2]))
-                    if con is not None:
-                        needle = con.needles.pop(rule_id, None)
-                        con.short.pop(rule_id, None)
-                        if needle is not None:
-                            for gram in trigrams(needle[0]):
-                                post = con.postings.get(gram)
-                                if post is not None:
-                                    post.pop(rule_id, None)
-                                    if not post:
-                                        del con.postings[gram]
-                        if con.empty:
-                            del self._idx_con[(entry[1], entry[2])]
+            for index, keys in self._idx_entries.pop(rule_id, ()):
+                if index is not self._idx_rng:
+                    _discard(index, keys, rule_id)
+                    continue
+                key, bound = keys
+                rng = self._idx_rng.get(key)
+                if rng is not None:
+                    rng.remove(bound, rule_id)
+                    if not rng.bounds:
+                        del self._idx_rng[key]
 
     # ------------------------------------------------------------------
     # Matching
@@ -422,21 +365,24 @@ class CountingMatcher:
         self._m_rows.inc(len(rows))
         started = time.perf_counter()
         hits: dict[Hit, None] = {}
-        counts: dict[Hit, int] = {}
-        satisfied: set[tuple[str, int, int]] = set()
+        lookups = 0
         with self._lock:
             for uri, cls, prop, value in rows:
                 for rule_id in self._probe(cls, prop, value):
-                    conjunct_key = (uri, rule_id, 0)
-                    if conjunct_key in satisfied:
-                        continue
-                    satisfied.add(conjunct_key)
-                    pair = (uri, rule_id)
-                    count = counts.get(pair, 0) + 1
-                    counts[pair] = count
-                    if count >= self._idx_needed[rule_id]:
-                        hits[pair] = None
+                    hits[(uri, rule_id)] = None
+                by_length = self._idx_con.get((cls, prop))
+                if not by_length:
+                    continue
+                for length, needles in by_length.items():
+                    starts = range(len(value) - length + 1)
+                    lookups += len(starts)
+                    for at in starts:
+                        for rule_id in needles.get(
+                            value[at : at + length], ()
+                        ):
+                            hits[(uri, rule_id)] = None
         self._m_match_ms.observe((time.perf_counter() - started) * 1000.0)
+        self._m_lookups.inc(lookups)
         self._m_hits.inc(len(hits))
         return list(hits)
 
@@ -447,10 +393,11 @@ class CountingMatcher:
     dispatch = match
 
     def _probe(self, cls: str, prop: str, value: str) -> Iterator[int]:
-        """Rules whose triggering predicate one atom satisfies.
+        """Rules whose class, eq, ne or range predicate one atom
+        satisfies (:meth:`match` probes the contains dictionary).
 
-        Yields may repeat a rule (several extension-class entries); the
-        counter protocol in :meth:`match` deduplicates per conjunct.
+        Yields may repeat a rule (several extension-class entries);
+        :meth:`match` deduplicates.
         """
         if prop == RDF_SUBJECT:
             class_bucket = self._idx_class.get(cls)
@@ -474,30 +421,3 @@ class CountingMatcher:
                 if numeric is None:
                     numeric = sqlite_cast_real(value)
                 yield from rng.matches(operator, numeric)
-        con = self._idx_con.get(key)
-        if con is not None:
-            yield from self._probe_contains(con, value)
-
-    def _probe_contains(
-        self, bucket: _ContainsBucket, value: str
-    ) -> Iterator[int]:
-        if bucket.needles:
-            grams = trigrams(value)
-            if grams:
-                matched: dict[int, int] = {}
-                for gram in grams:
-                    post = bucket.postings.get(gram)
-                    if post:
-                        for rule_id in post:
-                            matched[rule_id] = matched.get(rule_id, 0) + 1
-                for rule_id, count in matched.items():
-                    needle, needed = bucket.needles[rule_id]
-                    if count == needed:
-                        self._m_candidates.inc()
-                        if contains_match(value, needle):
-                            yield rule_id
-                        else:
-                            self._m_false.inc()
-        for rule_id, needle in bucket.short.items():
-            if contains_match(value, needle):
-                yield rule_id

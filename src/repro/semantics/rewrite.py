@@ -7,7 +7,7 @@ degree licenses, and every variant lands as an ordinary row in the
 existing triggering index tables (marked ``semantic = 1``).  Both
 triggering paths — the paper's SQL joins and the counting matcher —
 already give several index rows of one rule OR semantics (any matching
-row fires the rule, conjunct counting deduplicates per rule), so the
+row fires the rule, each path deduplicates hits per rule), so the
 hot publish path is byte-identical in mechanism and pays zero extra
 cost beyond the larger index.
 

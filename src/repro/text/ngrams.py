@@ -1,4 +1,4 @@
-"""Trigram tokenization and the one canonical ``contains`` semantics.
+"""The one canonical ``contains`` semantics.
 
 Every path that evaluates a ``contains`` predicate — the filter's
 triggering join (which the MDP's browse runs too) and the LMR's
@@ -22,59 +22,20 @@ once and enforced through the helpers below:
 ``tests/query/test_contains_crosspath.py`` asserts that all consumers
 produce identical matches.
 
-Tokenization for the counting matcher's in-memory postings
-(:mod:`repro.filter.counting`) is plain character trigrams — every
-window of :data:`TRIGRAM_LENGTH` consecutive codepoints.  The exactness
-lemma the postings rely on: if ``needle`` is a substring of ``value``
-and ``len(needle) >= TRIGRAM_LENGTH``, every trigram of ``needle`` is
-also a trigram of ``value`` — so probing for rules whose trigram set is
-a subset of the value's trigram set can only *over*-approximate the
-true matches, never miss one.  Needles shorter than a trigram have no
-trigrams and are brute-forced per ``(class, property)`` bucket
-(:func:`is_indexable`).
+The counting matcher (:mod:`repro.filter.counting`) answers
+``contains`` with a substring dictionary: it looks up each of the
+value's windows of every registered needle length.  That is this
+semantics by definition — a needle occurs in a value exactly when it
+equals one of the value's windows of its length, the empty needle being
+the window of length 0 — so the dictionary needs no verify step.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 __all__ = [
-    "TRIGRAM_LENGTH",
-    "trigrams",
-    "is_indexable",
     "contains_match",
     "contains_sql_condition",
 ]
-
-#: Window length of the n-gram tokenizer.  Three is the classic choice
-#: (pg_trgm, code-search trigram indexes): long enough that postings
-#: lists stay selective, short enough that most real needles qualify.
-TRIGRAM_LENGTH = 3
-
-
-@lru_cache(maxsize=4096)
-def trigrams(text: str) -> frozenset[str]:
-    """The set of character trigrams of ``text`` (empty when too short).
-
-    Memoized: benchmark workloads and real metadata alike probe the same
-    property values over and over, and needles are tokenized once per
-    registration anyway.
-    """
-    if len(text) < TRIGRAM_LENGTH:
-        return frozenset()
-    return frozenset(
-        text[i : i + TRIGRAM_LENGTH]
-        for i in range(len(text) - TRIGRAM_LENGTH + 1)
-    )
-
-
-def is_indexable(needle: str) -> bool:
-    """Whether a ``contains`` needle enters the trigram postings.
-
-    Shorter needles have no trigrams; the counting matcher brute-forces
-    them per bucket (and the linter flags them with ``MDV039``).
-    """
-    return len(needle) >= TRIGRAM_LENGTH
 
 
 def contains_match(value: str, needle: str) -> bool:

@@ -67,8 +67,7 @@ class WorkloadSpec:
         CON documents embed the tokens of rules ``0 … k-1``, separated
         by ``.`` so no token match can straddle a boundary; the
         ``h{index}`` prefix keeps host values distinct per document, so
-        the counting matcher pays one trigram probe per document rather
-        than one per batch.
+        every document is a distinct value to probe.
         """
         if self.rule_type != "CON":
             return None

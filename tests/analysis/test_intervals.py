@@ -127,6 +127,11 @@ class TestStringConstraints:
             "contains", "passau", "contains", "uni-passau", False
         )
 
+    def test_everything_implies_the_empty_needle(self):
+        assert predicate_implies("!=", "x", "contains", "", False)
+        assert predicate_implies("contains", "de", "contains", "", False)
+        assert predicate_implies("=", "", "contains", "", False)
+
     def test_equality_implies_contains(self):
         assert predicate_implies("=", "uni-passau.de", "contains", "passau", False)
         assert not predicate_implies("=", "tum.de", "contains", "passau", False)

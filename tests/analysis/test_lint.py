@@ -87,26 +87,15 @@ class TestParseAndSchema:
         report = lint_rule_text(rule, schema)
         assert codes(report) == ["MDV006"]
 
-    def test_short_contains_needle_warns(self, schema):
-        rule = (
-            "search CycleProvider c register c "
-            "where c.serverHost contains 'de'"
-        )
-        report = lint_rule_text(rule, schema)
-        assert codes(report) == ["MDV039"]
-        (diagnostic,) = report
-        assert diagnostic.severity is Severity.WARNING
-        assert report.exit_code() == 1
-        start, end = diagnostic.span
-        assert rule[start:end] == "'de'"
-
     def test_indexable_contains_needle_is_clean(self, schema):
-        report = lint_rule_text(
-            "search CycleProvider c register c "
-            "where c.serverHost contains 'uni'",
-            schema,
-        )
-        assert report.is_clean
+        # Every needle length is indexed exactly, short ones included.
+        for needle in ("uni", "de"):
+            report = lint_rule_text(
+                "search CycleProvider c register c "
+                f"where c.serverHost contains '{needle}'",
+                schema,
+            )
+            assert report.is_clean, needle
 
     def test_two_constants(self, schema):
         report = lint_rule_text(

@@ -97,6 +97,21 @@ class TestCheckSubsumption:
         )
         assert [d.code for d in report] == ["MDV021"]
 
+    def test_empty_needle_covers_inequality(self, registry, schema):
+        # Every value contains the empty needle, so the live rule
+        # matches whatever the new one does.
+        register(
+            registry, schema, "lmr1",
+            "search CycleProvider c register c "
+            "where c.serverHost contains ''",
+        )
+        report = analyze(
+            registry, schema,
+            "search CycleProvider c register c "
+            "where c.serverHost != 'x'",
+        )
+        assert [d.code for d in report] == ["MDV021"]
+
     def test_incomparable_rules_are_silent(self, registry, schema):
         register(
             registry, schema, "lmr1",

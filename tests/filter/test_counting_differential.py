@@ -8,13 +8,13 @@ seeded workloads — registrations, a mid-stream subscription (counting
 index refreshed off the mutation log), updates, deletions and an
 unsubscribe (index entries dropped).
 
-The workload is contains-heavy on purpose: indexable needles, short
-needles (the per-bucket brute-force list), needles sharing trigrams
-with each other and hosts crafted so that trigram candidates are
-sometimes false positives, plus range conjuncts over ``memory``/``cpu``
-(the sorted-bound arrays and the ``sqlite_cast_real`` replica) — so the
-counting index's three predicate families and its verify step are all
-on the hook.
+The workload is contains-heavy on purpose: needles of many lengths
+(the empty needle, short ones, one longer than every host, one that
+overlaps itself in a host), needles sharing prefixes with each other
+and a host holding every 3-window of a needle it does not contain,
+plus range conjuncts over ``memory``/``cpu`` (the sorted-bound arrays
+and the ``sqlite_cast_real`` replica) — so the counting index's three
+predicate families are all on the hook.
 
 It ends with *role changes*: the counting merge routes a hit by what
 its rule is for at the time of the run (docs/FILTER_ALGORITHM.md, step
@@ -45,19 +45,24 @@ from repro.storage.schema import create_all
 
 SEEDS = [1, 7, 42]
 
-# "abc-xbc-cde" contains every trigram of "abcde" scattered — a trigram
-# candidate that must fail verification.  "pas" vs "passau" exercises
-# prefix-sharing needles; "de"/"pa" ride the short-needle list.
+# "abc-xbc-cde" holds every 3-window of "abcde", scattered, but not
+# "abcde" itself.  "pas" vs "passau" exercises prefix-sharing needles;
+# "" matches every host, "c.uni-muenchen.de.org" is longer than every
+# host and "ana" occurs twice, overlapping, in "ananas.de".
 _HOST_POOL = [
     "a.uni-passau.de",
     "b.tum.de",
     "c.uni-muenchen.de",
     "abc-xbc-cde.org",
     "abcde.org",
+    "ananas.de",
     "pa",
 ]
 
-_FRAGMENTS = ["passau", "pas", "uni", "de", "pa", "abcde", "tum.de", ".org"]
+_FRAGMENTS = [
+    "passau", "pas", "uni", "de", "pa", "abcde", "tum.de", ".org", "",
+    "c.uni-muenchen.de.org", "ana",
+]
 
 _RULE_TEMPLATES = [
     "search CycleProvider c register c where c.serverHost contains '{frag}'",

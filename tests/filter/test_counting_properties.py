@@ -57,17 +57,21 @@ def test_cast_real_matches_sqlite(text):
 # ----------------------------------------------------------------------
 # match_rows vs the relational triggering joins
 # ----------------------------------------------------------------------
-# "abc-xbc-cde.org" holds every trigram of the needle "abcde", scattered:
-# a trigram candidate that verification must reject.  "münchen.de" /
-# "ünch" compare codepoints beyond ASCII.
+# "abc-xbc-cde.org" holds every 3-window of the needle "abcde",
+# scattered, but not "abcde" itself.  "münchen.de" / "ünch" compare
+# codepoints beyond ASCII; "" matches every value, "abc-xbc-cde.org.x"
+# is longer than every value and "ana" overlaps itself in "ananas.de".
 _values = st.sampled_from(
     [
         "0", "3", "5", "5.0", "07", "abc", "x.uni-passau.de", "tum.de", "",
-        "abc-xbc-cde.org", "münchen.de",
+        "abc-xbc-cde.org", "münchen.de", "ananas.de",
     ]
 )
 _needles = st.sampled_from(
-    ["pas", "de", "x.", "uni-passau", "zz", "abcde", "ünch"]
+    [
+        "pas", "de", "x.", "uni-passau", "zz", "abcde", "ünch", "",
+        "abc-xbc-cde.org.x", "ana",
+    ]
 )
 _ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 _props = st.sampled_from(["serverHost", "synthValue"])

@@ -3,11 +3,12 @@
 Three consumers evaluate ``contains`` predicates: the in-memory query
 evaluator, and the filter's triggering stage under each ``triggering``
 mode — the paper's scan join (``"sql"``) and the counting matcher's
-trigram postings (``"counting"``) — which the MDP's browse runs too,
-initializing the query like a new rule.  All of them must agree — exact, case-sensitive substring over canonical string
-values (see :mod:`repro.text.ngrams`) — on every value/needle shape the
-language can produce: case variants, numeric-looking text, unicode, and
-needles shorter than a trigram (the counting matcher's short list).
+substring dictionary (``"counting"``) — which the MDP's browse runs
+too, initializing the query like a new rule.  All of them must agree —
+exact, case-sensitive substring over canonical string values (see
+:mod:`repro.text.ngrams`) — on every value/needle shape the language
+can produce: case variants, numeric-looking text, unicode, short
+needles and needles whose characters occur only scattered in a value.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.rules.registry import RuleRegistry
 from repro.storage.engine import Database
 from repro.storage.schema import create_all
 from repro.text.ngrams import contains_match
+from repro.workload.rules import con_token
 from tests.conftest import prop_settings, register_rule
 
 SCHEMA = objectglobe_schema()
@@ -38,7 +40,7 @@ _HOSTS = [
     "b.tum.de",
     "münchen.de",
     "12345",
-    "abc-xbc-cde.org",  # trigram false-positive bait for needle "abcde"
+    "abc-xbc-cde.org",  # every 3-window of "abcde", but not "abcde"
     "abcde.org",
     "pa",
 ]
@@ -48,8 +50,8 @@ _NEEDLES = [
     "UNI",          # case variant — must NOT match the lowercase hosts
     "234",          # numeric-looking text; affinity must not kick in
     "ünch",         # unicode codepoints
-    "de",           # shorter than a trigram — counting short list
-    "abcde",        # scattered-trigram false positive on one host
+    "de",           # short needle
+    "abcde",        # its 3-windows occur scattered in one host
     "passau",
     ".org",
 ]
@@ -80,7 +82,8 @@ def _rule(needle: str) -> str:
     )
 
 
-#: The ``contains`` algorithm each triggering mode runs, by name.
+#: The ``contains`` algorithm each triggering mode runs, by name (the
+#: ``counting`` path keeps its historical test id, ``trigram``).
 _CONTAINS_PATHS = {"scan": "sql", "trigram": "counting"}
 
 
@@ -149,56 +152,98 @@ def test_triggering_agrees(filter_state, needle, path):
     assert sorted(str(u) for u in matches) == _expected(needle)
 
 
-# -- the superset property ------------------------------------------------
+# -- the substring dictionary --------------------------------------------
 
-_value = st.text(
-    alphabet=st.characters(
-        blacklist_categories=("Cs",), blacklist_characters="\x00"
-    ),
-    max_size=12,
-)
+_alphabet = "abü.é"
+_value = st.text(alphabet=_alphabet, max_size=12)
+#: Longer than every generated value.
+_LONG_NEEDLE = "aüb.é" * 3
+
+
+def _contains_matcher(
+    db: Database, needles: list[str], metrics: MetricsRegistry
+) -> CountingMatcher:
+    """A counting matcher whose one contains bucket holds ``needles``,
+    rule ``i + 1`` for ``needles[i]``."""
+    create_all(db)
+    db.executemany(
+        "INSERT INTO atomic_rules (rule_id, kind, rule_text, class) "
+        "VALUES (?, 'triggering', ?, 'CycleProvider')",
+        [
+            (rule_id, f"synthetic {rule_id}")
+            for rule_id in range(1, len(needles) + 1)
+        ],
+    )
+    db.executemany(
+        "INSERT INTO filter_rules_con (rule_id, class, property, value) "
+        "VALUES (?, 'CycleProvider', 'serverHost', ?)",
+        list(enumerate(needles, start=1)),
+    )
+    matcher = CountingMatcher(metrics=metrics)
+    matcher.refresh(db, 1)
+    return matcher
+
+
+def _host_rows(values: list[str]) -> list[tuple[str, str, str, str]]:
+    return [
+        (f"doc{index}.rdf#host", "CycleProvider", "serverHost", value)
+        for index, value in enumerate(values)
+    ]
 
 
 @prop_settings(60)
 @given(
     values=st.lists(_value, min_size=1, max_size=8, unique=True),
-    needle=st.text(alphabet="abcde.", min_size=3, max_size=6),
+    drawn=st.lists(
+        st.text(alphabet=_alphabet, min_size=1, max_size=4),
+        max_size=6,
+        unique=True,
+    ),
 )
-def test_trigram_candidates_superset_of_true_matches(values, needle):
-    """The counting matcher's contains bucket: trigram candidates ⊇ true
-    matches, and verification restores equality."""
+def test_contains_dictionary_is_exact(values, drawn):
+    """The counting matcher's contains bucket returns exactly the
+    canonical matches, at one lookup per window of each needle length."""
+    needles = list(dict.fromkeys(["", "ü", "é.", _LONG_NEEDLE, *drawn]))
     metrics = MetricsRegistry()
     db = Database()
     try:
-        create_all(db)
-        db.execute(
-            "INSERT INTO atomic_rules (rule_id, kind, rule_text, class) "
-            "VALUES (1, 'triggering', 'synthetic', 'CycleProvider')"
-        )
-        db.execute(
-            "INSERT INTO filter_rules_con (rule_id, class, property, value) "
-            "VALUES (1, 'CycleProvider', 'serverHost', ?)",
-            (needle,),
-        )
-        matcher = CountingMatcher(metrics=metrics)
-        matcher.refresh(db, 1)
-        hits = matcher.match(
-            [
-                (f"doc{index}.rdf#host", "CycleProvider", "serverHost", value)
-                for index, value in enumerate(values)
-            ]
-        )
+        matcher = _contains_matcher(db, needles, metrics)
+        hits = matcher.match(_host_rows(values))
         truth = sorted(
-            (f"doc{index}.rdf#host", 1)
+            (f"doc{index}.rdf#host", rule_id)
             for index, value in enumerate(values)
+            for rule_id, needle in enumerate(needles, start=1)
             if contains_match(value, needle)
         )
         assert sorted(hits) == truth
-        counters = metrics.counter_values()
-        candidates = counters.get("counting.candidates", 0)
-        assert candidates >= len(truth)
-        assert candidates - counters.get("counting.false_positives", 0) == (
-            len(truth)
+        lengths = {len(needle) for needle in needles}
+        assert metrics.counter_values()["counting.contains_lookups"] == sum(
+            max(0, len(value) - length + 1)
+            for value in values
+            for length in lengths
         )
     finally:
         db.close()
+
+
+def test_contains_lookups_flat_in_needle_count():
+    """Lookups per probed value do not grow with the needles indexed."""
+    values = [
+        f"host{index}.{con_token(index)}.{con_token(index + 7)}.uni-passau.de"
+        for index in range(5)
+    ]
+    observed = []
+    for size in (1_000, 50_000):
+        needles = ["", "uni-passau.de", *map(con_token, range(size))]
+        metrics = MetricsRegistry()
+        db = Database()
+        try:
+            hits = _contains_matcher(db, needles, metrics).match(
+                _host_rows(values)
+            )
+            lookups = metrics.counter_values()["counting.contains_lookups"]
+        finally:
+            db.close()
+        observed.append((lookups / len(values), sorted(hits)))
+    assert observed[0][0] > 0
+    assert observed[0] == observed[1]

@@ -42,7 +42,7 @@ SEEDS = [1, 7, 42]
 
 #: Single-atom rules only: for those the triggering rule *is* the end
 #: rule, which lets the oracle check materialized match sets per rule
-#: without re-implementing conjunct counting.
+#: without re-implementing the join iterations that combine atoms.
 RULES = [
     ("bargain-hunter", "search Vehicle v register v where v.price <= 50"),
     ("car-watcher", "search Listing l register l where l.category = 'car'"),
