@@ -8,8 +8,9 @@ findings instead of raising on the first problem:
   on the parsed rule AST (``MDV00x``/``MDV01x``);
 - :mod:`repro.analysis.subsume` — duplication and subsumption of a
   candidate rule against the live registry (``MDV02x``);
-- :mod:`repro.analysis.invariants` — storage and dependency-graph
-  invariant auditing of an MDP database (``MDV03x``);
+- :mod:`repro.analysis.invariants` — storage, dependency-graph and
+  document-store invariant auditing of an MDP database (``MDV03x``,
+  ``MDV04x``);
 - :mod:`repro.analysis.code` — AST lint pack over the package source
   for concurrency/determinism hygiene (``MDV06x``);
 - :mod:`repro.analysis.semantics` — post-hoc auditor for the semantic

@@ -9,7 +9,8 @@ Commands:
   that MDP database.
 - ``audit --db PATH`` — audit a live MDP database for what the crash
   oracle checks after every crash: storage/graph invariants
-  (``MDV03x``) plus the semantic vocabulary audit (``MDV07x``).  Start-up
+  (``MDV03x``), the document store (``MDV04x``) and the semantic
+  vocabulary audit (``MDV07x``).  Start-up
   never runs it; an operator does, e.g. after an unclean shutdown.
 - ``code [PATH ...] [--root DIR]`` — run the source-code lint pack
   (``MDV06x``) over Python files; defaults to the installed ``repro``

@@ -12,6 +12,7 @@ Code blocks:
 - ``MDV01x`` — satisfiability findings (contradictions, redundancies);
 - ``MDV02x`` — subsumption/duplication against the live registry;
 - ``MDV03x`` — storage/graph invariant violations found by the auditor;
+- ``MDV04x`` — document-store violations found by the auditor;
 - ``MDV06x`` — source-code lint pack (connection affinity, wall-clock
   discipline, instrumentation and export hygiene);
 - ``MDV07x`` — semantic-tier findings (unknown concepts, cyclic
@@ -82,6 +83,9 @@ CODES: dict[str, str] = {
     "MDV036": "dangling reference to a missing atomic rule",
     "MDV037": "iteration-depth bound disagrees between edges and inputs",
     "MDV038": "orphaned materialized-result row (no owning atomic rule)",
+    # -- document store of record (MDV04x) -----------------------------
+    "MDV040": "resources row and rdf#subject atom disagree (a resource "
+    "without its subject atom, or a stored subject without a document)",
     # -- source-code lint pack (MDV06x) --------------------------------
     "MDV060": "raw sqlite3.connect outside the storage engine",
     "MDV061": "thread-affinity hazard (check_same_thread=False or "

@@ -14,10 +14,15 @@ code maintains but never re-checks:
 - join atoms, their dependency edges and their rule group agree with
   each other (§3.3.2–3.3.3);
 - the iteration-depth bound derived from dependency edges matches the
-  one derived from the join input columns.
+  one derived from the join input columns;
+- the document store of record agrees with itself: every ``resources``
+  row has its ``rdf#subject`` atom in ``filter_data`` and every stored
+  subject its ``resources`` row, because a document is rebuilt from
+  exactly those rows (docs/DURABILITY.md).
 
 ``audit_database`` re-checks all of them and reports violations as
-``MDV03x`` diagnostics; it never mutates the database.
+``MDV03x`` (filter state) and ``MDV04x`` (document store) diagnostics;
+it never mutates the database.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import re
 import sqlite3
 
+from repro.rdf.namespaces import RDF_SUBJECT
 from repro.rules.graph import DependencyGraph
 from repro.storage.engine import Database
 from repro.storage.schema import TRIGGER_TABLES
@@ -50,6 +56,7 @@ def audit_database(db: Database) -> AnalysisReport:
     _check_dangling(db, report)
     if acyclic:
         _check_depth_bound(db, graph, report)
+    _check_document_store(db, report)
     return report
 
 
@@ -351,4 +358,41 @@ def _check_depth_bound(
             hint="rule_dependencies and atomic_rules disagree about the "
             "graph shape",
             source="rule_dependencies",
+        )
+
+
+def _check_document_store(db: Database, report: AnalysisReport) -> None:
+    """``resources`` and the ``rdf#subject`` atoms name the same
+    resources: the loader starts a resource at its subject row and
+    finds a document's resources through ``resources``."""
+    rows = db.query_all(
+        "SELECT uri_reference, document_uri FROM resources r "
+        "WHERE NOT EXISTS (SELECT 1 FROM filter_data f "
+        "WHERE f.uri_reference = r.uri_reference AND f.property = ?) "
+        "ORDER BY uri_reference",
+        (RDF_SUBJECT,),
+    )
+    for row in rows:
+        report.add(
+            Severity.ERROR,
+            "MDV040",
+            f"resource <{row['uri_reference']}> of document "
+            f"{row['document_uri']!r} has no {RDF_SUBJECT} atom",
+            hint="its document comes back without it",
+            source="resources",
+        )
+    rows = db.query_all(
+        "SELECT DISTINCT uri_reference FROM filter_data f "
+        "WHERE property = ? AND NOT EXISTS (SELECT 1 FROM resources r "
+        "WHERE r.uri_reference = f.uri_reference) ORDER BY uri_reference",
+        (RDF_SUBJECT,),
+    )
+    for row in rows:
+        report.add(
+            Severity.ERROR,
+            "MDV040",
+            f"stored resource <{row['uri_reference']}> belongs to no "
+            f"document (no resources row)",
+            hint="no document lists it, yet rules still match it",
+            source="filter_data",
         )

@@ -279,8 +279,8 @@ class Backbone:
             return False
         snapshots = [
             {
-                uri: {r.uri: r for r in doc}
-                for uri, doc in provider._documents.items()
+                uri: provider.document(uri)
+                for uri in provider.document_uris()
             }
             for provider in self.providers.values()
         ]

@@ -27,7 +27,6 @@ import json
 from collections.abc import (
     Callable,
     Collection,
-    Iterable,
     Iterator,
     Sequence,
 )
@@ -63,16 +62,23 @@ from repro.rdf.diff import deletion_diff, diff_documents
 from repro.rdf.model import Document, Resource, URIRef
 from repro.rdf.parser import parse_document
 from repro.rdf.schema import Schema
-from repro.rdf.serializer import to_rdfxml
 from repro.rules.decompose import decompose_rule
 from repro.rules.normalize import normalize_rule
 from repro.rules.parser import parse_query, parse_rule
 from repro.rules.registry import ANALYZE_POLICIES, RuleRegistry, Subscription
 from repro.storage.engine import Database
 from repro.storage.schema import create_all
-from repro.storage.tables import DocumentTable, ResourceTable
+from repro.storage.tables import DocumentLoader, DocumentTable, ResourceTable
 
 __all__ = ["MetadataProvider"]
+
+#: Bumps a document's ``(counter, origin)`` version for a local write;
+#: a deleted document's tombstone keeps counting.
+_BUMP_VERSION = (
+    "INSERT INTO doc_versions (document_uri, counter, origin) "
+    "VALUES (?, 1, ?) ON CONFLICT (document_uri) DO UPDATE SET "
+    "counter = counter + 1, origin = excluded.origin"
+)
 
 
 def _merge_outcomes(into, outcome) -> None:
@@ -163,7 +169,13 @@ class MetadataProvider:
         #: Diagnostics of the most recent analyzed subscribe call.
         self.last_diagnostics: list[Diagnostic] = []
         self.bus = bus
-        self._documents: dict[str, Document] = {}
+        #: Documents live only as their ``filter_data`` rows; every
+        #: lookup rebuilds them (docs/DURABILITY.md).
+        self._loader = DocumentLoader(self.db, schema)
+        #: The resources of the running :meth:`_op`'s own documents, so
+        #: its publish reads them from the objects in hand; emptied when
+        #: the operation ends.
+        self._in_hand: dict[URIRef, Resource] = {}
         self._document_table = DocumentTable(self.db)
         self._resource_table = ResourceTable(self.db)
         self._direct_subscribers: dict[str, BatchHandler] = {}
@@ -171,10 +183,6 @@ class MetadataProvider:
         self._replication_hook: (
             Callable[[str, Document | None, tuple[int, str]], None] | None
         ) = None
-        #: Per-document ``(counter, origin)`` versions; deletions keep a
-        #: tombstone version so anti-entropy can order them.  Persisted
-        #: in the ``doc_versions`` table and reloaded on startup.
-        self._doc_versions: dict[str, tuple[int, str]] = {}
         #: Exactly-once application of replicated changes by (source,
         #: seq); durable providers persist the index (``dedup_entries``).
         self.replica_dedup = DedupIndex(self.db if durable_delivery else None)
@@ -208,8 +216,6 @@ class MetadataProvider:
             self.engine.warm()
         if self.outbox is not None:
             self.outbox.recover()
-        self._load_persisted_documents()
-        self._load_persisted_versions()
 
     def _transport(self, destination: str, kind: str, payload: Any) -> Any:
         """Route one outbox delivery: direct handler first, then bus."""
@@ -231,29 +237,6 @@ class MetadataProvider:
         """
         self.engine.close()
 
-    def _load_persisted_documents(self) -> None:
-        """Rebuild the in-memory document store from the database.
-
-        A provider opened on an existing (file-backed) database resumes
-        with its full state: documents, filter tables, rule catalogue
-        and subscriptions all live in SQLite; only the parsed
-        :class:`Document` objects need reconstruction.
-        """
-        for uri in self._document_table.uris():
-            xml = self._document_table.get_xml(uri)
-            if xml is None:  # pragma: no cover - table just listed it
-                continue
-            self._documents[uri] = parse_document(xml, uri, self.schema)
-
-    def _load_persisted_versions(self) -> None:
-        for row in self.db.query_all(
-            "SELECT document_uri, counter, origin FROM doc_versions"
-        ):
-            self._doc_versions[row["document_uri"]] = (
-                int(row["counter"]),
-                row["origin"],
-            )
-
     @contextmanager
     def _op(self) -> Iterator[None]:
         """One provider operation, one transaction (docs/DURABILITY.md).
@@ -266,8 +249,8 @@ class MetadataProvider:
         out only *after* the commit, so a crash at any statement or
         commit boundary leaves either no trace of the operation or all
         of it.  A rolled-back operation also undoes its in-memory
-        changes (documents, versions, reserved seqs, replica dedup)
-        from the undo journal, so memory agrees with the store again.
+        changes (reserved seqs, replica dedup) from the undo journal,
+        so memory agrees with the store again.
         """
         if self._in_op:
             yield
@@ -285,6 +268,7 @@ class MetadataProvider:
             raise
         finally:
             self._in_op = False
+            self._in_hand = {}
             batches, self._batches = self._batches, []
             replications, self._replications = self._replications, []
             self._undo = []
@@ -299,13 +283,6 @@ class MetadataProvider:
                 self._send(batch)
         for uri, document, version in replications:
             self._replication_hook(uri, document, version)
-
-    def _remember(self, mapping: dict, key: str) -> None:
-        """Journal ``mapping[key]`` so a rolled-back :meth:`_op` restores it."""
-        if key in mapping:
-            self._undo.append(partial(mapping.__setitem__, key, mapping[key]))
-        else:
-            self._undo.append(partial(mapping.pop, key, None))
 
     def _replicate(
         self, uri: str, document: Document | None, version: tuple[int, str]
@@ -329,9 +306,11 @@ class MetadataProvider:
                 raise ValueError("document_uri is required for XML input")
             document = parse_document(document, document_uri, self.schema)
         self.schema.validate_document(document)
-        self._check_uri_ownership([document])
         with self._op():
-            old = self._documents.get(document.uri)
+            old, owners = self._loader.stored_version(
+                document.uri, (str(resource.uri) for resource in document)
+            )
+            self._check_uri_ownership(owners)
             diff = diff_documents(old, document)
             outcome = self.engine.process_diff(diff)
             self._store_document(document, diff.deleted)
@@ -362,6 +341,9 @@ class MetadataProvider:
         fresh: dict[str, Document] = {}
         merged = PublishOutcome()
         with self._op():
+            stored = self._document_table.existing(
+                document.uri for document in documents
+            )
             for document in documents:
                 if document.uri in fresh:
                     # A later version of a document of this very batch
@@ -369,8 +351,9 @@ class MetadataProvider:
                     _merge_outcomes(
                         merged, self._register_fresh(fresh.values())
                     )
+                    stored.update(fresh)
                     fresh = {}
-                if document.uri in self._documents:
+                if document.uri in stored:
                     _merge_outcomes(merged, self.register_document(document))
                 else:
                     self.schema.validate_document(document)
@@ -384,26 +367,28 @@ class MetadataProvider:
     ) -> PublishOutcome:
         """Register brand-new documents: one filter run, and one
         statement per table to store them and their versions."""
-        self._check_uri_ownership(documents)
-        outcome = self.engine.process_insertions(
-            [resource for document in documents for resource in document]
+        resources = [resource for document in documents for resource in document]
+        self._check_uri_ownership(
+            self._resource_table.owners_of(str(r.uri) for r in resources)
         )
-        versions = {}
-        for document in documents:
-            self._remember(self._documents, document.uri)
-            self._documents[document.uri] = document
-            versions[document.uri] = self._bump_version(document.uri)
+        outcome = self.engine.process_insertions(resources)
+        self._in_hand.update((resource.uri, resource) for resource in resources)
         self._document_table.upsert_many(
-            (document.uri, to_rdfxml(document)) for document in documents
+            document.uri for document in documents
         )
         self._resource_table.insert_many(
             (str(resource.uri), resource.rdf_class, document.uri)
             for document in documents
             for resource in document
         )
-        self._persist_versions(versions.items())
-        for document in documents:
-            self._replicate(document.uri, document, versions[document.uri])
+        self.db.executemany(
+            _BUMP_VERSION, ((document.uri, self.name) for document in documents)
+        )
+        if self._replication_hook is not None:
+            for document in documents:
+                self._replicate(
+                    document.uri, document, self.document_version(document.uri)
+                )
         self._publish(outcome)
         return outcome
 
@@ -411,13 +396,11 @@ class MetadataProvider:
         self, document_uri: str, _replicated: bool = False
     ) -> PublishOutcome:
         """Remove a document with all its content."""
-        old = self._documents.get(document_uri)
+        old = self._loader.document(document_uri)
         if old is None:
             raise DocumentNotFoundError(document_uri)
         with self._op():
             outcome = self.engine.process_diff(deletion_diff(old))
-            self._remember(self._documents, document_uri)
-            del self._documents[document_uri]
             self._document_table.delete(document_uri)
             self._resource_table.delete_many(str(r.uri) for r in old)
             self._publish(outcome)
@@ -428,26 +411,24 @@ class MetadataProvider:
                 )
         return outcome
 
-    def _check_uri_ownership(self, documents: Iterable[Document]) -> None:
-        """A resource URI may not be claimed by two different documents."""
-        claimed = {
-            str(resource.uri): document.uri
-            for document in documents
-            for resource in document
-        }
-        for uri, owner in self._resource_table.owners_of(claimed).items():
-            if owner != claimed[uri]:
-                raise SchemaValidationError(
-                    f"resource <{uri}> is already registered by "
-                    f"document {owner!r}"
-                )
+    @staticmethod
+    def _check_uri_ownership(owners: dict[str, str]) -> None:
+        """A resource URI may not be claimed by two different documents:
+        ``owners`` maps the claimed resources other documents own."""
+        if owners:
+            uri = min(owners)
+            raise SchemaValidationError(
+                f"resource <{uri}> is already registered by "
+                f"document {owners[uri]!r}"
+            )
 
     def _store_document(  # mdv: allow(MDV065): runs inside _op()
         self, document: Document, deleted: list[Resource]
     ) -> None:
-        self._remember(self._documents, document.uri)
-        self._documents[document.uri] = document
-        self._document_table.upsert(document.uri, to_rdfxml(document))
+        for resource in deleted:
+            self._in_hand.pop(resource.uri, None)
+        self._in_hand.update((resource.uri, resource) for resource in document)
+        self._document_table.upsert(document.uri)
         self._resource_table.delete_many(str(r.uri) for r in deleted)
         self._resource_table.insert_many(
             (str(r.uri), r.rdf_class, document.uri) for r in document
@@ -470,18 +451,27 @@ class MetadataProvider:
     # Content lookup
     # ------------------------------------------------------------------
     def resource(self, uri: URIRef | str) -> Resource | None:
-        """The current content of a resource, or ``None``."""
-        reference = URIRef(uri)
-        document = self._documents.get(reference.document_uri)
-        if document is None:
-            return None
-        return document.get(reference)
+        """The current content of a resource, or ``None``.
+
+        Inside an operation the resources of its own documents are the
+        objects in hand; everything else is rebuilt from its rows.
+        """
+        held = self._in_hand.get(URIRef(uri))
+        if held is not None:
+            return held
+        return self._loader.resource(uri)
 
     def document(self, uri: str) -> Document | None:
-        return self._documents.get(uri)
+        """The stored document ``uri``, rebuilt from its rows (a new
+        object on every call), or ``None``."""
+        return self._loader.document(uri)
+
+    def document_uris(self) -> list[str]:
+        """The URIs of every stored document, sorted."""
+        return self._document_table.uris()
 
     def document_count(self) -> int:
-        return len(self._documents)
+        return self._document_table.count()
 
     def resource_count(self) -> int:
         return self._resource_table.count()
@@ -932,29 +922,18 @@ class MetadataProvider:
         tuple comparison — concurrent writes resolve deterministically
         (last writer wins, origin name breaking counter ties).
         """
-        version = self._bump_version(document_uri)
-        self._persist_versions([(document_uri, version)])
-        return version
-
-    def _bump_version(self, document_uri: str) -> tuple[int, str]:
-        current = self._doc_versions.get(document_uri)
-        counter = (current[0] if current is not None else 0) + 1
-        version = (counter, self.name)
-        self._remember(self._doc_versions, document_uri)
-        self._doc_versions[document_uri] = version
-        return version
-
-    def _persist_versions(  # mdv: allow(MDV065): runs inside _op()
-        self, versions: Iterable[tuple[str, tuple[int, str]]]
-    ) -> None:
-        self.db.executemany(
-            "INSERT OR REPLACE INTO doc_versions "
-            "(document_uri, counter, origin) VALUES (?, ?, ?)",
-            ((uri, counter, origin) for uri, (counter, origin) in versions),
+        (row,) = self.db.query_all(
+            _BUMP_VERSION + " RETURNING counter, origin",
+            (document_uri, self.name),
         )
+        return int(row["counter"]), row["origin"]
 
     def document_version(self, document_uri: str) -> tuple[int, str] | None:
-        return self._doc_versions.get(document_uri)
+        row = self.db.query_one(
+            "SELECT counter, origin FROM doc_versions WHERE document_uri = ?",
+            (document_uri,),
+        )
+        return None if row is None else (int(row["counter"]), row["origin"])
 
     def version_digest(self) -> dict[str, tuple[int, str]]:
         """Every known document version, tombstones included.
@@ -963,13 +942,18 @@ class MetadataProvider:
         (:meth:`~repro.mdv.backbone.Backbone.reconcile`) to find
         documents they missed during a partition.
         """
-        return dict(self._doc_versions)
+        return {
+            row["document_uri"]: (int(row["counter"]), row["origin"])
+            for row in self.db.query_all(
+                "SELECT document_uri, counter, origin FROM doc_versions"
+            )
+        }
 
     def fetch_document(self, document_uri: str):
         """A document's current content and version (anti-entropy pull)."""
         return (
-            self._documents.get(document_uri),
-            self._doc_versions.get(document_uri),
+            self._loader.document(document_uri),
+            self.document_version(document_uri),
         )
 
     def apply_replica(
@@ -995,16 +979,18 @@ class MetadataProvider:
                     partial(self.replica_dedup.forget, source, seq)
                 )
             if version is not None:
-                local = self._doc_versions.get(document_uri)
+                local = self.document_version(document_uri)
                 if local is not None and local >= version:
                     self.stale_replicas_ignored += 1
                     self._m_stale_replicas.inc()
                     return "stale"
-                self._remember(self._doc_versions, document_uri)
-                self._doc_versions[document_uri] = version
-                self._persist_versions([(document_uri, version)])
+                self.db.execute(
+                    "INSERT OR REPLACE INTO doc_versions "
+                    "(document_uri, counter, origin) VALUES (?, ?, ?)",
+                    (document_uri, *version),
+                )
             if document is None:
-                if document_uri in self._documents:
+                if self._document_table.exists(document_uri):
                     self.delete_document(document_uri, _replicated=True)
                 return "applied"
             self.register_document(document.copy(), _replicated=True)

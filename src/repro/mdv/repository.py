@@ -51,10 +51,10 @@ from repro.pubsub.notifications import (
 )
 from repro.query.evaluator import evaluate_query
 from repro.rdf.model import Document, Resource, URIRef
-from repro.rdf.parser import parse_document
 from repro.rdf.schema import Schema
 from repro.rules.parser import parse_query
 from repro.storage.engine import Database
+from repro.storage.tables import DocumentLoader
 
 __all__ = ["CachedQueryResult", "LocalMetadataRepository"]
 
@@ -282,6 +282,7 @@ class LocalMetadataRepository:
         was lost) from a provider :meth:`~MetadataProvider.snapshot`:
         the cache is filled with every resource the snapshot's
         ``materialized`` table records for this LMR's subscriptions,
+        rebuilt from the snapshot's ``filter_data`` rows,
         the dedup index is primed with the snapshot's outbox watermark
         — everything at or below it is already reflected in the cache —
         and a :meth:`resync` replays the stream *after* the watermark
@@ -297,24 +298,8 @@ class LocalMetadataRepository:
             if row is not None and row["high"] is not None
             else 0
         )
-        documents: dict[str, Document | None] = {}
-
-        def lookup(uri: URIRef | str) -> Resource | None:
-            reference = URIRef(uri)
-            document_uri = reference.document_uri
-            if document_uri not in documents:
-                doc_row = snapshot.query_one(
-                    "SELECT xml FROM documents WHERE uri = ?",
-                    (document_uri,),
-                )
-                documents[document_uri] = (
-                    parse_document(doc_row["xml"], document_uri, self.schema)
-                    if doc_row is not None
-                    else None
-                )
-            document = documents[document_uri]
-            return document.get(reference) if document is not None else None
-
+        # Rebuilt from the snapshot's rows: new objects on every lookup.
+        lookup = DocumentLoader(snapshot, self.schema).resource
         cached = 0
         subscriptions: dict[str, list[int]] = {}
         for sub in snapshot.query_all(
@@ -332,10 +317,11 @@ class LocalMetadataRepository:
                 resource = lookup(match["uri_reference"])
                 if resource is None:
                     continue
-                closure = strong_closure(resource, self.schema, lookup)
                 payload = ResourcePayload(
-                    resource=resource.copy(),
-                    strong_closure=[child.copy() for child in closure],
+                    resource=resource,
+                    strong_closure=strong_closure(
+                        resource, self.schema, lookup
+                    ),
                 )
                 self.cache.apply_match(int(sub["sub_id"]), payload)
                 cached += 1

@@ -16,6 +16,7 @@ from repro.storage.schema import (
 )
 from repro.storage.tables import (
     AtomRow,
+    DocumentLoader,
     DocumentTable,
     FilterDataTable,
     FilterInputTable,
@@ -31,6 +32,7 @@ __all__ = [
     "TRIGGER_TABLES",
     "filter_rules_table",
     "AtomRow",
+    "DocumentLoader",
     "DocumentTable",
     "ResourceTable",
     "FilterDataTable",

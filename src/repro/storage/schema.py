@@ -34,8 +34,10 @@ Table inventory (paper name → ours):
 - ``subscriptions`` / ``subscription_rules``: which subscriber registered
   which rule, and which atomic rules each subscription contributed to
   (reference counts drive unsubscription cleanup).
-- ``documents`` / ``resources``: registered documents and the
-  resource → document mapping used when publishing content.
+- ``documents`` / ``resources``: one row per live document, and the
+  resource → document mapping (``filter_data`` has no document column).
+  A document's content is its resources' ``filter_data`` rows; nothing
+  else stores it (docs/DURABILITY.md).
 - ``semantic_*``: the vocabulary store of the semantic matching tier
   (repro.semantics) — synonym sets, the taxonomy edge list with its
   precomputed transitive closure, and declarative mapping functions.
@@ -45,15 +47,22 @@ Table inventory (paper name → ours):
 
 from __future__ import annotations
 
+from repro.errors import StorageError
 from repro.storage.engine import Database
 
 __all__ = [
     "create_all",
     "COMPARISON_TABLES",
     "SEMANTIC_TABLES",
+    "STORE_VERSION",
     "TRIGGER_TABLES",
     "filter_rules_table",
 ]
+
+#: The store layout this tree reads and writes, stamped into
+#: ``PRAGMA user_version``.  Stores written before the stamp existed
+#: read 0 (they kept each document's RDF/XML text in ``documents``).
+STORE_VERSION = 1
 
 #: Comparison operators of the rule language that have their own
 #: triggering-rule index table, mapped to the table name suffix.
@@ -91,9 +100,8 @@ def filter_rules_table(operator: str) -> str:
 _DDL = """
 CREATE TABLE IF NOT EXISTS documents (
     uri           TEXT PRIMARY KEY,
-    xml           TEXT NOT NULL,
     registered_at INTEGER NOT NULL DEFAULT 0
-);
+) WITHOUT ROWID;
 
 CREATE TABLE IF NOT EXISTS resources (
     uri_reference TEXT PRIMARY KEY,
@@ -320,8 +328,19 @@ CREATE INDEX IF NOT EXISTS idx_{table}
 
 
 def create_all(db: Database) -> None:
-    """Create every table and index of the MDP store (idempotent)."""
+    """Create every table and index of the MDP store (idempotent).
+
+    A new store is stamped with :data:`STORE_VERSION`; a store that has
+    tables and another version is refused with :class:`StorageError`.
+    """
+    version = int(db.scalar("PRAGMA user_version"))
+    if version != STORE_VERSION and db.table_names():
+        raise StorageError(
+            f"store {db.path!r} has layout version {version}, but this "
+            f"tree reads layout version {STORE_VERSION}"
+        )
     db.executescript(_DDL)
     for table in COMPARISON_TABLES.values():
         db.executescript(_OP_TABLE_DDL.format(table=table))
+    db.executescript(f"PRAGMA user_version = {STORE_VERSION};")
     db.commit()

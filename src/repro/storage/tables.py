@@ -4,7 +4,8 @@ The *algorithmic* SQL — triggering-rule matching and join-rule group
 evaluation — lives with the algorithm in :mod:`repro.filter`; the rule
 catalogue lives in :mod:`repro.rules.registry`.  This module wraps the
 bookkeeping tables (documents, resources, atoms, transient run tables)
-so call sites stay declarative.
+so call sites stay declarative, and rebuilds stored documents from their
+atoms (:class:`DocumentLoader`).
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ import json
 import time
 from collections.abc import Iterable, Sequence
 
-from repro.rdf.model import URIRef
+from repro.errors import UnknownPropertyError
+from repro.rdf.model import Document, Literal, Resource, URIRef, Value
+from repro.rdf.namespaces import RDF_SUBJECT
+from repro.rdf.schema import PropertyKind, Schema
 from repro.storage.engine import Database
 
 __all__ = [
     "AtomRow",
+    "DocumentLoader",
     "DocumentTable",
     "ResourceTable",
     "FilterDataTable",
@@ -31,32 +36,45 @@ AtomRow = tuple[str, str, str, str]
 
 
 class DocumentTable:
-    """Access to the ``documents`` table (registered RDF documents)."""
+    """Access to the ``documents`` table: one row per live document.
+
+    A document's content is its resources' ``filter_data`` rows (see
+    :class:`DocumentLoader`); this row only says that the document
+    exists — an empty one too — and when it was last registered.
+    """
 
     def __init__(self, db: Database):
         self._db = db
 
-    def upsert(self, uri: str, xml: str) -> None:
-        self.upsert_many([(uri, xml)])
+    def upsert(self, uri: str) -> None:
+        self.upsert_many([uri])
 
-    def upsert_many(self, rows: Iterable[tuple[str, str]]) -> None:
-        """Insert or replace ``(uri, xml)`` rows in one statement."""
+    def upsert_many(self, uris: Iterable[str]) -> None:
+        """Insert or re-stamp the rows of ``uris`` in one statement."""
         # Registration timestamps are metadata, not control flow;
         # the lone sanctioned wall-clock read in the storage layer.
         now = int(time.time())  # mdv: allow(MDV062)
         self._db.executemany(
-            "INSERT INTO documents (uri, xml, registered_at) "
-            "VALUES (?, ?, ?) "
-            "ON CONFLICT (uri) DO UPDATE SET xml = excluded.xml, "
+            "INSERT INTO documents (uri, registered_at) VALUES (?, ?) "
+            "ON CONFLICT (uri) DO UPDATE SET "
             "registered_at = excluded.registered_at",
-            ((uri, xml, now) for uri, xml in rows),
+            ((uri, now) for uri in uris),
         )
 
-    def get_xml(self, uri: str) -> str | None:
-        return self._db.scalar("SELECT xml FROM documents WHERE uri = ?", (uri,))
-
     def exists(self, uri: str) -> bool:
-        return self.get_xml(uri) is not None
+        return (
+            self._db.query_one("SELECT 1 FROM documents WHERE uri = ?", (uri,))
+            is not None
+        )
+
+    def existing(self, uris: Iterable[str]) -> set[str]:
+        """Those of ``uris`` that are stored; one statement for all."""
+        rows = self._db.query_all(
+            "SELECT uri FROM documents "
+            "WHERE uri IN (SELECT value FROM json_each(?))",
+            (json.dumps(list(uris)),),
+        )
+        return {row["uri"] for row in rows}
 
     def delete(self, uri: str) -> None:
         self._db.execute("DELETE FROM documents WHERE uri = ?", (uri,))
@@ -67,6 +85,114 @@ class DocumentTable:
 
     def count(self) -> int:
         return self._db.count("documents")
+
+
+class DocumentLoader:
+    """Documents and resources rebuilt from their ``filter_data`` rows.
+
+    The rows are the store of record (docs/DURABILITY.md): ``resources``
+    says which document owns a resource, each resource's rows come in
+    ``rowid`` order with its ``rdf#subject`` row first, and the schema's
+    :class:`~repro.rdf.schema.PropertyKind` types each stored string
+    back into a value, with no stripping.  Every call builds new
+    objects; nothing is cached but the property kinds.
+    """
+
+    def __init__(self, db: Database, schema: Schema):
+        self._db = db
+        self._schema = schema
+        self._kinds: dict[tuple[str, str], PropertyKind] = {}
+
+    def document(self, uri: str) -> Document | None:
+        """The stored document ``uri`` (resources in URI order), or
+        ``None`` when no such document is stored."""
+        rows = self._db.query_all(
+            "SELECT f.uri_reference, f.class, f.property, f.value "
+            "FROM documents d "
+            "LEFT JOIN resources r ON r.document_uri = d.uri "
+            "LEFT JOIN filter_data f ON f.uri_reference = r.uri_reference "
+            "WHERE d.uri = ? ORDER BY f.uri_reference, f.rowid",
+            (uri,),
+        )
+        if not rows:
+            return None
+        document = Document(uri)
+        document.resources = self._resources(
+            row for row in rows if row[0] is not None
+        )
+        return document
+
+    def resource(self, uri: str) -> Resource | None:
+        """The stored resource ``uri``, or ``None``."""
+        rows = self._db.query_all(
+            "SELECT uri_reference, class, property, value FROM filter_data "
+            "WHERE uri_reference = ? ORDER BY rowid",
+            (str(uri),),
+        )
+        return self._resources(rows).get(URIRef(uri))
+
+    def stored_version(
+        self, document_uri: str, claimed: Iterable[str]
+    ) -> tuple[Document, dict[str, str]]:
+        """What registering ``document_uri`` with the resources
+        ``claimed`` must know, in one statement: the stored version
+        (empty when there is none) and the other documents that own
+        any of ``claimed``, by resource."""
+        rows = self._db.query_all(
+            "SELECT f.rowid AS seq, r.document_uri, f.uri_reference, "
+            "f.class, f.property, f.value "
+            "FROM resources r "
+            "JOIN filter_data f ON f.uri_reference = r.uri_reference "
+            "WHERE r.document_uri = ?1 "
+            "UNION ALL "
+            "SELECT 0, document_uri, uri_reference, NULL, NULL, NULL "
+            "FROM resources "
+            "WHERE uri_reference IN (SELECT value FROM json_each(?2)) "
+            "AND document_uri != ?1 "
+            "ORDER BY 3, 1",
+            (document_uri, json.dumps(list(claimed))),
+        )
+        owners = {
+            row["uri_reference"]: row["document_uri"]
+            for row in rows
+            if row["document_uri"] != document_uri
+        }
+        document = Document(document_uri)
+        document.resources = self._resources(
+            row[2:] for row in rows if row["document_uri"] == document_uri
+        )
+        return document, owners
+
+    def _resources(
+        self, rows: Iterable[Sequence[str]]
+    ) -> dict[URIRef, Resource]:
+        """Resources from ``(uri_reference, class, property, value)``
+        rows grouped by resource, each starting at its subject row."""
+        resources: dict[URIRef, Resource] = {}
+        resource: Resource | None = None
+        for uri, rdf_class, name, text in rows:
+            if name == RDF_SUBJECT:
+                resource = Resource(uri, rdf_class)
+                resources[resource.uri] = resource
+            elif resource is not None:
+                resource.add(name, self._value(rdf_class, name, text))
+        return resources
+
+    def _value(self, rdf_class: str, name: str, text: str) -> Value:
+        kind = self._kinds.get((rdf_class, name))
+        if kind is None:
+            try:
+                kind = self._schema.property_def(rdf_class, name).kind
+            except UnknownPropertyError:
+                kind = PropertyKind.STRING
+            self._kinds[(rdf_class, name)] = kind
+        if kind is PropertyKind.REFERENCE:
+            return URIRef(text)
+        if kind is PropertyKind.INTEGER:
+            return Literal(int(text))
+        if kind is PropertyKind.FLOAT:
+            return Literal(float(text))
+        return Literal(text)
 
 
 class ResourceTable:
@@ -86,10 +212,12 @@ class ResourceTable:
         )
 
     def delete_many(self, uris: Iterable[str]) -> None:
-        self._db.executemany(
-            "DELETE FROM resources WHERE uri_reference = ?",
-            ((uri,) for uri in uris),
-        )
+        """Delete the rows of ``uris``; no statement when there are none."""
+        rows = [(uri,) for uri in uris]
+        if rows:
+            self._db.executemany(
+                "DELETE FROM resources WHERE uri_reference = ?", rows
+            )
 
     def class_of(self, uri: str) -> str | None:
         return self._db.scalar(

@@ -201,7 +201,7 @@ def run_chaos_scenario(seed: int, faulty: bool = True) -> ChaosReport:
 
 
 def _documents(provider) -> dict[str, Document]:
-    return dict(provider._documents)
+    return {uri: provider.document(uri) for uri in provider.document_uris()}
 
 
 def _subscribe_with_retry(lmr: LocalMetadataRepository, rule: str,

@@ -10,7 +10,7 @@ survives is what the durability knobs (``durability="safe"``,
 ``durable_delivery=True``) actually persisted.
 
 Between the kill and the relaunch the store is audited
-(:func:`~repro.analysis.invariants.audit_database`, the MDV03x pack)
+(:func:`~repro.analysis.invariants.audit_database`, the MDV03x/MDV04x pack)
 exactly as the crash left it: every provider operation is one
 transaction, so the audit must be clean — the restarted daemon repairs
 nothing.
@@ -132,7 +132,7 @@ class SocketChaosReport:
     #: Registrations re-sent after a network error (interrupted runs).
     retries: int = 0
     duplicates_ignored: int = 0
-    #: MDV03x findings on the killed MDP's store, before the relaunch.
+    #: MDV03x/MDV04x findings on the killed MDP's store, before the relaunch.
     audit_findings: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
@@ -274,7 +274,7 @@ def run_socket_chaos(
 
 
 def _audit_store(path: str) -> list[str]:
-    """MDV03x findings on a store exactly as a crash left it."""
+    """MDV03x/MDV04x findings on a store exactly as a crash left it."""
     db = Database(path, durability="safe")
     try:
         return [

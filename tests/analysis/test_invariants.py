@@ -157,6 +157,34 @@ def test_orphaned_materialized_row(mdp):
     assert report.exit_code() == 1
 
 
+@pytest.mark.parametrize(
+    ("sql", "source"),
+    [
+        (
+            "DELETE FROM filter_data WHERE uri_reference = 'doc.rdf#info' "
+            "AND property = 'rdf#subject'",
+            "resources",
+        ),
+        (
+            "DELETE FROM resources WHERE uri_reference = 'doc.rdf#info'",
+            "filter_data",
+        ),
+    ],
+    ids=["resource-without-subject-atom", "subject-without-resource-row"],
+)
+def test_document_store_disagreement(mdp, sql, source):
+    from tests.conftest import figure1_document
+
+    mdp.register_document(figure1_document())
+    forge(mdp.db, sql)
+    report = audit_database(mdp.db)
+    assert codes(report) == ["MDV040"]
+    (diagnostic,) = report
+    assert diagnostic.severity is Severity.ERROR
+    assert diagnostic.source == source
+    assert "doc.rdf#info" in diagnostic.message
+
+
 def test_audit_survives_unsubscription_cleanup(mdp):
     mdp.unsubscribe("lmr1", JOIN_RULE)
     assert audit_database(mdp.db).is_clean

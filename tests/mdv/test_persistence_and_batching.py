@@ -44,6 +44,23 @@ class TestPersistence:
         assert len(second.registry.subscriptions_of("lmr")) == 1
         second.db.close()
 
+    def test_reopen_keeps_surrounding_whitespace(self, schema, tmp_path):
+        """Regression: a reopen reparsed each stored document, and the
+        parse stripped string literals, so the identical document
+        registered again ran the three-pass update."""
+        path = str(tmp_path / "mdp.sqlite")
+        spaced = "  spaced host  "
+        first = MetadataProvider(schema, db=Database(path))
+        first.register_document(make_doc(1, host=spaced))
+        first.db.close()
+
+        second = MetadataProvider(schema, db=Database(path))
+        stored = second.document("doc1.rdf").get("doc1.rdf#host")
+        assert stored.get_one("serverHost").value == spaced
+        outcome = second.register_document(make_doc(1, host=spaced))
+        assert len(outcome.passes) == 1
+        second.db.close()
+
     def test_update_after_reopen_publishes_correct_diff(self, schema, tmp_path):
         path = str(tmp_path / "mdp.sqlite")
         first = MetadataProvider(schema, db=Database(path))
@@ -190,7 +207,7 @@ class TestBatchRegistration:
                 )
                 for table, columns in (
                     ("filter_data", "*"), ("materialized", "*"),
-                    ("resources", "*"), ("documents", "uri, xml"),
+                    ("resources", "*"), ("documents", "uri"),
                     ("doc_versions", "*"),
                 )
             }

@@ -75,6 +75,36 @@ class TestDocumentAdministration:
         assert mdp.resource("doc1.rdf#host") is None
         assert mdp.resource_count() == 0
 
+    def test_reregistering_an_object_edited_in_place_notifies(self, schema):
+        """Regression: the provider kept the caller's object as its
+        stored copy, so an object edited in place and registered again
+        was diffed against itself and notified nobody."""
+        from repro.mdv.repository import LocalMetadataRepository
+        from repro.workload.documents import benchmark_document
+
+        mdp = MetadataProvider(schema)
+        lmr = LocalMetadataRepository("lmr", mdp)
+        lmr.subscribe(
+            "search CycleProvider c register c where c.synthValue > 10"
+        )
+        document = benchmark_document(1, synth_value=5)
+        mdp.register_document(document)
+        document.get("doc1.rdf#host").set("synthValue", 50)
+        outcome = mdp.register_document(document)
+        assert [str(uri) for uris in outcome.matched.values() for uri in uris] == [
+            "doc1.rdf#host"
+        ]
+        assert "doc1.rdf#host" in lmr.cache
+        assert mdp.db.scalar(
+            "SELECT value FROM filter_data WHERE "
+            "uri_reference = 'doc1.rdf#host' AND property = 'synthValue'"
+        ) == "50"
+        # What document() hands out is a copy, not the stored state.
+        copy = mdp.document("doc1.rdf")
+        copy.get("doc1.rdf#host").set("synthValue", 7)
+        host = mdp.resource("doc1.rdf#host")
+        assert host.get_one("synthValue").value == 50
+
     def test_delete_unknown_document(self, mdp):
         with pytest.raises(DocumentNotFoundError):
             mdp.delete_document("ghost.rdf")

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.analysis import audit_database
+from repro.errors import StorageError
 from repro.mdv.provider import MetadataProvider
 from repro.rdf.schema import objectglobe_schema
 from repro.storage.engine import Database
 from repro.storage.schema import (
     COMPARISON_TABLES,
+    STORE_VERSION,
     TRIGGER_TABLES,
     create_all,
     filter_rules_table,
@@ -101,28 +103,85 @@ class TestDDL:
             ]
 
 
+def user_version(db: Database) -> int:
+    return int(db.scalar("PRAGMA user_version"))
+
+
+class TestStoreVersion:
+    def test_a_new_store_is_stamped(self, db):
+        assert STORE_VERSION > 0
+        assert user_version(db) == STORE_VERSION
+
+    def test_a_reopened_store_keeps_its_stamp(self, schema, tmp_path):
+        path = str(tmp_path / "mdp.db")
+        with Database(path) as first:
+            MetadataProvider(schema, db=first).register_document(
+                figure1_document()
+            )
+        with Database(path) as db:
+            mdp = MetadataProvider(schema, db=db)
+            assert user_version(db) == STORE_VERSION
+            assert mdp.document_count() == 1
+            snapshot = mdp.snapshot()
+            assert user_version(snapshot) == STORE_VERSION
+            assert MetadataProvider(schema, db=snapshot).document_count() == 1
+
+    def test_a_store_of_the_unversioned_layout_is_refused(
+        self, schema, tmp_path
+    ):
+        """Stores written before the stamp are version 0 and kept each
+        document's RDF/XML text; opening one names both versions."""
+        path = str(tmp_path / "old.db")
+        with Database(path) as old:
+            old.executescript(
+                "CREATE TABLE documents (uri TEXT PRIMARY KEY, "
+                "xml TEXT NOT NULL, registered_at INTEGER NOT NULL "
+                "DEFAULT 0);"
+                "INSERT INTO documents VALUES ('doc.rdf', '<rdf:RDF/>', 0);"
+            )
+        with Database(path) as db:
+            message = (
+                f"layout version 0, but this tree reads layout version "
+                f"{STORE_VERSION}"
+            )
+            with pytest.raises(StorageError, match=message):
+                create_all(db)
+            with pytest.raises(StorageError, match=message):
+                MetadataProvider(schema, db=db)
+            assert user_version(db) == 0
+
+
 class TestDocumentTable:
-    def test_upsert_and_get(self, db):
+    def test_upsert_keeps_one_narrow_row_per_document(self, db):
         table = DocumentTable(db)
-        table.upsert("d.rdf", "<xml1/>")
-        table.upsert("d.rdf", "<xml2/>")
-        assert table.get_xml("d.rdf") == "<xml2/>"
-        assert table.count() == 1
+        table.upsert("d.rdf")
+        table.upsert("d.rdf")
+        table.upsert_many(["e.rdf", "d.rdf"])
+        assert table.count() == 2
         assert table.exists("d.rdf")
+        assert table.existing(["d.rdf", "x.rdf", "e.rdf"]) == {
+            "d.rdf", "e.rdf",
+        }
+        columns = [
+            row["name"]
+            for row in db.query_all("PRAGMA table_info(documents)")
+        ]
+        assert columns == ["uri", "registered_at"]
 
     def test_delete_and_uris(self, db):
         table = DocumentTable(db)
-        table.upsert("b.rdf", "<b/>")
-        table.upsert("a.rdf", "<a/>")
+        table.upsert("b.rdf")
+        table.upsert("a.rdf")
         assert table.uris() == ["a.rdf", "b.rdf"]
         table.delete("a.rdf")
         assert table.uris() == ["b.rdf"]
         assert not table.exists("a.rdf")
+        assert table.existing(["a.rdf"]) == set()
 
 
 class TestResourceTable:
     def test_insert_and_lookups(self, db):
-        DocumentTable(db).upsert("d.rdf", "<x/>")
+        DocumentTable(db).upsert("d.rdf")
         table = ResourceTable(db)
         table.insert_many(
             [("d.rdf#a", "C", "d.rdf"), ("d.rdf#b", "D", "d.rdf")]
@@ -136,7 +195,7 @@ class TestResourceTable:
         assert table.count() == 2
 
     def test_upsert_semantics(self, db):
-        DocumentTable(db).upsert("d.rdf", "<x/>")
+        DocumentTable(db).upsert("d.rdf")
         table = ResourceTable(db)
         table.insert_many([("d.rdf#a", "C", "d.rdf")])
         table.insert_many([("d.rdf#a", "C2", "d.rdf")])
@@ -144,7 +203,7 @@ class TestResourceTable:
         assert table.count() == 1
 
     def test_delete_many(self, db):
-        DocumentTable(db).upsert("d.rdf", "<x/>")
+        DocumentTable(db).upsert("d.rdf")
         table = ResourceTable(db)
         table.insert_many([("d.rdf#a", "C", "d.rdf")])
         table.delete_many(["d.rdf#a", "d.rdf#missing"])
