@@ -401,8 +401,8 @@ class MetadataProvider:
             raise DocumentNotFoundError(document_uri)
         with self._op():
             outcome = self.engine.process_diff(deletion_diff(old))
+            # Its ``resources`` rows go with it (ON DELETE CASCADE).
             self._document_table.delete(document_uri)
-            self._resource_table.delete_many(str(r.uri) for r in old)
             self._publish(outcome)
             self._m_deletions.inc()
             if not _replicated:
@@ -993,7 +993,7 @@ class MetadataProvider:
                 if self._document_table.exists(document_uri):
                     self.delete_document(document_uri, _replicated=True)
                 return "applied"
-            self.register_document(document.copy(), _replicated=True)
+            self.register_document(document, _replicated=True)
         return "applied"
 
     # ------------------------------------------------------------------

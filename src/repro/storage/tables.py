@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from operator import itemgetter
 
 from repro.errors import UnknownPropertyError
 from repro.rdf.model import Document, Literal, Resource, URIRef, Value
@@ -87,6 +88,19 @@ class DocumentTable:
         return self._db.count("documents")
 
 
+#: A stored value string back to a value, by its property's kind.
+_CONVERTERS: dict[PropertyKind, Callable[[str], Value]] = {
+    PropertyKind.REFERENCE: URIRef,
+    PropertyKind.INTEGER: lambda text: Literal(int(text)),
+    PropertyKind.FLOAT: lambda text: Literal(float(text)),
+    PropertyKind.STRING: Literal,
+}
+
+#: Sort key of ``(rowid, uri_reference, …)`` rows: by resource, then in
+#: the order the rows were written.
+_BY_RESOURCE = itemgetter(1, 0)
+
+
 class DocumentLoader:
     """Documents and resources rebuilt from their ``filter_data`` rows.
 
@@ -95,38 +109,38 @@ class DocumentLoader:
     ``rowid`` order with its ``rdf#subject`` row first, and the schema's
     :class:`~repro.rdf.schema.PropertyKind` types each stored string
     back into a value, with no stripping.  Every call builds new
-    objects; nothing is cached but the property kinds.
+    objects; nothing is cached but each property's converter.
     """
 
     def __init__(self, db: Database, schema: Schema):
         self._db = db
         self._schema = schema
-        self._kinds: dict[tuple[str, str], PropertyKind] = {}
+        self._converters: dict[tuple[str, str], Callable[[str], Value]] = {}
 
     def document(self, uri: str) -> Document | None:
         """The stored document ``uri`` (resources in URI order), or
         ``None`` when no such document is stored."""
         rows = self._db.query_all(
-            "SELECT f.uri_reference, f.class, f.property, f.value "
+            "SELECT f.rowid, f.uri_reference, f.class, f.property, f.value "
             "FROM documents d "
             "LEFT JOIN resources r ON r.document_uri = d.uri "
             "LEFT JOIN filter_data f ON f.uri_reference = r.uri_reference "
-            "WHERE d.uri = ? ORDER BY f.uri_reference, f.rowid",
+            "WHERE d.uri = ?",
             (uri,),
         )
         if not rows:
             return None
         document = Document(uri)
         document.resources = self._resources(
-            row for row in rows if row[0] is not None
+            [row for row in rows if row[1] is not None]
         )
         return document
 
     def resource(self, uri: str) -> Resource | None:
         """The stored resource ``uri``, or ``None``."""
         rows = self._db.query_all(
-            "SELECT uri_reference, class, property, value FROM filter_data "
-            "WHERE uri_reference = ? ORDER BY rowid",
+            "SELECT rowid, uri_reference, class, property, value "
+            "FROM filter_data WHERE uri_reference = ?",
             (str(uri),),
         )
         return self._resources(rows).get(URIRef(uri))
@@ -139,38 +153,35 @@ class DocumentLoader:
         (empty when there is none) and the other documents that own
         any of ``claimed``, by resource."""
         rows = self._db.query_all(
-            "SELECT f.rowid AS seq, r.document_uri, f.uri_reference, "
-            "f.class, f.property, f.value "
+            "SELECT r.document_uri, f.rowid, f.uri_reference, f.class, "
+            "f.property, f.value "
             "FROM resources r "
             "JOIN filter_data f ON f.uri_reference = r.uri_reference "
             "WHERE r.document_uri = ?1 "
             "UNION ALL "
-            "SELECT 0, document_uri, uri_reference, NULL, NULL, NULL "
+            "SELECT document_uri, NULL, uri_reference, NULL, NULL, NULL "
             "FROM resources "
             "WHERE uri_reference IN (SELECT value FROM json_each(?2)) "
-            "AND document_uri != ?1 "
-            "ORDER BY 3, 1",
+            "AND document_uri != ?1",
             (document_uri, json.dumps(list(claimed))),
         )
-        owners = {
-            row["uri_reference"]: row["document_uri"]
-            for row in rows
-            if row["document_uri"] != document_uri
-        }
+        mine = []
+        owners = {}
+        for row in rows:
+            if row[0] == document_uri:
+                mine.append(row[1:])
+            else:
+                owners[row[2]] = row[0]
         document = Document(document_uri)
-        document.resources = self._resources(
-            row[2:] for row in rows if row["document_uri"] == document_uri
-        )
+        document.resources = self._resources(mine)
         return document, owners
 
-    def _resources(
-        self, rows: Iterable[Sequence[str]]
-    ) -> dict[URIRef, Resource]:
-        """Resources from ``(uri_reference, class, property, value)``
-        rows grouped by resource, each starting at its subject row."""
+    def _resources(self, rows: Iterable[Sequence]) -> dict[URIRef, Resource]:
+        """Resources from ``(rowid, uri_reference, class, property,
+        value)`` rows, in URI order, each starting at its subject row."""
         resources: dict[URIRef, Resource] = {}
         resource: Resource | None = None
-        for uri, rdf_class, name, text in rows:
+        for __, uri, rdf_class, name, text in sorted(rows, key=_BY_RESOURCE):
             if name == RDF_SUBJECT:
                 resource = Resource(uri, rdf_class)
                 resources[resource.uri] = resource
@@ -179,20 +190,14 @@ class DocumentLoader:
         return resources
 
     def _value(self, rdf_class: str, name: str, text: str) -> Value:
-        kind = self._kinds.get((rdf_class, name))
-        if kind is None:
+        convert = self._converters.get((rdf_class, name))
+        if convert is None:
             try:
                 kind = self._schema.property_def(rdf_class, name).kind
             except UnknownPropertyError:
                 kind = PropertyKind.STRING
-            self._kinds[(rdf_class, name)] = kind
-        if kind is PropertyKind.REFERENCE:
-            return URIRef(text)
-        if kind is PropertyKind.INTEGER:
-            return Literal(int(text))
-        if kind is PropertyKind.FLOAT:
-            return Literal(float(text))
-        return Literal(text)
+            convert = self._converters[(rdf_class, name)] = _CONVERTERS[kind]
+        return convert(text)
 
 
 class ResourceTable:
