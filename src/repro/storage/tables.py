@@ -63,10 +63,7 @@ class DocumentTable:
         )
 
     def exists(self, uri: str) -> bool:
-        return (
-            self._db.query_one("SELECT 1 FROM documents WHERE uri = ?", (uri,))
-            is not None
-        )
+        return uri in self.existing([uri])
 
     def existing(self, uris: Iterable[str]) -> set[str]:
         """Those of ``uris`` that are stored; one statement for all."""
