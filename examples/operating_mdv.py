@@ -4,9 +4,9 @@ The systems side of the reproduction, beyond the paper's algorithms:
 
 1. a **file-backed** MDP that survives a restart with documents, rules
    and subscriptions intact;
-2. the **periodic batching** mode the paper's evaluation motivates
-   ("to process several documents in one batch"), via
-   :class:`~repro.mdv.batching.BatchingRegistrar`;
+2. **batch registration**, the operating mode the paper's evaluation
+   motivates ("to process several documents in one batch"), via
+   :meth:`~repro.mdv.provider.MetadataProvider.register_documents`;
 3. the statistics snapshot operators monitor.
 
 Run:  python examples/operating_mdv.py
@@ -22,7 +22,6 @@ from repro import (
     URIRef,
     objectglobe_schema,
 )
-from repro.mdv.batching import BatchingRegistrar
 from repro.mdv.stats import collect_statistics
 from repro.storage.engine import Database
 
@@ -67,14 +66,12 @@ def main() -> None:
         # --- 2. batched imports ----------------------------------------
         lmr = LocalMetadataRepository("ops-lmr", mdp)
         lmr.subscribe(RULE + " and c.serverInformation.cpu > 100")
-        registrar = BatchingRegistrar(mdp, max_batch=4, max_delay=3)
-        for index in range(1, 8):
-            registrar.submit(make_doc(index, memory=64 + index * 16))
-        registrar.tick()
-        registrar.flush()
+        documents = [make_doc(i, memory=64 + i * 16) for i in range(1, 8)]
+        for start in range(0, len(documents), 4):
+            # One filter run per batch of (up to) four documents.
+            mdp.register_documents(documents[start:start + 4])
         print(
-            f"batched import: {registrar.stats.flushes} flushes, "
-            f"avg batch {registrar.stats.average_batch_size:.1f}, "
+            f"batched import: {len(documents)} documents in 2 batches, "
             f"{mdp.document_count()} documents total"
         )
         assert mdp.document_count() == 8

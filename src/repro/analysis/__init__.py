@@ -16,10 +16,11 @@ findings instead of raising on the first problem:
 - :mod:`repro.analysis.semantics` — post-hoc auditor for the semantic
   vocabulary store (``MDV07x``).
 
-``python -m repro.analysis`` exposes all five from the command line;
-the registration paths (:meth:`RuleRegistry.register_subscription`,
-``MetadataProvider.subscribe``) accept an ``analyze`` policy that turns
-findings into warnings or registration rejections.
+``python -m repro.analysis`` exposes all five from the command line
+and is the analyzer's only entry point: ``lint --db PATH`` lints a rule
+and then checks it for subsumption against a live store.  Subscribing
+never runs an analyzer, and no tier imports this package except the
+crash and socket-chaos oracles, which audit with ``invariants``.
 """
 
 from __future__ import annotations

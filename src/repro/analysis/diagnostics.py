@@ -206,9 +206,6 @@ class AnalysisReport:
             return EXIT_WARNINGS
         return EXIT_CLEAN
 
-    def by_code(self, code: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.code == code]
-
     def render(self) -> str:
         if not self.diagnostics:
             return "no findings"

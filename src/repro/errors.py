@@ -36,7 +36,6 @@ __all__ = [
     "RuleError",
     "NormalizationError",
     "DecompositionError",
-    "RuleAnalysisError",
     "SemanticError",
     "StorageError",
     "CrashError",
@@ -125,19 +124,6 @@ class NormalizationError(RuleError):
 
 class DecompositionError(RuleError):
     """A normalized rule could not be decomposed into atomic rules."""
-
-
-class RuleAnalysisError(RuleError):
-    """The static analyzer rejected a rule (``analyze="reject"`` policy).
-
-    ``diagnostics`` carries the :class:`repro.analysis.Diagnostic` list
-    that caused the rejection, so clients can render precise spans and
-    fix hints instead of a flat message.
-    """
-
-    def __init__(self, message: str, diagnostics: list | None = None):
-        super().__init__(message)
-        self.diagnostics = list(diagnostics or [])
 
 
 class SemanticError(RuleError):

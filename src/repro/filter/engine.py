@@ -459,14 +459,6 @@ class FilterEngine:
                 outcome.unmatched[rule_id] = stale
         return outcome
 
-    def delete_resources(self, resources: Sequence[Resource]) -> PublishOutcome:
-        """Remove resources entirely (whole-document deletion)."""
-        diff = DocumentDiff(
-            document_uri=resources[0].uri.document_uri if resources else "",
-        )
-        diff.deleted.extend(resources)
-        return self.process_diff(diff)
-
     # ------------------------------------------------------------------
     # Rule initialization (new subscriptions over existing data)
     # ------------------------------------------------------------------

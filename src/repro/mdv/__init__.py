@@ -6,7 +6,6 @@ publish & subscribe mechanism.
 """
 
 from repro.mdv.backbone import Backbone
-from repro.mdv.batching import BatchingRegistrar, BatchStats
 from repro.mdv.cache import CacheEntry, CacheStore
 from repro.mdv.stats import ProviderStatistics, collect_statistics
 from repro.mdv.client import MDVClient, ProviderHandle, ServiceClient
@@ -31,8 +30,6 @@ __all__ = [
     "ReplicaUpdate",
     "RetryPolicy",
     "Backbone",
-    "BatchingRegistrar",
-    "BatchStats",
     "CacheEntry",
     "CacheStore",
     "ProviderStatistics",

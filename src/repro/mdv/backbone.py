@@ -183,13 +183,6 @@ class Backbone:
         self._g_lag.set(total)
         return total
 
-    def flush_replication(self) -> int:
-        """Retry every queued replica update once; returns deliveries."""
-        delivered = 0
-        for outbox in self._outboxes().values():
-            delivered += outbox.flush()
-        return delivered
-
     def recover(self, anti_entropy: bool = True) -> dict[str, int]:
         """Converge the backbone after failures heal.
 

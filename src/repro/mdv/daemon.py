@@ -42,6 +42,7 @@ dedup floor, which the socket chaos suite exercises end to end.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import sys
 from dataclasses import dataclass, field, replace
@@ -66,6 +67,7 @@ __all__ = [
 
 #: The only schema a served node currently knows how to build.
 _SCHEMAS = ("objectglobe",)
+_MAX_PORT = 65535
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,6 @@ class ServiceConfig:
     triggering: str = "sql"
     durability: str = "fast"
     durable_delivery: bool = False
-    #: Subscription-analysis policy (LMR role).
-    analyze: str = "off"
     request_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -125,8 +125,8 @@ def config_from_dict(raw: dict[str, Any]) -> ServiceConfig:
 
     The one place a daemon's config is validated: unknown keys, each
     scalar against its field's type (``str | None`` also takes
-    ``null``), the peer table and ``request_timeout_s > 0``.  Errors are
-    ``ValueError`` naming the key.
+    ``null``), the peer table, ports in 0–65535 and a finite
+    ``request_timeout_s > 0``.  Errors are ``ValueError`` naming the key.
     """
     if not isinstance(raw, dict):
         raise ValueError("service config must be a JSON object")
@@ -152,10 +152,16 @@ def config_from_dict(raw: dict[str, Any]) -> ServiceConfig:
             )
         if hints[key] is float:
             fields[key] = float(value)
-    if "request_timeout_s" in raw and raw["request_timeout_s"] <= 0:
+    if "request_timeout_s" in raw and not 0 < raw["request_timeout_s"] < math.inf:
+        # The comparison is also false for NaN, which json.load accepts.
         raise ValueError(
-            f"service config key 'request_timeout_s' must be > 0, "
-            f"got {raw['request_timeout_s']!r}"
+            f"service config key 'request_timeout_s' must be finite and "
+            f"> 0, got {raw['request_timeout_s']!r}"
+        )
+    if "port" in raw and not 0 <= raw["port"] <= _MAX_PORT:
+        raise ValueError(
+            f"service config key 'port' must be in 0..{_MAX_PORT}, "
+            f"got {raw['port']!r}"
         )
     peers_raw = raw.get("peers", {})
     if not isinstance(peers_raw, dict):
@@ -167,6 +173,7 @@ def config_from_dict(raw: dict[str, Any]) -> ServiceConfig:
             or len(address) != 2
             or not _is_a(address[0], str)
             or not _is_a(address[1], int)
+            or not 0 <= address[1] <= _MAX_PORT
         ):
             raise ValueError(
                 f"peer {peer_name!r} address must be [host, port], "
@@ -197,7 +204,6 @@ def _build_node(
             name=config.name,
             db=db,
             bus=transport,
-            analyze=config.analyze,
             triggering=config.triggering,
             durability=config.durability,
             durable_delivery=config.durable_delivery,
@@ -209,7 +215,6 @@ def _build_node(
         handle,  # type: ignore[arg-type] - only .name/.schema are read
         schema=schema,
         bus=transport,
-        analyze=config.analyze,
     )
 
     def lmr_handler(message: Any) -> Any:

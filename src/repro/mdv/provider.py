@@ -34,13 +34,9 @@ from contextlib import contextmanager, suppress
 from functools import partial
 from typing import Any
 
-from repro.analysis import check_subsumption, lint_rule_text
-from repro.analysis.diagnostics import Diagnostic
 from repro.errors import (
     DocumentNotFoundError,
     NetworkError,
-    RuleAnalysisError,
-    RuleError,
     SchemaValidationError,
     SubscriptionError,
 )
@@ -65,7 +61,7 @@ from repro.rdf.schema import Schema
 from repro.rules.decompose import decompose_rule
 from repro.rules.normalize import normalize_rule
 from repro.rules.parser import parse_query, parse_rule
-from repro.rules.registry import ANALYZE_POLICIES, RuleRegistry, Subscription
+from repro.rules.registry import RuleRegistry, Subscription
 from repro.storage.engine import Database
 from repro.storage.schema import create_all
 from repro.storage.tables import DocumentLoader, DocumentTable, ResourceTable
@@ -109,17 +105,12 @@ class MetadataProvider:
         db: Database | None = None,
         bus: Transport | None = None,
         join_evaluation: str = "probe",
-        analyze: str = "off",
         metrics: MetricsRegistry | None = None,
         triggering: str = "sql",
         durability: str = "fast",
         durable_delivery: bool = False,
         semantics: str = "off",
     ):
-        if analyze not in ANALYZE_POLICIES:
-            raise ValueError(
-                f"analyze must be one of {ANALYZE_POLICIES}, got {analyze!r}"
-            )
         self.name = name
         self.schema = schema
         self.metrics = metrics if metrics is not None else default_registry()
@@ -164,10 +155,6 @@ class MetadataProvider:
         #: constructor validates the mode).
         self.triggering = triggering
         self.publisher = Publisher(schema, self.registry, self.resource)
-        #: Default pre-subscription analysis policy (see ANALYZE_POLICIES).
-        self.analyze = analyze
-        #: Diagnostics of the most recent analyzed subscribe call.
-        self.last_diagnostics: list[Diagnostic] = []
         self.bus = bus
         #: Documents live only as their ``filter_data`` rows; every
         #: lookup rebuilds them (docs/DURABILITY.md).
@@ -487,7 +474,6 @@ class MetadataProvider:
         self,
         subscriber: str,
         rule_text: str,
-        analyze: str | None = None,
     ) -> list[Subscription]:
         """Register a subscription rule for ``subscriber``.
 
@@ -495,29 +481,7 @@ class MetadataProvider:
         one subscription per conjunct is registered, all labelled with
         the original rule text.  Current matches are delivered right
         away.  Returns the registered subscriptions.
-
-        ``analyze`` overrides the provider's default analysis policy for
-        this call.  With ``"warn"`` or ``"reject"`` the rule is linted
-        and subsumption-checked *before anything is stored*, so a
-        rejected multi-conjunct rule never registers partially; findings
-        land in :attr:`last_diagnostics`.
         """
-        policy = self.analyze if analyze is None else analyze
-        if policy not in ANALYZE_POLICIES:
-            raise ValueError(
-                f"analyze must be one of {ANALYZE_POLICIES}, got {policy!r}"
-            )
-        self.last_diagnostics = []
-        if policy != "off":
-            diagnostics = self.analyze_rule(rule_text, subscriber=subscriber)
-            self.last_diagnostics = diagnostics
-            if policy == "reject" and any(d.is_error for d in diagnostics):
-                first = next(d for d in diagnostics if d.is_error)
-                raise RuleAnalysisError(
-                    f"subscription rejected by analysis: "
-                    f"[{first.code}] {first.message}",
-                    diagnostics=diagnostics,
-                )
         rule = parse_rule(rule_text)
         conjuncts = normalize_rule(
             rule, self.schema, self.registry.named_rule_types()
@@ -613,44 +577,6 @@ class MetadataProvider:
             rule_ids = [int(row["rule_id"]) for row in rows]
         for rule_id in rule_ids:
             initialize_triggering_rule(self.db, rule_id)
-
-    def analyze_rule(
-        self, rule_text: str, subscriber: str | None = None
-    ) -> list[Diagnostic]:
-        """Statically analyze a rule without registering anything.
-
-        Runs the linter (schema, typing, satisfiability) and — when the
-        rule is lintably clean — the subsumption check of each conjunct
-        against the live registry.  Never raises on a bad rule; parse
-        and normalization failures come back as diagnostics.
-        """
-        named_types = self.registry.named_rule_types()
-        report = lint_rule_text(rule_text, self.schema, named_types)
-        if report.has_errors:
-            return list(report.diagnostics)
-        try:
-            rule = parse_rule(rule_text)
-            conjuncts = normalize_rule(rule, self.schema, named_types)
-            named_producers = self.registry.named_producers()
-            for normalized in conjuncts:
-                decomposed = decompose_rule(
-                    normalized, self.schema, named_producers
-                )
-                report.extend(
-                    check_subsumption(
-                        decomposed,
-                        self.registry,
-                        subscriber=subscriber,
-                        source=rule_text,
-                    )
-                )
-        except RuleError:
-            # The linter accepted what it could check; the rest of the
-            # pipeline rejected the rule for a reason the linter does
-            # not model (e.g. named-rule restrictions).  Registration
-            # will surface that error; analysis reports what it has.
-            pass
-        return list(report.diagnostics)
 
     def unsubscribe(self, subscriber: str, rule_text: str) -> None:
         """Remove every subscription registered under ``rule_text``."""
@@ -1010,9 +936,6 @@ class MetadataProvider:
         if kind == "subscribe":
             subscriber, rule_text = payload
             return self.subscribe(subscriber, rule_text)
-        if kind == "analyze":
-            subscriber, rule_text = payload
-            return self.analyze_rule(rule_text, subscriber=subscriber)
         if kind == "unsubscribe":
             subscriber, rule_text = payload
             return self.unsubscribe(subscriber, rule_text)

@@ -27,18 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.errors import (
-    NetworkError,
-    RepositoryError,
-    RuleAnalysisError,
-    SubscriptionError,
-)
+from repro.errors import NetworkError, RepositoryError, SubscriptionError
 from repro.mdv.cache import CacheStore
 from repro.mdv.gc import GarbageCollector, GcReport
 from repro.mdv.outbox import DedupIndex
 from repro.mdv.provider import MetadataProvider
-from repro.net.bus import DEFAULT_LAN_LATENCY_MS, Message
+from repro.net.bus import Message
 from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.pubsub.closure import strong_closure
@@ -88,14 +82,11 @@ class LocalMetadataRepository:
         provider: MetadataProvider,
         schema: Schema | None = None,
         bus: Transport | None = None,
-        analyze: str = "off",
         metrics: MetricsRegistry | None = None,
     ):
         self.name = name
         self.provider = provider
         self.schema = schema or provider.schema
-        #: Pre-subscription analysis policy ("off", "warn" or "reject").
-        self.analyze = analyze
         self.bus = bus
         self.metrics = metrics if metrics is not None else default_registry()
         labels = {"lmr": name}
@@ -130,43 +121,21 @@ class LocalMetadataRepository:
     # ------------------------------------------------------------------
     # Subscription management
     # ------------------------------------------------------------------
-    def subscribe(
-        self, rule_text: str, analyze: str | None = None
-    ) -> list[Diagnostic]:
+    def subscribe(self, rule_text: str) -> None:
         """Register a subscription rule at the MDP.
 
         Rules are produced "by users browsing and selecting metadata or
         by administrators of LMRs" (Section 2.3); either way they arrive
         here as rule text.
-
-        With an analysis policy (``analyze`` argument, falling back to
-        the LMR's default), the MDP statically analyzes the rule first
-        and the findings are returned; the ``"reject"`` policy raises
-        :class:`~repro.errors.RuleAnalysisError` on analyzer errors and
-        registers nothing.
         """
         if rule_text in self._subscriptions:
             raise SubscriptionError(
                 f"LMR {self.name!r} already subscribed: {rule_text!r}"
             )
-        policy = self.analyze if analyze is None else analyze
-        diagnostics: list[Diagnostic] = []
-        if policy != "off":
-            diagnostics = list(
-                self._call_provider("analyze", (self.name, rule_text))
-            )
-            if policy == "reject" and any(d.is_error for d in diagnostics):
-                first = next(d for d in diagnostics if d.is_error)
-                raise RuleAnalysisError(
-                    f"subscription rejected by analysis: "
-                    f"[{first.code}] {first.message}",
-                    diagnostics=diagnostics,
-                )
         subscriptions = self._call_provider(
             "subscribe", (self.name, rule_text)
         )
         self._subscriptions[rule_text] = [s.sub_id for s in subscriptions]
-        return diagnostics
 
     def unsubscribe(self, rule_text: str) -> None:
         """Cancel a subscription and evict its no-longer-covered matches."""
@@ -455,9 +424,6 @@ class LocalMetadataRepository:
             return self.bus.send(self.name, self.provider.name, kind, payload)
         if kind == "subscribe":
             return self.provider.subscribe(*payload)
-        if kind == "analyze":
-            subscriber, rule_text = payload
-            return self.provider.analyze_rule(rule_text, subscriber=subscriber)
         if kind == "unsubscribe":
             return self.provider.unsubscribe(*payload)
         if kind == "register_document":
@@ -483,13 +449,3 @@ class LocalMetadataRepository:
         stats["batches_applied"] = self.dedup.applied
         stats["duplicates_ignored"] = self.dedup.duplicates_ignored
         return stats
-
-    def configure_lan_latency(self) -> None:
-        """Mark the LMR↔client links as LAN-cheap on the bus, if any.
-
-        Latency modelling is a simulated-bus concept; transports
-        without per-link latency (real sockets) are left alone.
-        """
-        set_latency = getattr(self.bus, "set_latency", None)
-        if callable(set_latency):
-            set_latency(self.name, self.name, DEFAULT_LAN_LATENCY_MS)

@@ -9,7 +9,6 @@ either.
 """
 
 from repro.net.bus import (
-    DEFAULT_LAN_LATENCY_MS,
     DEFAULT_WAN_LATENCY_MS,
     LinkStats,
     Message,
@@ -28,7 +27,6 @@ from repro.net.socket import SocketTransport
 from repro.net.transport import Transport
 
 __all__ = [
-    "DEFAULT_LAN_LATENCY_MS",
     "DEFAULT_WAN_LATENCY_MS",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",

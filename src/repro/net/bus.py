@@ -38,7 +38,6 @@ __all__ = ["Message", "LinkStats", "NetworkBus"]
 
 #: Default one-way latency for unconfigured links, in simulated ms.
 DEFAULT_WAN_LATENCY_MS = 80.0
-DEFAULT_LAN_LATENCY_MS = 0.5
 
 
 @dataclass(frozen=True, slots=True)

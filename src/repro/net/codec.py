@@ -16,8 +16,8 @@ as themselves.  Everything else becomes a JSON object carrying a
 ``"_t"`` tag: containers (``tuple`` — JSON has no tuple, and document
 versions are compared as tuples — ``list``, ``dict``, ``set``) and the
 domain types that cross tier boundaries (URI references, literals,
-resources, documents, notifications, subscriptions, diagnostics,
-replica updates, publish outcomes).  Unknown types raise
+resources, documents, notifications, subscriptions, replica updates,
+publish outcomes).  Unknown types raise
 :class:`~repro.errors.WireCodecError` — the caller may fall back to a
 size estimate, but never to pickling: frames cross process boundaries.
 
@@ -47,7 +47,6 @@ def _domain() -> dict[str, Any]:
     """The lazily imported payload types, keyed by wire tag."""
     global _DOMAIN
     if _DOMAIN is None:
-        from repro.analysis.diagnostics import Diagnostic, Severity
         from repro.filter.results import FilterRunResult, PublishOutcome
         from repro.mdv.outbox import ReplicaUpdate
         from repro.pubsub.notifications import (
@@ -60,8 +59,6 @@ def _domain() -> dict[str, Any]:
         from repro.rules.registry import Subscription
 
         _DOMAIN = {
-            "diag": Diagnostic,
-            "sev": Severity,
             "run": FilterRunResult,
             "outcome": PublishOutcome,
             "replica": ReplicaUpdate,
@@ -174,16 +171,6 @@ def _encode_domain(value: Any) -> dict:
             "to": value.subscriber,
             "rule": value.rule_text,
             "end": value.end_rule,
-        }
-    if isinstance(value, domain["diag"]):
-        return {
-            TAG: "diag",
-            "sev": int(value.severity),
-            "code": value.code,
-            "msg": value.message,
-            "span": list(value.span) if value.span is not None else None,
-            "hint": value.hint,
-            "src": value.source,
         }
     if isinstance(value, domain["replica"]):
         return {
@@ -299,15 +286,6 @@ def _decode_tagged(tag: str, value: dict) -> Any:
             subscriber=value["to"],
             rule_text=value["rule"],
             end_rule=value["end"],
-        )
-    if tag == "diag":
-        return domain["diag"](
-            severity=domain["sev"](value["sev"]),
-            code=value["code"],
-            message=value["msg"],
-            span=tuple(value["span"]) if value["span"] is not None else None,
-            hint=value["hint"],
-            source=value["src"],
         )
     if tag == "replica":
         return domain["replica"](

@@ -268,21 +268,6 @@ class Schema:
         assert prop is not None
         return prop
 
-    def path_classes(self, class_name: str, path: Iterable[str]) -> list[str]:
-        """The class at each step of a path (the *target* of each step).
-
-        For a terminal literal step the literal kind has no class; the
-        list therefore has one entry per reference step.
-        """
-        classes: list[str] = []
-        current_class = class_name
-        for step in path:
-            prop = self.property_def(current_class, step)
-            if prop.is_reference:
-                current_class = str(prop.target_class)
-                classes.append(current_class)
-        return classes
-
     def strong_reference_properties(self, class_name: str) -> list[PropertyDef]:
         """All strong reference properties visible on ``class_name``."""
         result: dict[str, PropertyDef] = {}

@@ -92,10 +92,6 @@ class PathExpr:
     steps: tuple[PathStep, ...] = ()
     span: Span | None = field(default=None, compare=False)
 
-    @property
-    def is_bare(self) -> bool:
-        return not self.steps
-
     def __str__(self) -> str:
         return ".".join([self.variable, *map(str, self.steps)])
 

@@ -127,19 +127,3 @@ class DependencyGraph:
             "edges": len(self.edges),
             "max_depth": self.longest_path_length(),
         }
-
-    def to_dot(self) -> str:
-        """Graphviz rendering (debugging aid)."""
-        lines = ["digraph dependency_graph {"]
-        for node in self.nodes.values():
-            shape = "box" if node.kind == "join" else "ellipse"
-            label = f"{node.rule_id}: {node.rdf_class}"
-            if node.group_id is not None:
-                label += f" (g{node.group_id})"
-            lines.append(
-                f'  r{node.rule_id} [shape={shape}, label="{label}"];'
-            )
-        for source, target, side in self.edges:
-            lines.append(f'  r{source} -> r{target} [label="{side}"];')
-        lines.append("}")
-        return "\n".join(lines)

@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import RuleAnalysisError, SubscriptionError
+from repro.errors import SubscriptionError
 from repro.rules.atoms import AtomNode, JoinAtom, TriggeringAtom
 from repro.rules.decompose import DecomposedRule
 from repro.semantics.rewrite import SemanticRewriter
@@ -40,7 +40,6 @@ from repro.storage.schema import (
 )
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from repro.analysis.diagnostics import Diagnostic
     from repro.rdf.schema import Schema
 
 __all__ = [
@@ -48,16 +47,9 @@ __all__ = [
     "RegisteredSubscription",
     "RuleMutation",
     "Subscription",
-    "ANALYZE_POLICIES",
     "MUTATION_LOG_LIMIT",
     "SEMANTICS_MODES",
 ]
-
-#: Valid values for the ``analyze=`` registration policy: ``"off"``
-#: skips analysis, ``"warn"`` records diagnostics on the registration
-#: result, ``"reject"`` additionally refuses to register when the
-#: analyzer reports errors.
-ANALYZE_POLICIES = ("off", "warn", "reject")
 
 #: Length bound of :attr:`RuleRegistry.mutation_log`.  Far above any
 #: realistic burst between two filter runs; consumers finding a gap the
@@ -112,8 +104,6 @@ class RegisteredSubscription:
     end_rule: int
     all_rule_ids: list[int] = field(default_factory=list)
     created: list[tuple[int, AtomNode]] = field(default_factory=list)
-    #: Findings of the pre-registration analyzer (empty with ``analyze="off"``).
-    diagnostics: list["Diagnostic"] = field(default_factory=list)
 
     @property
     def reused_existing_atoms(self) -> bool:
@@ -409,19 +399,8 @@ class RuleRegistry:
         subscriber: str,
         rule_text: str,
         decomposed: DecomposedRule,
-        analyze: str = "off",
     ) -> RegisteredSubscription:
-        """Register a subscription and merge its atoms into the graph.
-
-        ``analyze`` selects the pre-registration analysis policy (see
-        :data:`ANALYZE_POLICIES`).  The subsumption check runs before the
-        atoms are persisted — once merged, a candidate would compare
-        equal to itself.  With ``"reject"``, analyzer errors raise
-        :class:`~repro.errors.RuleAnalysisError` and nothing is stored.
-        """
-        diagnostics = self._analyze_candidate(
-            subscriber, rule_text, decomposed, analyze
-        )
+        """Register a subscription and merge its atoms into the graph."""
         end_id, all_ids, created = self.ensure_atoms(decomposed)
         with self._db.transaction():
             duplicate = self._db.query_one(
@@ -451,37 +430,7 @@ class RuleRegistry:
                 ((rule_id,) for rule_id in unique_ids),
             )
         subscription = Subscription(sub_id, subscriber, rule_text, end_id)
-        return RegisteredSubscription(
-            subscription, end_id, all_ids, created, diagnostics
-        )
-
-    def _analyze_candidate(
-        self,
-        subscriber: str,
-        rule_text: str,
-        decomposed: DecomposedRule,
-        analyze: str,
-    ) -> list["Diagnostic"]:
-        """Run the pre-registration subsumption check per ``analyze``."""
-        if analyze not in ANALYZE_POLICIES:
-            raise ValueError(
-                f"unknown analyze policy {analyze!r}; "
-                f"expected one of {ANALYZE_POLICIES}"
-            )
-        if analyze == "off":
-            return []
-        from repro.analysis.subsume import check_subsumption
-
-        report = check_subsumption(
-            decomposed, self, subscriber=subscriber, source=rule_text
-        )
-        if analyze == "reject" and report.has_errors:
-            raise RuleAnalysisError(
-                f"rule rejected by pre-registration analysis: "
-                f"{report.errors()[0].message}",
-                diagnostics=report.diagnostics,
-            )
-        return list(report.diagnostics)
+        return RegisteredSubscription(subscription, end_id, all_ids, created)
 
     def unsubscribe(self, subscriber: str, rule_text: str) -> list[int]:
         """Remove a subscription; returns the ids of atoms garbage-collected."""

@@ -350,19 +350,3 @@ class SemanticStore:
             if definition is not None:
                 kinds.add(definition.kind.value)
         return kinds
-
-    # -- statistics -----------------------------------------------------
-
-    def vocabulary_counts(self) -> dict[str, int]:
-        """Row counts per vocabulary table."""
-        counts: dict[str, int] = {}
-        for key, sql in (
-            ("synonym_terms", "SELECT COUNT(*) FROM semantic_synonyms"),
-            ("taxonomy_edges", "SELECT COUNT(*) FROM semantic_taxonomy_edges"),
-            ("taxonomy_closure", "SELECT COUNT(*) FROM semantic_taxonomy_closure"),
-            ("mappings", "SELECT COUNT(*) FROM semantic_mappings"),
-            ("mapping_values", "SELECT COUNT(*) FROM semantic_mapping_values"),
-        ):
-            row = self._db.query_one(sql)
-            counts[key] = int(row[0]) if row is not None else 0
-        return counts

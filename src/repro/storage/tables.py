@@ -241,14 +241,6 @@ class ResourceTable:
         )
         return {row["uri_reference"]: row["document_uri"] for row in rows}
 
-    def by_document(self, document_uri: str) -> list[URIRef]:
-        rows = self._db.query_all(
-            "SELECT uri_reference FROM resources WHERE document_uri = ? "
-            "ORDER BY uri_reference",
-            (document_uri,),
-        )
-        return [URIRef(row["uri_reference"]) for row in rows]
-
     def count(self) -> int:
         return self._db.count("resources")
 
@@ -272,15 +264,6 @@ class FilterDataTable:
             "DELETE FROM filter_data WHERE uri_reference = ?",
             ((uri,) for uri in uris),
         )
-
-    def atoms_of(self, uri: str) -> list[AtomRow]:
-        rows = self._db.query_all(
-            "SELECT uri_reference, class, property, value "
-            "FROM filter_data WHERE uri_reference = ? "
-            "ORDER BY property, value",
-            (uri,),
-        )
-        return [tuple(row) for row in rows]
 
     def count(self) -> int:
         return self._db.count("filter_data")
@@ -363,19 +346,6 @@ class MaterializedTable:
         self._db.executemany(
             "DELETE FROM materialized WHERE rule_id = ? AND uri_reference = ?",
             pairs,
-        )
-
-    def delete_rules(self, rule_ids: Sequence[int]) -> None:
-        self._db.executemany(
-            "DELETE FROM materialized WHERE rule_id = ?",
-            ((rule_id,) for rule_id in rule_ids),
-        )
-
-    def delete_uris(self, uris: Iterable[str]) -> None:
-        """Remove every materialized row of the given resources."""
-        self._db.executemany(
-            "DELETE FROM materialized WHERE uri_reference = ?",
-            ((uri,) for uri in uris),
         )
 
     def uris_for(self, rule_id: int) -> list[URIRef]:

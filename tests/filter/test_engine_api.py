@@ -81,15 +81,6 @@ def test_runs_executed_counter(db, registry, engine, schema):
     assert engine.runs_executed == before + 5  # +1 insert, +3 update
 
 
-def test_delete_resources_helper(db, registry, engine, schema):
-    end = register_rule(engine, registry, schema, MEMORY_RULE)
-    doc = make_pair(1)
-    engine.process_insertions(list(doc))
-    outcome = engine.delete_resources(list(doc))
-    assert outcome.unmatched == {end: {URIRef("doc1.rdf#host")}}
-    assert engine.current_matches(end) == []
-
-
 def test_current_matches_sorted(db, registry, engine, schema):
     end = register_rule(engine, registry, schema, MEMORY_RULE)
     for index in (3, 1, 2):

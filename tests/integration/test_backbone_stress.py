@@ -2,7 +2,7 @@
 
 Two MDPs replicate over the simulated network; three LMRs (attached to
 different providers) hold overlapping rule sets.  A seeded random
-stream of registrations, updates, deletions and batch flushes runs for
+stream of registrations, updates, deletions and batch registrations runs for
 a few hundred operations; afterwards every LMR's matched cache must
 equal the query oracle over the surviving global state, every provider
 must agree on the document set, and the caches must answer queries
@@ -14,7 +14,6 @@ import random
 import pytest
 
 from repro.mdv.backbone import Backbone
-from repro.mdv.batching import BatchingRegistrar
 from repro.mdv.repository import LocalMetadataRepository
 from repro.net.bus import NetworkBus
 from repro.query.evaluator import evaluate_query
@@ -78,46 +77,36 @@ def test_backbone_stress(seed):
         for rule in rules:
             lmrs[name].subscribe(rule)
 
-    registrar = BatchingRegistrar(mdp_us, max_batch=4, max_delay=5)
     current: dict[str, Document] = {}
-
-    def apply_registration(doc: Document) -> None:
-        current[doc.uri] = doc
 
     for __ in range(OPERATIONS):
         action = rng.choices(
-            ["register", "batch", "delete", "tick"],
-            weights=[5, 3, 2, 2],
+            ["register", "batch", "delete"], weights=[5, 3, 2]
         )[0]
         index = rng.randrange(DOC_SLOTS)
         if action == "register":
             doc = make_doc(index, rng)
-            if doc.uri in registrar.pending_uris():
-                # An older version is queued: registering directly would
-                # be overwritten by the later flush.  Route through the
-                # registrar so the newest version wins, as it would in a
-                # real deployment funnelling writes through one queue.
-                registrar.submit(doc.copy())
-            else:
-                backbone.register_document(
-                    doc, at=rng.choice(["mdp-eu", "mdp-us"])
-                )
-            apply_registration(doc)
+            backbone.register_document(
+                doc, at=rng.choice(["mdp-eu", "mdp-us"])
+            )
+            current[doc.uri] = doc
         elif action == "batch":
-            doc = make_doc(index, rng)
-            registrar.submit(doc.copy())
-            # Track optimistically; the flush below settles it.
-            apply_registration(doc)
-        elif action == "delete":
+            # One filter run for the batch; a URI repeated within it
+            # updates the earlier version, as two calls would.
+            docs = [
+                make_doc(rng.randrange(DOC_SLOTS), rng)
+                for __ in range(rng.randint(1, 4))
+            ]
+            mdp_us.register_documents([doc.copy() for doc in docs])
+            for doc in docs:
+                current[doc.uri] = doc
+        else:
             uri = f"doc{index}.rdf"
-            if uri in current and registrar.pending == 0:
+            if uri in current:
                 backbone.delete_document(
                     uri, at=rng.choice(["mdp-eu", "mdp-us"])
                 )
                 del current[uri]
-        else:
-            registrar.tick()
-    registrar.flush()
 
     # Backbone agreement.
     assert backbone.is_synchronized()

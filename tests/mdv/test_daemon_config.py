@@ -17,10 +17,14 @@ BASE = {"name": "m", "role": "mdp"}
         ("port", "7401"),
         ("port", True),
         ("port", 7401.0),
+        ("port", -1),
+        ("port", 70000),
         ("request_timeout_s", "30"),
         ("request_timeout_s", False),
         ("request_timeout_s", -1),
         ("request_timeout_s", 0),
+        ("request_timeout_s", float("nan")),  # json.load parses NaN
+        ("request_timeout_s", float("inf")),  # and Infinity
         ("triggering", None),
         ("host", 127),
         ("db_path", 1),
@@ -32,7 +36,14 @@ def test_mistyped_value_rejected_naming_the_key(key, value):
 
 
 @pytest.mark.parametrize(
-    "address", [["127.0.0.1", "7402"], ["127.0.0.1", True], [7402, 7402]]
+    "address",
+    [
+        ["127.0.0.1", "7402"],
+        ["127.0.0.1", True],
+        [7402, 7402],
+        ["127.0.0.1", -1],
+        ["127.0.0.1", 70000],
+    ],
 )
 def test_mistyped_peer_address_rejected(address):
     with pytest.raises(ValueError, match="lmr-a"):
@@ -43,7 +54,14 @@ def test_mistyped_peer_address_rejected(address):
 # must fail loudly, not be silently ignored.
 @pytest.mark.parametrize(
     "key",
-    ["dedupe", "contains_index", "parallelism", "consistency", "recovery"],
+    [
+        "dedupe",
+        "contains_index",
+        "parallelism",
+        "consistency",
+        "recovery",
+        "analyze",
+    ],
 )
 def test_removed_knob_rejected_as_unknown_key(key):
     with pytest.raises(ValueError, match=f"unknown service config keys.*{key}"):

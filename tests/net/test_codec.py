@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.errors import WireCodecError
 from repro.filter.results import FilterRunResult, PublishOutcome
 from repro.mdv.outbox import ReplicaUpdate
@@ -224,7 +223,7 @@ def test_replica_update_roundtrip():
     assert decoded.document.uri == "doc.rdf"
 
 
-def test_subscription_and_diagnostic_roundtrip():
+def test_subscription_roundtrip():
     subscription = Subscription(
         sub_id=4, subscriber="lmr-a",
         rule_text="search CycleProvider c register c", end_rule=9,
@@ -232,18 +231,6 @@ def test_subscription_and_diagnostic_roundtrip():
     decoded = roundtrip(subscription)
     assert isinstance(decoded, Subscription)
     assert (decoded.sub_id, decoded.end_rule) == (4, 9)
-
-    diagnostic = Diagnostic(
-        severity=Severity.WARNING,
-        code="MDV020",
-        message="always matches",
-        span=(3, 9),
-        hint="drop the predicate",
-    )
-    decoded = roundtrip(diagnostic)
-    assert isinstance(decoded, Diagnostic)
-    assert decoded.severity is Severity.WARNING
-    assert decoded.span == (3, 9)
 
 
 def test_publish_outcome_roundtrip():

@@ -91,12 +91,6 @@ class TestSchemaLookups:
         with pytest.raises(SchemaError):
             schema.resolve_path("CycleProvider", [])
 
-    def test_path_classes(self, schema):
-        classes = schema.path_classes(
-            "CycleProvider", ["serverInformation", "memory"]
-        )
-        assert classes == ["ServerInformation"]
-
     def test_strong_reference_properties(self, schema):
         strong = schema.strong_reference_properties("CycleProvider")
         assert [p.name for p in strong] == ["serverInformation"]

@@ -73,14 +73,6 @@ def test_successors_predecessors(db, registry, schema):
     assert len(inputs) == 2
 
 
-def test_to_dot_renders_nodes_and_edges(db, registry, schema):
-    register(registry, schema, PAPER_RULE)
-    dot = DependencyGraph.load(db).to_dot()
-    assert dot.startswith("digraph")
-    assert dot.count("->") == 4
-    assert "CycleProvider" in dot
-
-
 def test_refcounts_visible(db, registry, schema):
     register(registry, schema, PAPER_RULE, "lmr1")
     register(registry, schema, PAPER_RULE, "lmr2")

@@ -8,7 +8,6 @@ from repro.errors import SemanticError
 from repro.rdf.schema import PropertyDef, PropertyKind, Schema
 from repro.semantics import SemanticStore
 from repro.storage.engine import Database
-from repro.storage.schema import create_all
 from repro.workload.marketplace import marketplace_schema
 
 
@@ -142,20 +141,3 @@ def test_enum_duplicate_source_rejected(store):
         )
     assert excinfo.value.code == "MDV072"
 
-
-def test_vocabulary_counts():
-    db = Database()
-    create_all(db)
-    try:
-        store = SemanticStore(db)
-        store.register_synonyms("property", ["price", "cost"])
-        store.register_taxonomy_edge("truck", "vehicle")
-        store.register_enum_mapping("grade", "condition", [("A", "new")])
-        counts = store.vocabulary_counts()
-        assert counts["synonym_terms"] == 2
-        assert counts["taxonomy_edges"] == 1
-        assert counts["taxonomy_closure"] == 1
-        assert counts["mappings"] == 1
-        assert counts["mapping_values"] == 1
-    finally:
-        db.close()

@@ -188,10 +188,10 @@ class TestResourceTable:
         )
         assert table.class_of("d.rdf#a") == "C"
         assert table.document_of("d.rdf#b") == "d.rdf"
-        assert [str(u) for u in table.by_document("d.rdf")] == [
-            "d.rdf#a",
-            "d.rdf#b",
-        ]
+        assert table.owners_of(["d.rdf#a", "d.rdf#b", "d.rdf#c"]) == {
+            "d.rdf#a": "d.rdf",
+            "d.rdf#b": "d.rdf",
+        }
         assert table.count() == 2
 
     def test_upsert_semantics(self, db):
@@ -211,21 +211,6 @@ class TestResourceTable:
 
 
 class TestFilterDataTable:
-    def test_insert_and_atoms_of(self, db):
-        table = FilterDataTable(db)
-        table.insert_atoms(
-            [
-                ("d#a", "C", "p", "1"),
-                ("d#a", "C", "q", "2"),
-                ("d#b", "C", "p", "3"),
-            ]
-        )
-        assert table.count() == 3
-        assert table.atoms_of("d#a") == [
-            ("d#a", "C", "p", "1"),
-            ("d#a", "C", "q", "2"),
-        ]
-
     def test_delete_for(self, db):
         table = FilterDataTable(db)
         table.insert_atoms([("d#a", "C", "p", "1"), ("d#b", "C", "p", "2")])
@@ -262,10 +247,10 @@ class TestMaterializedTable:
         assert not table.contains(2, "d#a")
         assert table.count() == 2
 
-    def test_delete_pairs_and_rules(self, db):
+    def test_delete_pairs(self, db):
         table = MaterializedTable(db)
         table.insert_pairs([(1, "d#a"), (1, "d#b"), (2, "d#a")])
         table.delete_pairs([(1, "d#a")])
         assert table.count() == 2
-        table.delete_rules([1])
-        assert table.count() == 1
+        assert not table.contains(1, "d#a")
+        assert table.contains(2, "d#a")

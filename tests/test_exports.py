@@ -1,7 +1,11 @@
 """Package-surface tests: every advertised name must resolve."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,6 @@ PACKAGES = [
     "repro.text",
     "repro.workload",
     "repro.bench",
-    "repro.xmlext",
 ]
 
 
@@ -103,7 +106,6 @@ MODULES_WITH_DOCSTRINGS = [
     "repro.mdv.gc",
     "repro.mdv.client",
     "repro.mdv.backbone",
-    "repro.mdv.batching",
     "repro.mdv.stats",
     "repro.text.ngrams",
     "repro.workload.documents",
@@ -114,7 +116,6 @@ MODULES_WITH_DOCSTRINGS = [
     "repro.bench.figures",
     "repro.bench.ablations",
     "repro.bench.reporting",
-    "repro.xmlext.adapter",
 ]
 
 
@@ -122,3 +123,22 @@ MODULES_WITH_DOCSTRINGS = [
 def test_every_module_documented(module_name):
     module = importlib.import_module(module_name)
     assert module.__doc__ and len(module.__doc__) > 40, module_name
+
+
+def test_tiers_do_not_import_the_analyzer():
+    """Only ``python -m repro.analysis`` and the oracles load the analyzer."""
+    root = Path(__file__).resolve().parent.parent
+    probe = (
+        "import sys, repro, repro.mdv.provider; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] == ['repro', 'analysis']))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert completed.stdout.strip() == "[]"

@@ -9,11 +9,10 @@ exception.
 from tests.conftest import prop_settings
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import DocumentParseError, MDVError, RuleSyntaxError
+from repro.errors import DocumentParseError, RuleSyntaxError
 from repro.rdf.parser import parse_document
 from repro.rules.parser import parse_query, parse_rule
 from repro.rules.tokens import tokenize
-from repro.xmlext.adapter import xml_to_document
 
 arbitrary_text = st.text(max_size=200)
 rule_like_text = st.lists(
@@ -61,11 +60,3 @@ def test_document_parser_total(text):
     except DocumentParseError:
         pass
 
-
-@prop_settings(150)
-@given(text=arbitrary_text)
-def test_xml_adapter_total(text):
-    try:
-        xml_to_document(text, "fuzz.xml")
-    except MDVError:
-        pass
