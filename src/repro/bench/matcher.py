@@ -28,19 +28,26 @@ Quick mode sweeps 1k/10k/50k rules (the committed
 nightly 10k/100k/1M lane.  Claims are ratio-based and hardware-honest:
 absolute milliseconds move with the host, the *shape* (flat counting
 curve, ≥10x over the scan join, sub-millisecond matching at the largest
-size) is what must reproduce.  One claim is no wall time at all: the
+size) is what must reproduce.  Two claims are no wall time at all: the
 ``counting.contains_lookups`` counter per document is equal at every
-size, so the flatness of ``contains`` matching is asserted exactly.
+size, so the flatness of ``contains`` matching is asserted exactly, and
+the counting index's traced bytes per rule
+(:func:`counting_bytes_per_rule`) at the largest size stay within 1.2x
+of the smallest — at 1M rules, the memory the million-subscription
+target needs.
 """
 
 from __future__ import annotations
 
+import gc
 import time
+import tracemalloc
 from dataclasses import replace
 
 from repro.bench.harness import FilterBench, SweepResult
 from repro.bench.reporting import FigureResult
-from repro.obs.metrics import default_registry
+from repro.filter.counting import CountingMatcher
+from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.rdf.schema import Schema
 from repro.rules.atoms import TriggeringAtom
 from repro.rules.decompose import decompose_rule
@@ -58,6 +65,7 @@ __all__ = [
     "QUICK_SIZES",
     "FULL_SIZES",
     "MatcherBench",
+    "counting_bytes_per_rule",
     "mixed_rules",
     "figure_matcher",
 ]
@@ -149,6 +157,32 @@ class MatcherBench(FilterBench):
         self._template = db
         self.prepare_seconds = time.perf_counter() - started
 
+    def index_bytes_per_rule(self) -> float:
+        """:func:`counting_bytes_per_rule` of the prepared rule base."""
+        self.prepare()
+        return counting_bytes_per_rule(self._template)
+
+
+def counting_bytes_per_rule(db: Database) -> float:
+    """Traced bytes per rule of a counting index built from ``db``'s
+    triggering tables (:mod:`tracemalloc`; the rows read while building,
+    and the free lists that would keep their memory, are emptied before
+    the count is taken)."""
+    matcher = CountingMatcher(MetricsRegistry())
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        matcher.refresh(db, 0)  # a fresh matcher rebuilds at any version
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return held / max(matcher.rule_count, 1)
+
 
 def _plateau(sweep: SweepResult) -> float:
     """Mean per-document cost over the sweep's points."""
@@ -164,9 +198,11 @@ def figure_matcher(quick: bool = True, sizes=None, batches=None) -> FigureResult
     match_hist = default_registry().histogram("counting.match_ms")
     match_by_size: dict[int, float] = {}
     lookups_by_size: dict[int, float] = {}
+    bytes_by_size: dict[int, float] = {}
     for size in sizes:
         scan_bench = MatcherBench(size)
         try:
+            bytes_by_size[size] = scan_bench.index_bytes_per_rule()
             counting_bench = scan_bench.variant(triggering="counting")
             try:
                 scan_sweep = scan_bench.sweep(batches)
@@ -209,6 +245,7 @@ def figure_matcher(quick: bool = True, sizes=None, batches=None) -> FigureResult
     scan_speedup = _plateau(scan_l) / _plateau(counting_l)
     growth = _plateau(counting_l) / _plateau(counting_s)
     size_ratio = largest / smallest
+    memory_ratio = bytes_by_size[largest] / bytes_by_size[smallest]
     figure.claims = [
         (
             "sql scan and counting backends register identical hit "
@@ -248,6 +285,14 @@ def figure_matcher(quick: bool = True, sizes=None, batches=None) -> FigureResult
             f"(a deterministic counter, not a wall time)",
             len(set(lookups_by_size.values())) == 1
             and min(lookups_by_size.values()) > 0,
+        ),
+        (
+            f"counting index memory per rule is flat in the rule-base "
+            f"size ({', '.join(f'{v:.0f}' for v in bytes_by_size.values())}"
+            f" traced bytes per rule at n={', '.join(map(str, bytes_by_size))}"
+            f"; n={largest} is {memory_ratio:.2f}x n={smallest}, within "
+            f"1.2x either way; tracemalloc bytes, not a wall time)",
+            1 / 1.2 <= memory_ratio <= 1.2,
         ),
     ]
     return figure

@@ -104,6 +104,9 @@ class LocalMetadataRepository:
         )
         self._m_resyncs = self.metrics.counter("lmr.resyncs", labels)
         self._m_stale_reads = self.metrics.counter("lmr.stale_reads", labels)
+        self._m_unsubscribe_visits = self.metrics.counter(
+            "lmr.unsubscribe.entries_visited", labels
+        )
         self.cache = CacheStore(self.schema)
         self.collector = GarbageCollector(self.schema)
         self._local: dict[URIRef, Resource] = {}
@@ -139,14 +142,21 @@ class LocalMetadataRepository:
 
     def unsubscribe(self, rule_text: str) -> None:
         """Cancel a subscription and evict its no-longer-covered matches."""
-        sub_ids = self._subscriptions.pop(rule_text, None)
+        sub_ids = self._subscriptions.get(rule_text)
         if sub_ids is None:
             raise SubscriptionError(
                 f"LMR {self.name!r} is not subscribed: {rule_text!r}"
             )
+        # Forget the subscription only once the provider has: a failed
+        # call leaves it in place for a retry.
         self._call_provider("unsubscribe", (self.name, rule_text))
+        del self._subscriptions[rule_text]
+        visited = self.cache.unsubscribe_visits
         for sub_id in sub_ids:
             self.cache.drop_subscription(sub_id)
+        self._m_unsubscribe_visits.inc(
+            self.cache.unsubscribe_visits - visited
+        )
 
     def subscriptions(self) -> list[str]:
         return sorted(self._subscriptions)
@@ -324,8 +334,11 @@ class LocalMetadataRepository:
                 for name, text in self._named_definitions().items()
             }
             query = inline_named_query(query, definitions)
-        pool = {r.uri: r for r in self.cache.resources()}
-        pool.update(self._local)
+        # One candidate list; local resources replace cached ones.
+        pool = self.cache.resources()
+        if self._local:
+            pool = [r for r in pool if r.uri not in self._local]
+            pool.extend(self._local.values())
         return evaluate_query(query, pool, self.schema)
 
     def query_with_status(self, query_text: str) -> CachedQueryResult:

@@ -127,9 +127,14 @@ def evaluate_normalized(
     resources: Mapping[URIRef, Resource] | Iterable[Resource],
     schema: Schema,
 ) -> list[Resource]:
-    """Evaluate one normalized conjunct; returns matching register resources."""
-    if isinstance(resources, Mapping):
-        pool: list[Resource] = list(resources.values())
+    """Evaluate one normalized conjunct; returns matching register resources.
+
+    A list pool is read as given, not copied.
+    """
+    if isinstance(resources, list):
+        pool: list[Resource] = resources
+    elif isinstance(resources, Mapping):
+        pool = list(resources.values())
     else:
         pool = list(resources)
 

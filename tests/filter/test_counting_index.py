@@ -10,15 +10,27 @@ the log-gap rebuild fallback.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.matcher import counting_bytes_per_rule
 from repro.filter.counting import CountingMatcher
 from repro.obs.metrics import default_registry
 from repro.rdf.namespaces import RDF_SUBJECT
+from repro.rules.atoms import TriggeringAtom
 from repro.rules.decompose import decompose_rule
 from repro.rules.normalize import normalize_rule
 from repro.rules.parser import parse_rule
 from repro.rules.registry import RuleRegistry
+from repro.workload.documents import host_uri
+from repro.workload.rules import (
+    comp_rule,
+    con_rule,
+    con_token,
+    oid_rule,
+    path_rule,
+)
 
 
 def _subscribe(registry: RuleRegistry, schema, text: str, subscriber="lmr"):
@@ -164,6 +176,57 @@ class TestIncrementalMaintenance:
         assert matcher.match([HOST_ATOM]) == []
         assert matcher.rule_count == 0
 
+    def test_bucket_shared_through_extension_class(
+        self, db, registry, rich_schema
+    ):
+        # A Provider rule indexes every extension class, so its
+        # CycleProvider entries share buckets with the CycleProvider
+        # rules of the same predicate: class membership, eq, contains.
+        host = ("d.rdf#h", "CycleProvider", "serverHost", "x.uni-passau.de")
+        subject = ("d.rdf#h", "CycleProvider", RDF_SUBJECT, "d.rdf#h")
+        pairs = [
+            (
+                f"search Provider c register c{where}",
+                f"search CycleProvider c register c{where}",
+            )
+            for where in (
+                "",
+                " where c.serverHost = 'x.uni-passau.de'",
+                " where c.serverHost contains 'passau'",
+            )
+        ]
+        incremental = CountingMatcher()
+        _refresh(incremental, db, registry)
+        shared = []
+        for wide, narrow in pairs:
+            shared.append((
+                _subscribe(registry, rich_schema, wide),
+                _subscribe(registry, rich_schema, narrow),
+            ))
+            _refresh(incremental, db, registry)
+        key = ("CycleProvider", "serverHost")
+        assert isinstance(incremental._idx_class["CycleProvider"], dict)
+        assert isinstance(
+            incremental._idx_eq[key]["x.uni-passau.de"], dict
+        )
+        assert isinstance(incremental._idx_con[key][6]["passau"], dict)
+        every = {rule for pair in shared for rule in pair}
+        assert {r for __, r in incremental.match([host, subject])} == every
+
+        dropped = []
+        for (wide, __), (wide_rule, narrow_rule) in zip(pairs, shared):
+            registry.unsubscribe("lmr", wide)
+            dropped.append(wide_rule)
+            _refresh(incremental, db, registry)
+            rebuilt = CountingMatcher()
+            _refresh(rebuilt, db, registry)
+            hits = incremental.match([host, subject])
+            assert hits == rebuilt.match([host, subject])
+            assert ("d.rdf#h", narrow_rule) in hits
+            assert {r for __, r in hits} == every - set(dropped)
+        counters = default_registry().counter_values()
+        assert counters["counting.rebuilds"] == 1.0 + len(pairs)
+
     def test_class_only_rule(self, db, registry, schema):
         rule = _subscribe(
             registry, schema, "search CycleProvider c register c"
@@ -205,6 +268,38 @@ class TestMatching:
         _refresh(matcher, db, registry)
         assert matcher.rule_count == 0
         assert matcher.match([HOST_ATOM, SUBJECT_ATOM]) == []
+
+
+def test_index_memory_per_rule(db, registry, schema):
+    """The counting index holds at most 430 traced bytes per rule on
+    10k OID rules plus 2k each of COMP, CON and PATH rules.
+
+    The layout with a dict per bucket and a list plus a key tuple per
+    entry held 723 B per rule on this base.
+    """
+    def triggering(text):
+        (normalized,) = normalize_rule(parse_rule(text), schema)
+        return [
+            atom for atom in decompose_rule(normalized, schema).atoms
+            if isinstance(atom, TriggeringAtom)
+        ]
+
+    (oid,) = triggering(oid_rule(0))
+    (comp,) = triggering(comp_rule(0))
+    (con,) = triggering(con_rule(0))
+    path_class, memory = triggering(path_rule(0))
+
+    def rules():
+        yield "path class", path_class
+        for index in range(10_000):
+            yield oid_rule(index), replace(oid, value=str(host_uri(index)))
+        for index in range(2_000):
+            yield comp_rule(index), replace(comp, value=str(index))
+            yield con_rule(index), replace(con, value=con_token(index))
+            yield path_rule(index), replace(memory, value=str(index))
+
+    registry.bulk_register_triggering("lmr", rules())
+    assert counting_bytes_per_rule(db) <= 430
 
 
 @pytest.mark.parametrize(

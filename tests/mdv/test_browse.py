@@ -20,6 +20,7 @@ from repro.errors import (
     RuleError,
     SubscriptionError,
 )
+from repro.filter.counting import _entries_of
 from repro.mdv.provider import MetadataProvider
 from repro.rdf.model import Document, URIRef
 from repro.rdf.schema import objectglobe_schema
@@ -91,8 +92,8 @@ def digest(mdp: MetadataProvider) -> str:
     ]
     matcher = mdp.engine._counting_matcher()
     parts.append(sorted(
-        (rule_id, sorted(entries))
-        for rule_id, entries in matcher._idx_entries.items()
+        (rule_id, sorted(map(repr, _entries_of(record))))
+        for rule_id, record in matcher._idx_entries.items()
     ))
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 

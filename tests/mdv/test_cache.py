@@ -1,5 +1,8 @@
 """Unit tests for the LMR cache store (rule matches + strong refcounts)."""
 
+import gc
+import tracemalloc
+
 from repro.mdv.cache import CacheStore
 from repro.pubsub.notifications import ResourcePayload
 from repro.rdf.model import Document, Resource, URIRef
@@ -23,14 +26,14 @@ class TestMatches:
         cache.apply_match(1, figure1_payload(figure1, schema))
         assert "doc.rdf#host" in cache
         assert "doc.rdf#info" in cache
-        assert cache.get("doc.rdf#host").matched_subs == {1}
+        assert set(cache.get("doc.rdf#host").matched_subs) == {1}
         assert cache.get("doc.rdf#info").strong_refcount == 1
 
     def test_second_rule_match_tracked(self, schema, figure1):
         cache = CacheStore(schema)
         cache.apply_match(1, figure1_payload(figure1, schema))
         cache.apply_match(2, figure1_payload(figure1, schema))
-        assert cache.get("doc.rdf#host").matched_subs == {1, 2}
+        assert set(cache.get("doc.rdf#host").matched_subs) == {1, 2}
         # Refresh must not double-count the strong edge.
         assert cache.get("doc.rdf#info").strong_refcount == 1
 
@@ -154,6 +157,47 @@ class TestSharedStrongChildren:
         assert shared in cache
         cache.apply_unmatch(2, URIRef("p2.rdf#host"))
         assert shared not in cache
+
+
+class TestBookkeepingMemory:
+    """Traced bytes the store adds per entry; the resource, which the
+    notification payload shares, is excluded.  Entries as dataclasses
+    with a ``set`` of subscriptions cost 361 B with no matching
+    subscription and 869 B with twelve."""
+
+    ENTRIES = 2_000
+
+    def bytes_per_entry(self, schema, subscriptions: int) -> float:
+        resources = [
+            Resource(f"d{index}.rdf#host", "CycleProvider")
+            for index in range(self.ENTRIES)
+        ]
+        matches = [
+            (sub_id, ResourcePayload(resource, []))
+            for resource in resources
+            for sub_id in range(1_000, 1_000 + subscriptions)
+        ]
+        cache = CacheStore(schema)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if subscriptions:
+                cache.apply_matches(matches)
+            else:
+                for resource in resources:
+                    cache.insert_local(resource)
+            gc.collect()  # empties the free lists that keep temporaries
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == self.ENTRIES
+        return held / self.ENTRIES
+
+    def test_entry_no_rule_matches(self, schema):
+        assert self.bytes_per_entry(schema, 0) <= 150
+
+    def test_entry_twelve_rules_match(self, schema):
+        assert self.bytes_per_entry(schema, 12) <= 400
 
 
 def test_stats_shape(schema, figure1):

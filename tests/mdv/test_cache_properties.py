@@ -1,15 +1,20 @@
 """Property-based invariants for the LMR cache's reference counting.
 
-After an arbitrary sequence of match / unmatch / delete notifications,
-the strong reference counts on cache entries must equal a from-scratch
-recount over the entries' strong edges, and every entry must be
-retained for a reason (a matching rule, a positive refcount, or local
-registration).
+After an arbitrary sequence of match / unmatch / delete notifications
+and unsubscribes, the strong reference counts on cache entries must
+equal a from-scratch recount over the entries' strong edges, and every
+entry must be retained for a reason (a matching rule, a positive
+refcount, or local registration).  An unsubscribe, which walks only the
+subscription's own match list, must leave the same cache as one that
+walks every entry.
 """
+
+from unittest.mock import patch
 
 from tests.conftest import prop_settings
 from hypothesis import given, settings, strategies as st
 
+from repro.mdv import cache as cache_module
 from repro.mdv.cache import CacheStore
 from repro.mdv.provider import MetadataProvider
 from repro.mdv.repository import LocalMetadataRepository
@@ -49,10 +54,10 @@ def build_payload(index: int, target: int, memory: int) -> ResourcePayload:
 
 
 @st.composite
-def notification_sequences(draw):
+def notification_sequences(draw, max_steps=12):
     steps = []
-    for __ in range(draw(st.integers(min_value=1, max_value=12))):
-        kind = draw(st.sampled_from(["match", "unmatch", "delete"]))
+    for __ in range(draw(st.integers(min_value=1, max_value=max_steps))):
+        kind = draw(st.sampled_from(["match", "unmatch", "delete", "drop"]))
         index = draw(st.integers(min_value=0, max_value=DOC_COUNT - 1))
         if kind == "match":
             steps.append(
@@ -68,9 +73,34 @@ def notification_sequences(draw):
             steps.append(
                 ("unmatch", draw(st.sampled_from(SUB_IDS)), index)
             )
-        else:
+        elif kind == "delete":
             steps.append(("delete", index))
+        else:
+            steps.append(("drop", draw(st.sampled_from(SUB_IDS))))
     return steps
+
+
+def apply_step(cache: CacheStore, step, walk_every_entry=False) -> None:
+    """Apply one step; ``walk_every_entry`` unsubscribes by visiting
+    every cached entry instead of the subscription's match list."""
+    if step[0] == "match":
+        __, sub_id, index, target, memory = step
+        cache.apply_match(sub_id, build_payload(index, target, memory))
+    elif step[0] == "unmatch":
+        __, sub_id, index = step
+        cache.apply_unmatch(sub_id, URIRef(f"doc{index}.rdf#host"))
+    elif step[0] == "delete":
+        __, index = step
+        cache.apply_delete(URIRef(f"doc{index}.rdf#host"))
+    elif walk_every_entry:
+        __, sub_id = step
+        for uri in cache.uris():
+            entry = cache.get(uri)
+            if entry is not None and sub_id in entry.matched_subs:
+                cache.apply_unmatch(sub_id, uri)
+    else:
+        __, sub_id = step
+        cache.drop_subscription(sub_id)
 
 
 def recount_strong_refs(cache: CacheStore) -> dict[URIRef, int]:
@@ -88,15 +118,7 @@ def recount_strong_refs(cache: CacheStore) -> dict[URIRef, int]:
 def test_refcounts_match_recount(steps):
     cache = CacheStore(SCHEMA)
     for step in steps:
-        if step[0] == "match":
-            __, sub_id, index, target, memory = step
-            cache.apply_match(sub_id, build_payload(index, target, memory))
-        elif step[0] == "unmatch":
-            __, sub_id, index = step
-            cache.apply_unmatch(sub_id, URIRef(f"doc{index}.rdf#host"))
-        else:
-            __, index = step
-            cache.apply_delete(URIRef(f"doc{index}.rdf#host"))
+        apply_step(cache, step)
 
     recounted = recount_strong_refs(cache)
     for uri in cache.uris():
@@ -111,15 +133,7 @@ def test_unmatch_all_then_empty(steps):
     """Revoking every match empties the cache (no leaks, no dangling)."""
     cache = CacheStore(SCHEMA)
     for step in steps:
-        if step[0] == "match":
-            __, sub_id, index, target, memory = step
-            cache.apply_match(sub_id, build_payload(index, target, memory))
-        elif step[0] == "unmatch":
-            __, sub_id, index = step
-            cache.apply_unmatch(sub_id, URIRef(f"doc{index}.rdf#host"))
-        else:
-            __, index = step
-            cache.apply_delete(URIRef(f"doc{index}.rdf#host"))
+        apply_step(cache, step)
     for uri in list(cache.uris()):
         entry = cache.get(uri)
         if entry is None:
@@ -128,6 +142,37 @@ def test_unmatch_all_then_empty(steps):
             cache.apply_unmatch(sub_id, uri)
     # The ObjectGlobe schema has no strong cycles, so nothing survives.
     assert len(cache) == 0
+
+
+def assert_match_lists(cache: CacheStore) -> None:
+    """Every subscription's list covers its matches, its live count is
+    exact, and the list stays within its compaction bound."""
+    holders: dict[int, set[URIRef]] = {}
+    for uri in cache.uris():
+        for sub_id in cache.get(uri).matched_subs:
+            holders.setdefault(sub_id, set()).add(uri)
+    assert cache._sub_live == {s: len(uris) for s, uris in holders.items()}
+    assert set(cache._sub_uris) == set(holders)
+    for sub_id, uris in holders.items():
+        listed = cache._sub_uris[sub_id]
+        assert uris <= set(listed)
+        assert len(listed) <= 2 * len(uris) + cache_module._LIST_SLACK
+
+
+@prop_settings(150)
+@given(
+    steps=notification_sequences(max_steps=40),
+    slack=st.sampled_from([0, cache_module._LIST_SLACK]),
+)
+def test_drop_subscription_equals_walking_every_entry(steps, slack):
+    with patch.object(cache_module, "_LIST_SLACK", slack):
+        cache = CacheStore(SCHEMA)
+        reference = CacheStore(SCHEMA)
+        for step in steps:
+            apply_step(cache, step)
+            apply_step(reference, step, walk_every_entry=True)
+            assert cache_state(cache) == cache_state(reference)
+            assert_match_lists(cache)
 
 
 # ----------------------------------------------------------------------
@@ -209,8 +254,7 @@ def cache_state(cache: CacheStore):
     return (
         {
             uri: (
-                entry.resource, set(entry.matched_subs),
-                entry.strong_refcount,
+                entry.resource, entry.matched_subs, entry.strong_refcount,
             )
             for uri, entry in ((uri, cache.get(uri)) for uri in cache.uris())
         },

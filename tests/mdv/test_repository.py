@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SubscriptionError
+from repro.errors import NetworkError, SubscriptionError
 from repro.mdv.provider import MetadataProvider
 from repro.mdv.repository import LocalMetadataRepository
 from repro.net.bus import NetworkBus
@@ -72,6 +72,56 @@ class TestSubscriptionLifecycle:
         assert "doc1.rdf#host" in lmr.cache
         lmr.unsubscribe(rule)
         assert len(lmr.cache) == 0
+
+
+    def test_failed_unsubscribe_can_be_retried(self, world, monkeypatch):
+        mdp, lmr = world
+        mdp.register_document(make_doc(1))
+        lmr.subscribe(PASSAU_RULE)
+        real_unsubscribe = mdp.unsubscribe
+
+        def unreachable(subscriber, rule_text):
+            raise NetworkError("provider unreachable")
+
+        monkeypatch.setattr(mdp, "unsubscribe", unreachable)
+        with pytest.raises(NetworkError):
+            lmr.unsubscribe(PASSAU_RULE)
+        # Nothing was cancelled anywhere: the LMR still holds the
+        # subscription and its matches.
+        assert lmr.subscriptions() == [PASSAU_RULE]
+        assert "doc1.rdf#host" in lmr.cache
+
+        monkeypatch.setattr(mdp, "unsubscribe", real_unsubscribe)
+        lmr.unsubscribe(PASSAU_RULE)
+        assert mdp.registry.subscriptions_of("lmr") == []
+        assert lmr.subscriptions() == []
+        assert len(lmr.cache) == 0
+        # Subscribing again is a fresh subscription, not a duplicate.
+        lmr.subscribe(PASSAU_RULE)
+        assert "doc1.rdf#host" in lmr.cache
+
+    @pytest.mark.parametrize("filler", [10, 100])
+    def test_unsubscribe_visits_only_its_own_matches(
+        self, world, filler
+    ):
+        mdp, lmr = world
+        lmr.subscribe(PASSAU_RULE)
+        lmr.subscribe(
+            "search CycleProvider c register c "
+            "where c.serverHost contains 'tum'"
+        )
+        for index in range(3):
+            mdp.register_document(make_doc(index))
+        for index in range(3, 3 + filler):
+            mdp.register_document(make_doc(index, host="x.tum.de"))
+        assert len(lmr.cache) == 2 * (3 + filler)
+        visited = lmr.metrics.counter(
+            "lmr.unsubscribe.entries_visited", {"lmr": "lmr"}
+        )
+        lmr.unsubscribe(PASSAU_RULE)
+        # Three hosts matched, whatever the size of the cache.
+        assert visited.value == 3
+        assert len(lmr.cache) == 2 * filler
 
 
 class TestCacheConsistency:
