@@ -20,7 +20,8 @@ findings instead of raising on the first problem:
 and is the analyzer's only entry point: ``lint --db PATH`` lints a rule
 and then checks it for subsumption against a live store.  Subscribing
 never runs an analyzer, and no tier imports this package except the
-crash and socket-chaos oracles, which audit with ``invariants``.
+differential harness (``repro.workload.differential``), which audits
+with ``invariants``.
 """
 
 from __future__ import annotations

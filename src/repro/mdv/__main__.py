@@ -12,9 +12,6 @@ Commands:
   ``MDV-SERVE READY`` line with the bound port, drains gracefully on
   SIGTERM, and ``--metrics-dump PATH`` writes the final metrics
   snapshot on exit.
-- ``--chaos-seed N`` — fault-tolerance smoke check: run the seeded
-  chaos scenario twice (faulty and clean) and verify the faulty run
-  converged to the clean one after recovery; exits 1 on divergence.
 - ``--metrics`` — after any command, dump the metrics registry snapshot
   (counters, gauges, histograms accumulated by the run) as JSON.
 """
@@ -96,39 +93,6 @@ def run_demo() -> int:
     return 0
 
 
-def run_chaos(seed: int) -> int:
-    from repro.workload.chaos import run_chaos_scenario
-
-    print(f"chaos smoke check, seed {seed}")
-    faulty = run_chaos_scenario(seed, faulty=True)
-    clean = run_chaos_scenario(seed, faulty=False)
-    print("faulty:", faulty.summary())
-    print("clean: ", clean.summary())
-    failures = []
-    if faulty.provider_snapshots != clean.provider_snapshots:
-        failures.append("provider document stores diverged")
-    if faulty.lmr_snapshots != clean.lmr_snapshots:
-        failures.append("LMR caches diverged")
-    if not faulty.backbone_synchronized:
-        failures.append("backbone did not resynchronize")
-    if (faulty.batches_received - faulty.batches_applied
-            != faulty.duplicates_ignored):
-        failures.append("dedup counters are inconsistent")
-    if not faulty.stale_read_observed:
-        failures.append("partitioned LMR read was not flagged stale")
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"ok: converged after {faulty.faults_injected} injected faults "
-        f"({faulty.duplicates_ignored} duplicate batches ignored, "
-        f"{faulty.recovery.get('redriven', 0)} dead letters redriven, "
-        f"{faulty.recovery.get('repaired', 0)} anti-entropy repairs)"
-    )
-    return 0
-
-
 def run_explain(rule_text: str) -> int:
     schema = objectglobe_schema()
     try:
@@ -142,14 +106,7 @@ def run_explain(rule_text: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.mdv",
-        description="MDV demo, rule-inspection and chaos-smoke commands.",
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the seeded fault-tolerance smoke check and exit",
+        description="MDV demo, rule-inspection and serve commands.",
     )
     parser.add_argument(
         "--metrics",
@@ -188,9 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # Fresh registry per invocation: the run's metrics, nothing else's.
     reset_default_registry()
-    if args.chaos_seed is not None:
-        status = run_chaos(args.chaos_seed)
-    elif args.command == "demo":
+    if args.command == "demo":
         status = run_demo()
     elif args.command == "explain":
         status = run_explain(args.rule)
@@ -202,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     else:
         parser.error(
-            "a command (demo|explain|serve) or --chaos-seed is required"
+            "a command (demo|explain|serve) is required"
         )
         return 2  # pragma: no cover - parser.error raises SystemExit
     if args.metrics:

@@ -36,7 +36,8 @@ every provider operation is one SQLite transaction, so the store holds
 whole operations only, and a restarted MDP simply resumes.  What the
 crash must not lose is kept by the durability knobs
 (``durability="safe"``, ``durable_delivery``) plus the subscriber-side
-dedup floor, which the socket chaos suite exercises end to end.
+dedup floor, which the differential harness's kill plan exercises end
+to end.
 """
 
 from __future__ import annotations

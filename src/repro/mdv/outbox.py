@@ -483,10 +483,15 @@ class Outbox:
             if high > self._next_seq.get(destination, 0):
                 self._next_seq[destination] = high
         restored = 0
+        queued = {
+            (name, entry.seq)
+            for name, queue in self._queues.items()
+            for entry in queue
+        }
         for entry in self._store.undelivered():
-            queue = self._queues.setdefault(entry.destination, deque())
-            if any(pending.seq == entry.seq for pending in queue):
+            if (entry.destination, entry.seq) in queued:
                 continue
+            queue = self._queues.setdefault(entry.destination, deque())
             entry.enqueued_ms = self._clock()
             queue.append(entry)
             self.enqueued += 1
@@ -541,6 +546,11 @@ class Outbox:
         if self._store is not None:
             entries = self._store.entries_since(destination, after_seq)
         else:
+            # A restarted sender without a store numbers from scratch;
+            # continue past what the receiver applied, or it would drop
+            # the new stream as duplicates.
+            if after_seq > self._next_seq.get(destination, 0):
+                self._next_seq[destination] = after_seq
             entries = [
                 entry
                 for entry in self._history.get(destination, [])

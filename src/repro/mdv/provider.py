@@ -564,7 +564,9 @@ class MetadataProvider:
         Vocabulary registered after subscriptions widens already-stored
         rules, so their materialized result sets must be recomputed
         against the existing metadata — future publications resync via
-        the registry's mutation log, but stored state does not.
+        the registry's mutation log, but stored state does not.  A
+        subscription whose end rule gains matches is notified of them,
+        as a publish would notify it.
         """
         if self.registry.semantics == "off":
             return
@@ -575,8 +577,22 @@ class MetadataProvider:
                 "WHERE kind = 'triggering' ORDER BY rule_id"
             )
             rule_ids = [int(row["rule_id"]) for row in rows]
+        subscribed = {
+            int(row["end_rule"])
+            for row in self.db.query_all(
+                "SELECT DISTINCT end_rule FROM subscriptions"
+            )
+        }
+        outcome = PublishOutcome()
         for rule_id in rule_ids:
+            if rule_id not in subscribed:
+                initialize_triggering_rule(self.db, rule_id)
+                continue
+            before = set(self.engine.current_matches(rule_id))
             initialize_triggering_rule(self.db, rule_id)
+            for uri in set(self.engine.current_matches(rule_id)) - before:
+                outcome.add_matched(rule_id, uri)
+        self._publish(outcome)
 
     def unsubscribe(self, subscriber: str, rule_text: str) -> None:
         """Remove every subscription registered under ``rule_text``."""
@@ -760,11 +776,6 @@ class MetadataProvider:
         handler = self._direct_subscribers.get(batch.subscriber)
         if handler is not None:
             handler(batch)
-            return
-        if self.bus is not None:  # pragma: no cover - bus implies outbox
-            self.bus.send_one_way(
-                self.name, batch.subscriber, "notifications", batch
-            )
 
     def resync_subscriber(self, subscriber: str, after_seq: int) -> int:
         """Replay everything a restarted subscriber may have missed.

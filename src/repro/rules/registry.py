@@ -141,7 +141,6 @@ class RuleRegistry:
             if semantics != "off"
             else None
         )
-        self._salt_counter = 0
         #: Cache of reconstructed atom nodes, keyed by rule id.  Only
         #: :meth:`load_atom` fills it, never an insert: an atom whose
         #: transaction rolls back (its AUTOINCREMENT id is reused by the
@@ -244,12 +243,17 @@ class RuleRegistry:
         """The rule text persisted for ``atom``.
 
         With deduplication disabled a unique salt keeps the UNIQUE
-        constraint satisfied while preventing any sharing.
+        constraint satisfied while preventing any sharing.  The salt
+        exceeds every stored rule id, and every stored salt is at most
+        its own row's id, so a registry reopened on the store cannot
+        reuse one.
         """
         if self.deduplicate:
             return atom.key
-        self._salt_counter += 1
-        return f"{atom.key}~!{self._salt_counter}"
+        salt = self._db.scalar(
+            "SELECT COALESCE(MAX(rule_id), 0) + 1 FROM atomic_rules"
+        )
+        return f"{atom.key}~!{salt}"
 
     def _insert_atom(self, atom: AtomNode, ids: dict[str, int]) -> int:
         if isinstance(atom, TriggeringAtom):

@@ -21,7 +21,7 @@ contract explicit in two halves:
   torn away.  A plan with no target never fires and doubles as a
   boundary *counter*, which is how the crash oracle enumerates
   every crash point of a scripted workload before sweeping them
-  (:mod:`repro.workload.crashes`).
+  (the ``crash`` fault plan of :mod:`repro.workload.differential`).
 """
 
 from __future__ import annotations

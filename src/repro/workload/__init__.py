@@ -18,17 +18,9 @@ from repro.workload.rules import (
     rules_of_type,
     synth_value_for_fraction,
 )
-from repro.workload.chaos import (
-    ChaosReport,
-    resource_snapshot,
-    run_chaos_scenario,
-)
 from repro.workload.scenarios import WorkloadSpec
 
 __all__ = [
-    "ChaosReport",
-    "resource_snapshot",
-    "run_chaos_scenario",
     "HOST_DOMAIN",
     "JOIN_CPU",
     "benchmark_batch",

@@ -1,104 +1,55 @@
-"""All evaluation modes must produce identical matches.
+"""All evaluation modes must produce identical results.
 
-The engine has three knobs — rule groups on/off (paper ablation),
-member-scan vs delta-probe join evaluation, and atomic-rule
-deduplication on/off.  They trade performance; results must be equal.
+Rule groups on/off (paper ablation), member-scan vs delta-probe join
+evaluation and atomic-rule deduplication on/off trade performance;
+through the differential harness each combination must reproduce the
+reference digest of seed 1.
 """
 
 import pytest
 
-from repro.filter.engine import FilterEngine
-from repro.rdf.diff import deletion_diff, diff_documents
-from repro.rdf.model import Document, URIRef
-from repro.rules.decompose import decompose_rule
-from repro.rules.normalize import normalize_rule
-from repro.rules.parser import parse_rule
-from repro.rules.registry import RuleRegistry
-from repro.storage.engine import Database
-from repro.storage.schema import create_all
-
-RULES = [
-    "search CycleProvider c register c where c.serverHost contains 'passau'",
-    "search CycleProvider c register c where c.serverInformation.memory > 64",
-    "search CycleProvider c register c where c.serverInformation.cpu > 500",
-    "search CycleProvider c register c "
-    "where c.serverHost contains 'de' "
-    "and c.serverInformation.memory > 64 and c.serverInformation.cpu > 500",
-    "search ServerInformation s register s where s.memory >= 100",
-    "search CycleProvider c register c",
-]
-
-
-def make_documents():
-    documents = []
-    specs = [
-        (0, "a.uni-passau.de", 92, 600),
-        (1, "b.tum.de", 128, 400),
-        (2, "c.uni-passau.de", 32, 700),
-        (3, "d.fu.de", 100, 501),
-    ]
-    for index, host, memory, cpu in specs:
-        doc = Document(f"doc{index}.rdf")
-        provider = doc.new_resource("host", "CycleProvider")
-        provider.add("serverHost", host)
-        provider.add("serverInformation", URIRef(f"doc{index}.rdf#info"))
-        info = doc.new_resource("info", "ServerInformation")
-        info.add("memory", memory)
-        info.add("cpu", cpu)
-        documents.append(doc)
-    return documents
-
-
-def run_scenario(schema, use_rule_groups, join_evaluation, deduplicate):
-    db = Database()
-    create_all(db)
-    registry = RuleRegistry(db, deduplicate=deduplicate)
-    engine = FilterEngine(db, registry, use_rule_groups, join_evaluation)
-    ends = {}
-    for index, text in enumerate(RULES):
-        normalized = normalize_rule(parse_rule(text), schema)[0]
-        registration = registry.register_subscription(
-            f"lmr{index}", text, decompose_rule(normalized, schema)
-        )
-        engine.initialize_rules(registration.created)
-        ends[text] = registration.end_rule
-
-    documents = make_documents()
-    outcomes = []
-    for doc in documents:
-        outcomes.append(engine.process_diff(diff_documents(None, doc)))
-
-    # Exercise the update path too: flip memory of doc0, delete doc2.
-    updated = documents[0].copy()
-    updated.get("doc0.rdf#info").set("memory", 10)
-    outcomes.append(engine.process_diff(diff_documents(documents[0], updated)))
-    outcomes.append(engine.process_diff(deletion_diff(documents[2])))
-
-    final = {
-        text: frozenset(engine.current_matches(end))
-        for text, end in ends.items()
-    }
-    db.close()
-    return final
+from repro.workload.differential import reference_digest
+from tests.workload.differential_helpers import checked
 
 
 @pytest.mark.parametrize("use_rule_groups", [True, False])
 @pytest.mark.parametrize("join_evaluation", ["scan", "probe"])
 @pytest.mark.parametrize("deduplicate", [True, False])
-def test_modes_agree(schema, use_rule_groups, join_evaluation, deduplicate):
-    baseline = run_scenario(schema, True, "scan", True)
-    variant = run_scenario(schema, use_rule_groups, join_evaluation, deduplicate)
-    assert variant == baseline
+def test_modes_agree(use_rule_groups, join_evaluation, deduplicate):
+    assert checked(
+        1,
+        use_rule_groups=use_rule_groups,
+        join_evaluation=join_evaluation,
+        deduplicate=deduplicate,
+    ) == []
 
 
-def test_baseline_is_correct(schema):
-    """Final state after doc0's memory drops to 10 and doc2 is deleted."""
-    final = run_scenario(schema, True, "scan", True)
-    host = lambda i: URIRef(f"doc{i}.rdf#host")  # noqa: E731
-    info = lambda i: URIRef(f"doc{i}.rdf#info")  # noqa: E731
-    assert final[RULES[0]] == frozenset({host(0)})
-    assert final[RULES[1]] == frozenset({host(1), host(3)})
-    assert final[RULES[2]] == frozenset({host(0), host(3)})
-    assert final[RULES[3]] == frozenset({host(3)})
-    assert final[RULES[4]] == frozenset({info(1), info(3)})
-    assert final[RULES[5]] == frozenset({host(0), host(1), host(3)})
+def test_baseline_is_correct():
+    """The reference's match sets of hand-placed cases, in closed form."""
+    from repro.workload.differential import JOINER, LONE, scenario
+
+    by_lmr = reference_digest(1)["provider"]["matches"]
+
+    def match(rule: str) -> list[str]:
+        (uris,) = [m[rule] for m in by_lmr.values() if rule in m]
+        return uris
+
+    ops = scenario(1)
+    deleted = {op[1] for op in ops if op[0] == "delete"}
+    documents = [op[1] for op in ops if op[0] == "publish"]
+    documents += [doc for op in ops if op[0] == "batch" for doc in op[1]]
+    hosts = {
+        str(resource.uri): str(resource.get_one("serverHost").value)
+        for doc in documents if doc.uri not in deleted
+        for resource in doc if resource.rdf_class == "CycleProvider"
+    }
+    head = "search CycleProvider c register c where c.serverHost contains "
+    for needle in ("", "c.uni-muenchen.de.org", "ana", "abcde"):
+        assert match(f"{head}'{needle}'") == sorted(
+            uri for uri, host in hosts.items() if needle in host
+        )
+    assert match(f"{head}'ana'") and not match(f"{head}'c.uni-muenchen.de.org'")
+    # ``cpu > 950``: the lone end rule holds every fast ServerInformation
+    # still stored; the join was unsubscribed, so no live match set.
+    assert match(LONE) and all(uri.endswith("#info") for uri in match(LONE))
+    assert not [m for m in by_lmr.values() if JOINER in m]

@@ -1,16 +1,23 @@
-"""Crash differential oracle (tier-1 matrix).
+"""Crash differential oracle (tier-1 sample).
 
-Every enumerated crash point must leave the restarted, resumed run
-byte-identical to the never-crashed baseline: same applied notification
-stream, same LMR cache, and an invariant audit that is clean right after
-each crash (nothing needs repair) and at the end.  The full sweep
-(``--stride 5``) runs in CI; here a coarser statement stride keeps the
-matrix inside tier-1 budgets while still covering every commit boundary.
+Killed at an enumerated crash point, restarted and resumed, the
+scenario of :mod:`repro.workload.differential` must reproduce the
+never-crashed run: the same digest and delivery stamps, and an
+invariant audit that is clean right after each crash (nothing needs
+repair) and at the end.  CI sweeps every commit and every 5th
+statement boundary; here a sample of the enumerated points keeps each
+arm inside tier-1 budgets.
 """
 
 import pytest
 
-from repro.workload.crashes import run_crash_scenario, run_crash_sweep
+from repro.storage.durability import CrashPlan, CrashPoint
+from repro.workload.differential import (
+    Run,
+    crash_run,
+    run_crash_sweep,
+    scenario,
+)
 
 MATRIX = [
     pytest.param(
@@ -22,8 +29,7 @@ MATRIX = [
         (7, "sql", True),
         (42, "sql", True),
         # The counting matcher rebuilds its in-memory index on restart
-        # (the mutation log dies with the process) — the resumed stream
-        # must still be byte-identical.
+        # (the mutation log dies with the process).
         (7, "counting", True),
         # In-process delivery: no persisted outbox, so only the single
         # transaction per operation keeps a crash from tearing it.
@@ -38,33 +44,59 @@ MATRIX = [
 def test_crash_sweep_matches_baseline(seed, triggering, durable):
     report = run_crash_sweep(
         seed,
-        triggering=triggering,
-        statement_stride=45,
-        documents=4,
-        durable_delivery=durable,
+        {"triggering": triggering, "durable_delivery": durable},
+        stride=45,
+        sample=80,
     )
-    assert report.points_tested > 0
-    assert report.points_fired > 0
+    assert report.points_tested >= 2
     assert report.ok, report.failures
 
 
 def test_baseline_run_counts_boundaries():
-    result = run_crash_scenario(1, None, documents=4)
-    assert not result.crashed
-    assert result.statements > result.commits > 0
-    assert result.audit_findings == []
-    assert result.stream  # the workload produced notifications
+    run, plan = crash_run(1, {"durable_delivery": True})
+    assert not plan.fired
+    assert plan.statements_seen > plan.commits_seen > 0
+    assert run.failures == []
+    assert all(run.streams.values())
 
 
 def test_single_crash_point_recovers():
-    baseline = run_crash_scenario(1, None, documents=4)
-    from repro.storage.durability import CrashPoint
+    config = {"durable_delivery": True}
+    baseline, __ = crash_run(1, config)
+    crashed, plan = crash_run(1, config, CrashPoint("commit", 3))
+    assert plan.fired
+    assert crashed.recoveries == 1
+    assert crashed.failures == []
+    assert crashed.digest() == baseline.digest()
+    assert crashed.stamps == baseline.stamps
 
-    crashed = run_crash_scenario(
-        1, CrashPoint("commit", 3), documents=4
-    )
-    assert crashed.crashed
-    assert crashed.recoveries >= 1
-    assert crashed.stream == baseline.stream
-    assert crashed.cache == baseline.cache
-    assert crashed.audit_findings == []
+
+def test_crashes_inside_the_batch_and_the_catch_up():
+    """Found by the seed-7 sweeps.  A crash after the scenario's batch
+    (which registers one URI twice) had committed made the retry apply
+    it twice over; a crash inside the catch-up made the retried
+    replacement LMR look like a third one.  Crash at every commit of
+    the batch and every statement of the catch-up."""
+    config = {"durable_delivery": True, "triggering": "counting"}
+    counting = Run(config)
+    plan = CrashPlan()
+    counting.db.install_crash_plan(plan)
+    points = []
+    for op in scenario(7):
+        statements, commits = plan.statements_seen, plan.commits_seen
+        counting.apply(op)
+        if op[0] == "batch":
+            points += [CrashPoint("commit", n)
+                       for n in range(commits + 1, plan.commits_seen + 1)]
+        if op[0] == "catch_up":
+            points += [CrashPoint("statement", n)
+                       for n in range(statements + 1, plan.statements_seen + 1)]
+    counting.close()
+    assert len(points) >= 2
+    baseline, __ = crash_run(7, config)
+    for point in points:
+        crashed, fired = crash_run(7, config, point)
+        assert fired.fired
+        assert crashed.failures == []
+        assert crashed.digest() == baseline.digest()
+        assert crashed.stamps == baseline.stamps

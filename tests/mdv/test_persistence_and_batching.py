@@ -180,6 +180,7 @@ class TestBatchRegistration:
     def test_same_uri_twice_in_one_batch_equals_two_calls(self, schema):
         """Regression: both versions used to be ingested as fresh, which
         left the first one's atoms and materialized rows behind."""
+        from repro.workload.differential import batch_image
 
         def system():
             mdp = MetadataProvider(schema)
@@ -187,7 +188,7 @@ class TestBatchRegistration:
             stream = []
 
             def record(batch):
-                stream.append(list(batch.notifications))
+                stream.append(batch_image(batch)["notifications"])
                 return lmr.apply_batch(batch)
 
             mdp.connect_subscriber("lmr", record)
@@ -248,7 +249,7 @@ def test_rolled_back_batch_leaves_no_state_in_memory(schema, durable):
     queued notifications in memory."""
     from repro.errors import SchemaValidationError
     from repro.rdf.model import Resource
-    from repro.workload.chaos import resource_snapshot
+    from repro.workload.differential import resource_snapshot
 
     def system():
         mdp = MetadataProvider(schema, durable_delivery=durable)

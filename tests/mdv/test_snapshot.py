@@ -5,7 +5,7 @@ import os
 from repro.analysis.invariants import audit_database
 from repro.mdv.provider import MetadataProvider
 from repro.mdv.repository import LocalMetadataRepository
-from repro.workload.chaos import resource_snapshot
+from repro.workload.differential import resource_snapshot
 from repro.workload.documents import benchmark_document, document_uri
 from repro.workload.rules import comp_rule, con_rule, con_token
 

@@ -18,7 +18,7 @@ import pytest
 from repro.net.codec import to_wire
 from repro.net.frames import FrameDecoder, encode_frame
 from repro.workload.documents import benchmark_document
-from repro.workload.socket_chaos import launch_node
+from repro.workload.differential import launch_node
 
 
 @pytest.fixture(scope="module")

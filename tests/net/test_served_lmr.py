@@ -23,7 +23,7 @@ from repro.mdv.daemon import ServiceConfig, _build_node
 from repro.net.socket import SocketTransport
 from repro.obs.metrics import MetricsRegistry
 from repro.workload.documents import benchmark_document, document_uri
-from repro.workload.socket_chaos import launch_node
+from repro.workload.differential import launch_node
 from tests.net.service_helpers import ProviderNode, ServingThread
 
 RULE = "search CycleProvider c register c"

@@ -1,124 +1,19 @@
 """Sim-vs-socket differential oracle.
 
-The simulated :class:`NetworkBus` and the real :class:`SocketTransport`
-must be *observably identical* to the metadata tier: the same seeded
-workload, run once over each transport, has to produce byte-identical
-notification streams (canonical wire encoding of every batch the LMR
-receives) and the same final provider registry and LMR cache state.
-Any divergence means one transport reorders, drops, duplicates, or
-re-encodes something the other does not — exactly the class of bug a
-per-transport unit test cannot see.
+The real :class:`~repro.net.socket.SocketTransport` must be observably
+identical to the in-process paths: through the differential harness
+(:mod:`repro.workload.differential`) the scenario served over a socket
+must reproduce the reference digest — every LMR's applied notification
+stream, the provider's documents and match sets, and the LMR caches —
+under both triggering modes.  The covering array
+(``tests/workload/test_differential.py``) runs the simulated bus.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
-
 import pytest
 
-from repro.mdv.provider import MetadataProvider
-from repro.mdv.repository import LocalMetadataRepository
-from repro.net.bus import NetworkBus
-from repro.net.codec import dumps
-from repro.net.socket import SocketTransport
-from repro.obs.metrics import MetricsRegistry
-from repro.rdf.schema import objectglobe_schema
-from repro.workload.chaos import resource_snapshot
-from repro.workload.documents import benchmark_document, document_uri
-from tests.net.service_helpers import ProviderNode
-
-RULES = (
-    "search CycleProvider c register c",
-    "search CycleProvider c register c "
-    "where c.serverInformation.memory >= 96",
-)
-QUERY = "search CycleProvider c"
-SEEDS = (1, 7, 42)
-DOCUMENTS = 12
-
-
-def _drive(seed: int, lmr: LocalMetadataRepository) -> None:
-    """One deterministic workload: subscriptions, churn, a deletion."""
-    for rule in RULES:
-        lmr.subscribe(rule)
-    rng = random.Random(seed)
-    registered: list[int] = []
-    for ordinal in range(DOCUMENTS):
-        if registered and rng.random() < 0.4:
-            index = rng.choice(registered)
-        else:
-            index = ordinal
-            registered.append(index)
-        lmr.register_document(benchmark_document(
-            index,
-            memory=rng.choice((32, 64, 96, 128)),
-            server_host=f"host-{rng.randrange(4)}.example.org",
-        ))
-    victim = registered[rng.randrange(len(registered))]
-    lmr.delete_document(document_uri(victim))
-    lmr.resync()
-
-
-def _capture_stream(transport, lmr: LocalMetadataRepository) -> list[bytes]:
-    """Re-register the LMR behind a recorder of canonical batch bytes."""
-    stream: list[bytes] = []
-
-    def recorder(message):
-        if message.kind == "notifications":
-            stream.append(dumps(message.payload))
-        return lmr._handle_message(message)
-
-    transport.register(lmr.name, recorder)
-    return stream
-
-
-def _state_digest(lmr: LocalMetadataRepository) -> str:
-    snapshots = sorted(
-        resource_snapshot(resource) for resource in lmr.cache.resources()
-    )
-    return hashlib.sha256(dumps(snapshots)).hexdigest()
-
-
-def _run_sim(seed: int, triggering: str):
-    bus = NetworkBus(metrics=MetricsRegistry())
-    provider = MetadataProvider(
-        objectglobe_schema(),
-        name="mdp-1",
-        bus=bus,
-        metrics=bus.metrics,
-        triggering=triggering,
-    )
-    lmr = LocalMetadataRepository(
-        "lmr-a", provider, bus=bus, metrics=bus.metrics
-    )
-    stream = _capture_stream(bus, lmr)
-    _drive(seed, lmr)
-    digest = bus.send("lmr-a", "mdp-1", "digest", None)
-    provider.close()
-    return stream, _state_digest(lmr), lmr.stats(), digest
-
-
-def _run_socket(seed: int, triggering: str):
-    node = ProviderNode(name="mdp-1", triggering=triggering)
-    client = SocketTransport(metrics=MetricsRegistry()).start()
-    try:
-        client.add_peer("mdp-1", "127.0.0.1", node.port)
-        node.add_peer("lmr-a", client.port)
-        lmr = LocalMetadataRepository(
-            "lmr-a", node.provider, bus=client, metrics=client.metrics
-        )
-        stream = _capture_stream(client, lmr)
-        # The provider pushes notifications while the LMR waits inside
-        # its own request (subscribe, publish, resync) — as the served
-        # LMR daemon does.
-        client.set_reentrant_kinds("lmr-a", {"notifications"})
-        _drive(seed, lmr)
-        digest = client.send("lmr-a", "mdp-1", "digest", None)
-        return stream, _state_digest(lmr), lmr.stats(), digest
-    finally:
-        client.close()
-        node.close()
+from tests.workload.differential_helpers import SEEDS, checked
 
 
 @pytest.mark.parametrize("triggering", ["sql", "counting"])
@@ -126,14 +21,4 @@ def _run_socket(seed: int, triggering: str):
 def test_sim_and_socket_transports_are_observably_identical(
     seed, triggering
 ):
-    sim_stream, sim_state, sim_stats, sim_digest = _run_sim(seed, triggering)
-    sock_stream, sock_state, sock_stats, sock_digest = _run_socket(
-        seed, triggering
-    )
-    # The workload actually produced notifications — the oracle is not
-    # vacuously comparing empty streams.
-    assert sim_stream
-    assert sim_stream == sock_stream
-    assert sim_state == sock_state
-    assert sim_stats == sock_stats
-    assert sim_digest == sock_digest
+    assert checked(seed, triggering=triggering, transport="socket") == []
