@@ -12,7 +12,8 @@ path or failure sits in between.  Three parts check it:
   from a snapshot.  :data:`HOSTS`, :data:`NEEDLES` and
   :data:`TARGETED_RULES` hold the cases matchers get wrong.
 - **One digest** (:meth:`Run.digest`): the notification stream each
-  LMR applied, the provider's documents and match sets, each LMR cache.
+  LMR applied, each unsubscribed rule's matches as it was dropped, the
+  provider's documents and match sets, each LMR cache.
 - **One runner** over configuration × transport × fault plan.  A
   configuration (:data:`DIMENSIONS`) is ``MetadataProvider`` keyword
   arguments plus ``use_rule_groups`` and ``deduplicate``, set on the
@@ -24,11 +25,14 @@ path or failure sits in between.  Three parts check it:
   (:func:`run_kill`).
 
 Every fault-free run must reproduce the baseline configuration's direct
-run at its ``semantics`` degree (:func:`check`), and every run audits
-itself: a clean store audit, browse equal to subscription, agreement
-with :class:`~repro.semantics.SemanticOracle` on the single-atom rules,
-caches holding exactly the provider's matches with its content, and no
-batch applied twice.  CLI::
+run at its ``semantics`` degree (:func:`check`; a run that differs from
+it in triggering and transport only, also its filter passes), and
+every run audits itself: a clean store audit, browse equal to
+subscription (where atoms are not shared), agreement with :class:`~repro.semantics.SemanticOracle`
+on the single-atom rules and with a :func:`closed_form` evaluation on
+the objectglobe rules (at the end, and as each is unsubscribed), caches
+holding exactly the provider's matches with its content, and no batch
+applied twice.  CLI::
 
     python -m repro.workload.differential --faults none|crash|chaos|kill --seed N [--stride K]
 
@@ -42,6 +46,7 @@ import argparse
 import gc
 import itertools
 import json
+import operator
 import os
 import random
 import re
@@ -204,8 +209,12 @@ _HOST_TEMPLATES = (
     _HOST + "c.serverHost contains '{a}' or c.serverHost contains '{b}'",
     _HOST + "c.serverInformation.cpu <= {cpu}",
 )
-#: Subscribed in every scenario, whatever the seed draws.
+#: Subscribed in every scenario, whatever the seed draws: a class-only
+#: rule, a three-conjunct join and the needle and range cases.
 TARGETED_RULES = (
+    "search CycleProvider c register c",
+    _HOST + "c.serverHost contains 'de' and c.serverInformation.memory > 64"
+    " and c.serverInformation.cpu > 500",
     _HOST + "c.serverHost contains ''",
     _HOST + "c.serverHost contains 'c.uni-muenchen.de.org'",
     _HOST + "c.serverHost contains 'ana'",
@@ -456,10 +465,9 @@ def batch_image(batch: NotificationBatch) -> dict:
     }
 
 
-def _stream_entry(batch: NotificationBatch) -> dict:
-    """:func:`batch_image` without the delivery stamp, in canonical
+def _stream_entry(image: dict) -> dict:
+    """A :func:`batch_image` without the delivery stamp, in canonical
     order: what every configuration must apply alike."""
-    image = batch_image(batch)
     return {
         "subscriber": image["subscriber"],
         "notifications": sorted(
@@ -472,23 +480,25 @@ def cache_image(lmr: LocalMetadataRepository) -> list[tuple]:
     return sorted(map(resource_snapshot, lmr.cache.resources()))
 
 
-def provider_image(provider: MetadataProvider) -> dict:
-    """Stored documents, and per LMR each rule text's current matches
+def subscription_matches(provider: MetadataProvider, lmr: str) -> dict:
+    """Each rule text ``lmr`` subscribes and its current matches
     (or-conjuncts merged)."""
-    matches = {}
-    for name in LMRS:
-        by_text: dict[str, set[str]] = {}
-        for sub in provider.registry.subscriptions_of(name):
-            by_text.setdefault(sub.rule_text.split("#or")[0], set()).update(
-                map(str, provider.engine.current_matches(sub.end_rule))
-            )
-        matches[name] = {text: sorted(uris) for text, uris in by_text.items()}
+    by_text: dict[str, set[str]] = {}
+    for sub in provider.registry.subscriptions_of(lmr):
+        by_text.setdefault(sub.rule_text.split("#or")[0], set()).update(
+            map(str, provider.engine.current_matches(sub.end_rule))
+        )
+    return {text: sorted(uris) for text, uris in by_text.items()}
+
+
+def provider_image(provider: MetadataProvider) -> dict:
+    """Stored documents, and per LMR its :func:`subscription_matches`."""
     return {
         "documents": {
             uri: sorted(map(resource_snapshot, provider.document(uri)))
             for uri in provider.document_uris()
         },
-        "matches": matches,
+        "matches": {name: subscription_matches(provider, name) for name in LMRS},
     }
 
 
@@ -512,20 +522,69 @@ def audit_failures(db: Database) -> list[str]:
     return [f"[{d.code}] {d.message}" for d in audit_database(db).diagnostics]
 
 
+def stored_resources(provider: MetadataProvider) -> dict[str, Resource]:
+    return {
+        str(r.uri): r for uri in provider.document_uris() for r in provider.document(uri)
+    }
+
+
+_OBJECTGLOBE = ("CycleProvider", "ServerInformation")
+_ATOM = re.compile(r"\w+\.([\w.]+) (contains|<=|>=|<|>) ('.*'|[\d.]+)$")
+_ORDER = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+
+
+def closed_form(rule: str, resources: dict[str, Resource]) -> list[str]:
+    """The URIs an objectglobe rule of the scenario matches among
+    ``resources`` (by URI), evaluated by hand: each path followed
+    through references, strings tested by containment and numbers
+    compared as numbers."""
+    head, __, condition = rule.partition(" where ")
+    combine, atoms = (any, condition.split(" or ")) if " or " in condition else (
+        all, condition.split(" and ") if condition else []
+    )
+
+    def holds(resource: Resource, atom: str) -> bool:
+        path, test, constant = _ATOM.match(atom).groups()
+        found = [resource]
+        for step in path.split("."):
+            found = [resources.get(str(v), v) for r in found for v in r.get(step)]
+        if test == "contains":
+            return any(constant.strip("'") in v.value for v in found)
+        return any(_ORDER[test](float(v.value), float(constant)) for v in found)
+
+    return sorted(
+        uri for uri, resource in resources.items()
+        if resource.rdf_class == head.split()[1]
+        and combine(holds(resource, atom) for atom in atoms)
+    )
+
+
+def closed_form_failures(resources: dict[str, Resource], matches: dict) -> list[str]:
+    """Each objectglobe rule in ``matches`` (rule text → URIs) whose
+    URIs differ from its :func:`closed_form` over ``resources``."""
+    return [
+        f"{text!r} differs from its closed form"
+        for text, uris in matches.items()
+        if text.split()[1] in _OBJECTGLOBE and closed_form(text, resources) != uris
+    ]
+
+
 def provider_facts(provider: MetadataProvider) -> dict:
     """The provider's side of the end state: its :func:`provider_image`
     and, as ``failures``, the store audit, each browse that differs from
-    the subscription it states and each single-atom rule that disagrees
-    with :class:`SemanticOracle`."""
+    the subscription it states (without deduplication), each single-atom
+    rule that disagrees with :class:`SemanticOracle` and each objectglobe
+    rule that differs from its :func:`closed_form`."""
     failures = audit_failures(provider.db)
     image = provider_image(provider)
     oracle = SemanticOracle(provider.registry.semantic_store, provider.semantics)
+    resources = stored_resources(provider)
     rows = {
-        str(r.uri): (r.rdf_class, [(s.predicate, s.sql_value()) for s in r.statements()])
-        for uri in provider.document_uris()
-        for r in provider.document(uri)
+        uri: (r.rdf_class, [(s.predicate, s.sql_value()) for s in r.statements()])
+        for uri, r in resources.items()
     }
     for name in LMRS:
+        failures += closed_form_failures(resources, image["matches"][name])
         for sub in provider.registry.subscriptions_of(name):
             if sub.rule_text not in SEMANTIC_RULES:
                 continue
@@ -539,6 +598,11 @@ def provider_facts(provider: MetadataProvider) -> dict:
             )
             if predicted != image["matches"][name][sub.rule_text]:
                 failures.append(f"{sub.rule_text!r} disagrees with the semantic oracle")
+        if provider.registry.deduplicate:
+            # A browse equal to a live rule then creates no atom and
+            # reads that rule's own matches; only an unshared registry
+            # evaluates it afresh.
+            continue
         for text, found in image["matches"][name].items():
             query = re.sub(r" register \w+", "", text)
             if sorted(str(r.uri) for r in provider.browse(query)) != found:
@@ -583,9 +647,12 @@ class Run:
 
     :meth:`apply` runs operations, :meth:`finish` settles delivery and
     audits the end state into :attr:`failures`, :meth:`digest` returns
-    the canonical image.  With a crash plan armed on :attr:`db` (direct
-    transport) a :class:`~repro.errors.CrashError` restarts the provider
-    and the operation is retried.
+    the canonical image.  :attr:`applied` keeps each LMR's batches as
+    they arrived (order and stamps included), :attr:`passes` each
+    filter pass's triggering hits and join iterations.  With a crash
+    plan armed on :attr:`db` (direct transport) a
+    :class:`~repro.errors.CrashError` restarts the provider and the
+    operation is retried.
 
     Over ``socket`` the provider is a served node, as ``python -m
     repro.mdv serve`` runs one: a forked process that owns the store and
@@ -603,10 +670,15 @@ class Run:
         self.kwargs = config
         self.schema = harness_schema()
         self.metrics = MetricsRegistry()
-        self.streams: dict[str, list[dict]] = {name: [] for name in LMRS}
+        #: Each LMR's applied batches, as :func:`batch_image` reads them.
+        self.applied: dict[str, list[dict]] = {name: [] for name in LMRS}
         #: ``(LMR, replacements, source, seq)`` of each stamped batch
         #: applied: exactly once per LMR object.
         self.stamps: list[tuple] = []
+        #: The provider's matches of each rule as it was unsubscribed.
+        self.unsubscribed: dict[str, list[str]] = {}
+        #: ``(triggering hits, join iterations)`` of each filter pass.
+        self.passes: list = []
         self._replacements = dict.fromkeys(LMRS, 0)
         self.failures: list[str] = []
         self.recoveries = 0
@@ -625,7 +697,12 @@ class Run:
             if threading.active_count() != 1:
                 # A forked child inherits no thread but every lock one
                 # held: only a single-threaded process forks safely.
-                raise MDVError("the socket transport forks; run it single-threaded")
+                others = [t.name for t in threading.enumerate()
+                          if t is not threading.current_thread()]
+                raise MDVError(
+                    "the socket transport forks its served node and needs a "
+                    f"single-threaded process; running threads: {others}"
+                )
             self.bus = SocketTransport(metrics=self.metrics).start()
             self._workdir = tempfile.mkdtemp(prefix="mdv-differential-")
             read, write = os.pipe()
@@ -658,6 +735,14 @@ class Run:
         )
         for name, value in self.attributes.items():
             setattr(getattr(provider, _ATTRIBUTES[name]), name, value)
+        filter_pass = provider.engine.run
+
+        def counted(*args: Any, **kwargs: Any) -> Any:
+            result = filter_pass(*args, **kwargs)
+            self.passes.append((result.triggering_hits, result.iterations))
+            return result
+
+        provider.engine.run = counted  # type: ignore[method-assign]
         if self._node == 0:
             def handler(message: Any) -> Any:
                 if message.kind == "harness":
@@ -696,7 +781,7 @@ class Run:
         def recording(batch: NotificationBatch) -> bool:
             applied = apply(batch)
             if applied and self._recording:
-                self.streams[name].append(_stream_entry(batch))
+                self.applied[name].append(batch_image(batch))
                 if batch.seq is not None:
                     self.stamps.append(
                         (name, self._replacements[name], batch.source, batch.seq)
@@ -723,7 +808,12 @@ class Run:
         elif method == "snapshot":
             self.provider.snapshot(*args).close()
         elif method == "facts":
-            return provider_facts(self.provider)
+            return {**provider_facts(self.provider), "passes": self.passes}
+        elif method == "matches":
+            lmr, rule = args
+            found = {rule: subscription_matches(self.provider, lmr)[rule]}
+            wrong = closed_form_failures(stored_resources(self.provider), found)
+            return found[rule], wrong
         elif method == "stop":
             self._node = None
         else:
@@ -767,6 +857,12 @@ class Run:
         elif kind == "subscribe":
             lmrs[op[1]].subscribe(op[2])
         elif kind == "unsubscribe":
+            # Kept from the first attempt: a retry after a crash may
+            # find the rule already gone.
+            key = f"{op[1]}: {op[2]}"
+            if key not in self.unsubscribed:
+                self.unsubscribed[key], wrong = self._at_provider("matches", *op[1:])
+                self.failures += [f"as {key} went: {f}" for f in wrong]
             lmrs[op[1]].unsubscribe(op[2])
         elif kind == "publish":
             lmrs[LMRS[0]].register_document(op[1])
@@ -847,6 +943,7 @@ class Run:
         for lmr in self.lmrs.values():
             lmr.resync()
         self._facts = _canonical(self._at_provider("facts"))
+        self.passes = self._facts["passes"]
         self.failures += self._facts["failures"]
         self.failures += lmr_failures(self._facts, self.lmrs)
         if len(set(self.stamps)) != len(self.stamps):
@@ -854,7 +951,11 @@ class Run:
 
     def digest(self) -> dict:
         return {
-            "streams": self.streams,
+            "streams": {
+                name: [_stream_entry(image) for image in images]
+                for name, images in self.applied.items()
+            },
+            "unsubscribed": self.unsubscribed,
             "provider": self._facts["image"],
             "caches": {name: cache_image(lmr) for name, lmr in self.lmrs.items()},
         }
@@ -863,7 +964,9 @@ class Run:
 @lru_cache(maxsize=None)
 def _reference(seed: int, semantics: str, documents: int) -> str:
     run = Run({"semantics": semantics}).run(scenario(seed, documents))
-    return json.dumps({"digest": run.digest(), "failures": run.failures})
+    return json.dumps({
+        "digest": run.digest(), "failures": run.failures, "passes": run.passes,
+    })
 
 
 def reference_digest(seed: int, semantics: str = "off", documents: int = 2) -> dict:
@@ -879,7 +982,10 @@ def check(seed: int, row: dict, documents: int = 2) -> list[str]:
     """Run one configuration-and-transport row; returns its failures.
 
     The run must pass its own checks and reproduce the reference digest
-    at its ``semantics`` degree; the baseline row is the reference.
+    at its ``semantics`` degree; the baseline row is the reference.  A
+    row that differs from the reference in triggering and transport
+    only must also repeat its triggering hits and join iterations pass
+    by pass.
     """
     config = {k: v for k, v in row.items() if v != BASELINE.get(k)}
     transport = config.pop("transport", "direct")
@@ -889,11 +995,14 @@ def check(seed: int, row: dict, documents: int = 2) -> list[str]:
         return reference["failures"]
     run = Run({**config, "semantics": semantics}, transport)
     run.run(scenario(seed, documents))
-    return (
+    failures = (
         [f"reference: {f}" for f in reference["failures"]]
         + run.failures
         + diff_digests(f"{row}", _canonical(run.digest()), reference["digest"])
     )
+    if set(config) <= {"triggering"} and run.passes != reference["passes"]:
+        failures.append(f"{row}: triggering hits or join iterations diverged")
+    return failures
 
 
 # ----------------------------------------------------------------------
@@ -903,7 +1012,6 @@ def check(seed: int, row: dict, documents: int = 2) -> list[str]:
 class SweepReport:
     """Outcome of a crash-point sweep of one configuration."""
 
-    seed: int
     config: dict
     statements: int
     commits: int
@@ -917,21 +1025,22 @@ class SweepReport:
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.failures)} FAILURE(S)"
         return (
-            f"crash seed={self.seed} {self.config}: {self.points_tested} crash "
+            f"{self.config}: {self.points_tested} crash "
             f"point(s) over {self.statements} statements / {self.commits} "
             f"commits — {status}"
         )
 
 
-def crash_run(seed: int, config: dict, point: CrashPoint | None = None,
-              documents: int = 2) -> tuple[Run, CrashPlan]:
-    """One direct run with ``point``'s crash plan armed (without a
-    point, a plan that only counts boundaries)."""
+def crash_run(ops: list[tuple], config: dict,
+              point: CrashPoint | None = None) -> tuple[Run, CrashPlan]:
+    """One direct run of ``ops`` (a :func:`scenario` or a prefix of
+    one) with ``point``'s crash plan armed (without a point, a plan
+    that only counts boundaries)."""
     run = Run(config)
     plan = point.plan() if point is not None else CrashPlan()
     run.db.install_crash_plan(plan)
     try:
-        for op in scenario(seed, documents):
+        for op in ops:
             run.apply(op)
         run.db.clear_crash_plan()
         run.finish()
@@ -940,20 +1049,20 @@ def crash_run(seed: int, config: dict, point: CrashPoint | None = None,
     return run, plan
 
 
-def run_crash_sweep(seed: int, config: dict | None = None, stride: int = 5,
-                    documents: int = 2, sample: int = 1) -> SweepReport:
-    """Kill the scenario at every commit boundary and every
-    ``stride``-th statement boundary (of those, every ``sample``-th);
-    each restarted and resumed run must reproduce the never-crashed
-    run's digest and delivery stamps and audit clean after every crash
-    and at the end."""
+def run_crash_sweep(ops: list[tuple], config: dict | None = None,
+                    stride: int = 5) -> SweepReport:
+    """Kill ``ops`` at every commit boundary and every ``stride``-th
+    statement boundary; each restarted and resumed run must reproduce
+    the never-crashed run's digest and delivery stamps and audit clean
+    after every crash and at the end."""
     config = {"durable_delivery": True, **(config or {})}
-    baseline, plan = crash_run(seed, config, None, documents)
-    report = SweepReport(seed, config, plan.statements_seen, plan.commits_seen)
+    baseline, plan = crash_run(ops, config)
+    report = SweepReport(config, plan.statements_seen, plan.commits_seen)
     report.failures += [f"baseline: {f}" for f in baseline.failures]
-    points = enumerate_crash_points(plan.statements_seen, plan.commits_seen, stride)
-    for point in points[::sample]:
-        run, crash = crash_run(seed, config, point, documents)
+    for point in enumerate_crash_points(
+        plan.statements_seen, plan.commits_seen, stride
+    ):
+        run, crash = crash_run(ops, config, point)
         report.points_tested += 1
         if not crash.fired:
             report.failures.append(f"{point}: plan never fired")
@@ -987,14 +1096,21 @@ class ChaosReport:
     synchronized: bool = False
 
 
-def _retry(call, *args, attempts: int = 25) -> None:
-    """A client request across a lossy link: a NetworkError means it
-    never reached the MDP, so it is sent again."""
-    for __ in range(attempts):
+def _retry(call, *args, pause: float = 0.0, attempts: int = 60) -> None:
+    """Send a request again while it fails with a NetworkError (it got
+    lost on a lossy link, or the MDP is down).  A retried request may
+    have committed before its reply was lost: a re-delete then raises,
+    and that is absorbed after a retry."""
+    for attempt in range(attempts):
         try:
-            return call(*args)
+            call(*args)
+            return
         except NetworkError:
-            continue
+            time.sleep(pause)
+        except DocumentNotFoundError:
+            if not attempt:
+                raise
+            return
     raise MDVError(f"{call.__name__}{args!r} failed {attempts} times")
 
 
@@ -1129,7 +1245,6 @@ def chaos_failures(seed: int, config: dict | None = None,
 # Fault plan: kill -9 of a served MDP
 # ----------------------------------------------------------------------
 _READY = re.compile(r"MDV-SERVE READY .*port=(\d+)")
-_OBJECTGLOBE = ("CycleProvider", "ServerInformation")
 
 
 @dataclass
@@ -1138,11 +1253,6 @@ class ServedNode:
 
     process: subprocess.Popen
     port: int
-
-    def kill_hard(self) -> None:
-        """SIGKILL: no drain, no cleanup; the crash under test."""
-        self.process.kill()
-        self.process.wait(timeout=30)
 
     def terminate(self) -> None:
         if self.process.poll() is None:
@@ -1217,24 +1327,6 @@ class KillReport:
     audit: list[str] = field(default_factory=list)
 
 
-def _with_retry(call, *args, attempts: int = 60) -> None:
-    """Call, retrying while the MDP is down.  A retried request may
-    have committed before the kill: a re-delete then raises, and that
-    is absorbed after a retry."""
-    for attempt in range(attempts):
-        try:
-            call(*args)
-            return
-        except NetworkError:
-            if attempt == attempts - 1:
-                raise
-            time.sleep(0.25)
-        except DocumentNotFoundError:
-            if not attempt:
-                raise
-            return
-
-
 def run_kill(seed: int, kill_at: int | None, documents: int = 2,
              config: dict | None = None, workdir: str | None = None) -> KillReport:
     """The served scenario; ``kill_at`` = SIGKILL the MDP before that
@@ -1271,19 +1363,21 @@ def run_kill(seed: int, kill_at: int | None, documents: int = 2,
                 ordinal = 0
                 for op in served_ops(scenario(seed, documents)):
                     if op[0] in ("subscribe", "unsubscribe"):
-                        _with_retry(lmr.call, *op)
+                        _retry(lmr.call, *op, pause=0.25)
                         continue
                     if ordinal == kill_at:
-                        nodes[-1].kill_hard()
+                        # SIGKILL: no drain, no cleanup.
+                        nodes[-1].process.kill()
+                        nodes[-1].process.wait(timeout=30)
                         db = Database(db_path, durability="safe")
                         report.audit = audit_failures(db)
                         db.close()
                         nodes.append(launch_node(mdp_path))
                     ordinal += 1
                     if op[0] == "publish":
-                        _with_retry(mdp.register_document, op[1])
+                        _retry(mdp.register_document, op[1], pause=0.25)
                     else:
-                        _with_retry(mdp.call, "delete_document", op[1])
+                        _retry(mdp.call, "delete_document", op[1], pause=0.25)
                 lmr.call("resync")
                 report.stats = dict(lmr.call("stats"))
                 report.cache = sorted(
@@ -1355,9 +1449,11 @@ def main(argv: list[str] | None = None) -> int:
         failures = [f for row in rows for f in check(args.seed, row, args.documents)]
         print(f"lattice seed={args.seed}: {len(rows)} runs")
     elif args.faults == "crash":
-        report = run_crash_sweep(args.seed, pinned, args.stride, args.documents)
+        report = run_crash_sweep(
+            scenario(args.seed, args.documents), pinned, args.stride
+        )
         failures = report.failures
-        print(report.summary())
+        print(f"crash seed={args.seed} {report.summary()}")
     elif args.faults == "chaos":
         failures = chaos_failures(args.seed, pinned, args.documents)
         print(f"chaos seed={args.seed} {pinned}")

@@ -1,13 +1,18 @@
-"""Crash differential oracle (tier-1 sample).
+"""Crash differential oracle (tier-1 matrix).
 
 Killed at an enumerated crash point, restarted and resumed, the
 scenario of :mod:`repro.workload.differential` must reproduce the
 never-crashed run: the same digest and delivery stamps, and an
 invariant audit that is clean right after each crash (nothing needs
-repair) and at the end.  CI sweeps every commit and every 5th
-statement boundary; here a sample of the enumerated points keeps each
-arm inside tier-1 budgets.
+repair) and at the end.  CI sweeps the whole scenario.  Here each arm
+sweeps the shortest prefix of its scenario that holds a publish and
+as many boundaries as the deleted crash driver's tier-1 sweep visited
+at the same seed and stride, crashing at every commit boundary and
+every 45th statement boundary of it; the operation kinds the prefixes
+lack are crashed at every commit further below.
 """
+
+from collections.abc import Iterator
 
 import pytest
 
@@ -19,51 +24,76 @@ from repro.workload.differential import (
     scenario,
 )
 
+STRIDE = 45
+#: Per arm, the statement and commit boundaries the deleted driver's
+#: tier-1 sweep (4 documents, stride 45) counted.
 MATRIX = [
     pytest.param(
-        seed, triggering, durable,
+        seed, triggering, durable, statements, commits,
         id=f"seed{seed}-{triggering}" + ("" if durable else "-in-process"),
     )
-    for seed, triggering, durable in [
-        (1, "sql", True),
-        (7, "sql", True),
-        (42, "sql", True),
+    for seed, triggering, durable, statements, commits in [
+        (1, "sql", True, 352, 19),
+        (7, "sql", True, 347, 17),
+        (42, "sql", True, 348, 18),
         # The counting matcher rebuilds its in-memory index on restart
         # (the mutation log dies with the process).
-        (7, "counting", True),
+        (7, "counting", True, 185, 17),
         # In-process delivery: no persisted outbox, so only the single
         # transaction per operation keeps a crash from tearing it.
-        (1, "sql", False),
-        (7, "sql", False),
-        (7, "counting", False),
+        (1, "sql", False, 335, 11),
+        (7, "sql", False, 334, 11),
+        (7, "counting", False, 172, 11),
     ]
 ]
 
 
-@pytest.mark.parametrize("seed,triggering,durable", MATRIX)
-def test_crash_sweep_matches_baseline(seed, triggering, durable):
-    report = run_crash_sweep(
-        seed,
-        {"triggering": triggering, "durable_delivery": durable},
-        stride=45,
-        sample=80,
+def boundaries(ops: list[tuple], config: dict) -> Iterator[tuple[int, int]]:
+    """The statement and commit boundaries seen by the end of each of
+    ``ops``, counted by a crash plan that never fires."""
+    run = Run(config)
+    plan = CrashPlan()
+    run.db.install_crash_plan(plan)
+    try:
+        for op in ops:
+            run.apply(op)
+            yield plan.statements_seen, plan.commits_seen
+    finally:
+        run.close()
+
+
+@pytest.mark.parametrize("seed,triggering,durable,statements,commits", MATRIX)
+def test_crash_sweep_matches_baseline(seed, triggering, durable, statements, commits):
+    config = {"triggering": triggering, "durable_delivery": durable}
+    ops = scenario(seed)
+    # Enough statements for as many stride points as the old sweep had.
+    wanted = 1 + STRIDE * (len(range(1, statements + 1, STRIDE)) - 1)
+    first = next(i for i, op in enumerate(ops) if op[0] == "publish")
+    length = next(
+        n for n, (seen_statements, seen_commits) in enumerate(
+            boundaries(ops, config), 1
+        )
+        if n > first and seen_statements >= wanted and seen_commits >= commits
     )
-    assert report.points_tested >= 2
+    report = run_crash_sweep(ops[:length], config, STRIDE)
     assert report.ok, report.failures
+    assert report.points_tested == report.commits + len(
+        range(1, report.statements + 1, STRIDE)
+    )
 
 
 def test_baseline_run_counts_boundaries():
-    run, plan = crash_run(1, {"durable_delivery": True})
+    run, plan = crash_run(scenario(1), {"durable_delivery": True})
     assert not plan.fired
     assert plan.statements_seen > plan.commits_seen > 0
     assert run.failures == []
-    assert all(run.streams.values())
+    assert all(run.applied.values())
 
 
 def test_single_crash_point_recovers():
     config = {"durable_delivery": True}
-    baseline, __ = crash_run(1, config)
-    crashed, plan = crash_run(1, config, CrashPoint("commit", 3))
+    baseline, __ = crash_run(scenario(1), config)
+    crashed, plan = crash_run(scenario(1), config, CrashPoint("commit", 3))
     assert plan.fired
     assert crashed.recoveries == 1
     assert crashed.failures == []
@@ -71,31 +101,40 @@ def test_single_crash_point_recovers():
     assert crashed.stamps == baseline.stamps
 
 
-def test_crashes_inside_the_batch_and_the_catch_up():
-    """Found by the seed-7 sweeps.  A crash after the scenario's batch
-    (which registers one URI twice) had committed made the retry apply
-    it twice over; a crash inside the catch-up made the retried
-    replacement LMR look like a third one.  Crash at every commit of
-    the batch and every statement of the catch-up."""
+def test_crash_at_every_commit_of_each_later_operation_kind():
+    """The prefixes above hold vocabulary, subscriptions and publishes.
+    Crash at every commit of the first operation of each other kind,
+    and of the first vocabulary and subscription that follow content,
+    and at every statement of the catch-up (which commits nothing).
+    This found two bugs at seed 7: a crash after the batch (which
+    registers one URI twice) had committed made the retry apply it
+    twice over, and a crash inside the catch-up made the retried
+    replacement LMR look like a third one."""
     config = {"durable_delivery": True, "triggering": "counting"}
-    counting = Run(config)
-    plan = CrashPlan()
-    counting.db.install_crash_plan(plan)
-    points = []
-    for op in scenario(7):
-        statements, commits = plan.statements_seen, plan.commits_seen
-        counting.apply(op)
-        if op[0] == "batch":
-            points += [CrashPoint("commit", n)
-                       for n in range(commits + 1, plan.commits_seen + 1)]
-        if op[0] == "catch_up":
+    ops = scenario(7)
+    seen = list(boundaries(ops, config))
+    published, kinds, points = set(), set(), []
+    for op, (statements, commits), (now_statements, now_commits) in zip(
+        ops, [(0, 0)] + seen, seen
+    ):
+        kind = op[0]
+        if kind == "publish":
+            kind = "update" if op[1].uri in published else kind
+            published.add(op[1].uri)
+        if not published or kind in kinds | {"publish"}:
+            continue
+        kinds.add(kind)
+        if kind == "catch_up":
             points += [CrashPoint("statement", n)
-                       for n in range(statements + 1, plan.statements_seen + 1)]
-    counting.close()
-    assert len(points) >= 2
-    baseline, __ = crash_run(7, config)
+                       for n in range(statements + 1, now_statements + 1)]
+        else:
+            points += [CrashPoint("commit", n)
+                       for n in range(commits + 1, now_commits + 1)]
+    assert kinds == {"vocab", "subscribe", "update", "batch", "unsubscribe",
+                     "delete", "restart", "catch_up"}
+    baseline, __ = crash_run(ops, config)
     for point in points:
-        crashed, fired = crash_run(7, config, point)
+        crashed, fired = crash_run(ops, config, point)
         assert fired.fired
         assert crashed.failures == []
         assert crashed.digest() == baseline.digest()

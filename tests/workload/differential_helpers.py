@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.workload.differential import BASELINE, check
+from repro.workload.differential import BASELINE, check, covering_array
 
 SEEDS = (1, 7, 42)
+ARRAY = covering_array()
 
 
 @lru_cache(maxsize=None)
@@ -26,3 +27,12 @@ def checked(seed: int, **row) -> list[str]:
         if value != BASELINE[name]
     ))
     return list(_checked(seed, key))
+
+
+def covering_row(**values) -> dict:
+    """The first covering-array row holding ``values`` (its run is
+    shared with the array's own test), else ``values`` alone."""
+    for row in ARRAY:
+        if all(row[name] == value for name, value in values.items()):
+            return row
+    return values
