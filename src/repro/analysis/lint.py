@@ -23,6 +23,7 @@ they never raise on bad rules.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.errors import NormalizationError, RuleSyntaxError
@@ -42,7 +43,7 @@ _ORDERING_OPERATORS = frozenset({"<", "<=", ">", ">="})
 def lint_rule_text(
     rule_text: str,
     schema: Schema,
-    named_extension_types: dict[str, str] | None = None,
+    named_extension_types: Mapping[str, str] | None = None,
 ) -> AnalysisReport:
     """Lint a rule given as text; parse failures become ``MDV001``."""
     report = AnalysisReport()
@@ -66,7 +67,7 @@ def lint_rule_text(
 def lint_rule(
     rule: Rule,
     schema: Schema,
-    named_extension_types: dict[str, str] | None = None,
+    named_extension_types: Mapping[str, str] | None = None,
     source: str | None = None,
 ) -> AnalysisReport:
     """Lint a parsed rule against ``schema``.
@@ -96,7 +97,7 @@ class _RuleLinter:
         self,
         rule: Rule,
         schema: Schema,
-        named: dict[str, str],
+        named: Mapping[str, str],
         source: str,
     ):
         self.rule = rule

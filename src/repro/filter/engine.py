@@ -30,13 +30,13 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import Tracer
 from repro.rdf.diff import DocumentDiff
 from repro.rdf.model import Resource, URIRef
-from repro.rules.atoms import AtomNode, TriggeringAtom
-from repro.rules.registry import RuleRegistry
+from repro.rules.atoms import TriggeringAtom
+from repro.rules.registry import CreatedAtom, RuleRegistry
 from repro.filter.decompose import resources_atoms
 from repro.filter.joins import (
+    GroupSpec,
     evaluate_groups_at,
     initialize_join_rule,
-    load_group,
 )
 from repro.filter.counting import TRIGGERING_MODES, CountingMatcher
 from repro.filter.matcher import initialize_triggering_rule, match_triggering_rules
@@ -462,41 +462,49 @@ class FilterEngine:
     # ------------------------------------------------------------------
     # Rule initialization (new subscriptions over existing data)
     # ------------------------------------------------------------------
-    def initialize_rules(
-        self, created: Sequence[tuple[int, AtomNode]]
-    ) -> int:
+    def initialize_rules(self, created: Sequence[CreatedAtom]) -> int:
         """Fully evaluate newly created atomic rules over existing data.
 
         ``created`` must be in children-first order (as produced by
         :meth:`~repro.rules.registry.RuleRegistry.ensure_atoms`) so a
         join rule's inputs are always materialized before the join runs.
-        Returns the total number of materialized rows produced.
+        A join reads its inputs and group from the entry, and a join
+        whose new input materialized nothing is empty without a
+        statement.  Returns the total number of materialized rows
+        produced.
         """
-        produced = 0
+        produced: dict[int, int] = {}
         with self._db.transaction():
-            for rule_id, atom in created:
+            for rule_id, atom, left_rule, right_rule, group_id in created:
                 if isinstance(atom, TriggeringAtom):
-                    produced += initialize_triggering_rule(
+                    produced[rule_id] = initialize_triggering_rule(
                         self._db,
                         rule_id,
                         self._registry.triggering_tables(rule_id, atom),
                     )
                     continue
-                row = self._db.query_one(
-                    "SELECT left_rule, right_rule, group_id FROM atomic_rules "
-                    "WHERE rule_id = ?",
-                    (rule_id,),
+                assert left_rule is not None and right_rule is not None
+                assert group_id is not None
+                if produced.get(left_rule) == 0 or produced.get(right_rule) == 0:
+                    produced[rule_id] = 0
+                    continue
+                # The group row was written from an atom of the same
+                # signature, so the atom's fields are the group's.
+                group = GroupSpec(
+                    group_id=group_id,
+                    left_class=atom.left_class,
+                    right_class=atom.right_class,
+                    left_property=atom.left_prop,
+                    right_property=atom.right_prop,
+                    operator=atom.operator,
+                    register_side=atom.register_side,
+                    numeric=atom.numeric,
+                    self_join=atom.self_join,
                 )
-                assert row is not None
-                group = load_group(self._db, int(row["group_id"]))
-                produced += initialize_join_rule(
-                    self._db,
-                    rule_id,
-                    int(row["left_rule"]),
-                    int(row["right_rule"]),
-                    group,
+                produced[rule_id] = initialize_join_rule(
+                    self._db, rule_id, left_rule, right_rule, group
                 )
-        return produced
+        return sum(produced.values())
 
     def current_matches(self, end_rule_id: int) -> list[URIRef]:
         """The resources currently matching an end rule (materialized)."""

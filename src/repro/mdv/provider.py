@@ -501,9 +501,11 @@ class MetadataProvider:
                 registration = self.registry.register_subscription(
                     subscriber, stored_text, decomposed
                 )
-                self.engine.initialize_rules(registration.created)
+                produced = self.engine.initialize_rules(registration.created)
                 subscription = registration.subscription
                 subscriptions.append(subscription)
+                if registration.end_is_new and not produced:
+                    continue  # a new end rule that matched nothing
                 matches = self.engine.current_matches(subscription.end_rule)
                 if matches:
                     batch = self.publisher.initial_batch(
@@ -635,6 +637,8 @@ class MetadataProvider:
             conjuncts[0], self.schema, self.registry.named_producers()
         )
         with self._op():
+            # The registry's named-rule memo must not outlive a rollback.
+            self._undo.append(self.registry.forget_named_rules)
             registration = self.registry.register_named_rule(
                 name, rule_text, decomposed
             )

@@ -19,7 +19,7 @@ rules feed them; join rules sharing a signature form a **rule group**
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 __all__ = ["TriggeringAtom", "JoinAtom", "AtomNode", "make_join", "iter_atoms"]
@@ -43,6 +43,8 @@ class TriggeringAtom:
     operator: str | None = None
     value: str | None = None
     numeric: bool = False
+    #: Canonical rule text (deduplication key), computed once.
+    key: str = field(init=False, repr=False, compare=False)
 
     kind = "triggering"
 
@@ -54,21 +56,19 @@ class TriggeringAtom:
             raise ValueError(
                 "triggering atoms have either a full predicate or none"
             )
+        if has_predicate:
+            tag = "#" if self.numeric else "$"
+            key = (
+                f"T[{self.rdf_class}|{self.prop} {self.operator} "
+                f"{tag}{self.value}]"
+            )
+        else:
+            key = f"T[{self.rdf_class}]"
+        object.__setattr__(self, "key", key)
 
     @property
     def is_class_only(self) -> bool:
         return self.prop is None
-
-    @property
-    def key(self) -> str:
-        """Canonical rule text (deduplication key)."""
-        if self.is_class_only:
-            return f"T[{self.rdf_class}]"
-        tag = "#" if self.numeric else "$"
-        return (
-            f"T[{self.rdf_class}|{self.prop} {self.operator} "
-            f"{tag}{self.value}]"
-        )
 
     def __str__(self) -> str:
         if self.is_class_only:
@@ -103,12 +103,20 @@ class JoinAtom:
     register_side: str
     numeric: bool = False
     self_join: bool = False
+    #: Canonical rule text: the group signature plus the input keys,
+    #: computed once.
+    key: str = field(init=False, repr=False, compare=False)
 
     kind = "join"
 
     def __post_init__(self) -> None:
         if self.register_side not in ("left", "right"):
             raise ValueError(f"bad register side {self.register_side!r}")
+        object.__setattr__(
+            self,
+            "key",
+            f"J[{self.left.key}|{self.right.key}|{self.group_signature}]",
+        )
 
     @property
     def rdf_class(self) -> str:
@@ -131,11 +139,6 @@ class JoinAtom:
         right = f"{self.right_class}.{self.right_prop or '*'}"
         flags = ("n" if self.numeric else "") + ("s" if self.self_join else "")
         return f"G[{left} {self.operator} {right}|reg={self.register_side}|{flags}]"
-
-    @property
-    def key(self) -> str:
-        """Canonical rule text: the group signature plus the input keys."""
-        return f"J[{self.left.key}|{self.right.key}|{self.group_signature}]"
 
     def __str__(self) -> str:
         left = "l" if self.left_prop is None else f"l.{self.left_prop}"

@@ -20,6 +20,7 @@ rules as leaves — exactly the dependency tree of the paper's Figure 5.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import DecompositionError
@@ -85,7 +86,7 @@ class DecomposedRule:
 def decompose_rule(
     normalized: NormalizedRule,
     schema: Schema,
-    named_producers: dict[str, AtomNode] | None = None,
+    named_producers: Mapping[str, AtomNode] | None = None,
 ) -> DecomposedRule:
     """Decompose a normalized rule into its atomic rules.
 
@@ -105,7 +106,7 @@ def decompose_rule(
 def _initial_producers(
     normalized: NormalizedRule,
     schema: Schema,
-    named_producers: dict[str, AtomNode],
+    named_producers: Mapping[str, AtomNode],
 ) -> dict[str, AtomNode]:
     """Producer atom per variable: triggering rules plus identity joins."""
     triggering: dict[str, list[TriggeringAtom]] = {}

@@ -31,6 +31,7 @@ conjunct.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import NormalizationError, UnknownClassError
@@ -142,7 +143,13 @@ class NormalizedRule:
     register: str = ""
     constants: list[ConstantPredicate] = field(default_factory=list)
     joins: list[JoinPredicate] = field(default_factory=list)
-    source_text: str = ""
+    #: The parsed rule this was normalized from.
+    source: Rule | None = None
+
+    @property
+    def source_text(self) -> str:
+        """The source rule as text (rendered on demand, for diagnostics)."""
+        return "" if self.source is None else str(self.source)
 
     def variable_class(self, variable: str) -> str:
         try:
@@ -206,12 +213,12 @@ class _Normalizer:
         self,
         rule: Rule,
         schema: Schema,
-        named_extension_types: dict[str, str],
+        named_extension_types: Mapping[str, str],
     ):
         self.rule = rule
         self.schema = schema
         self.named = named_extension_types
-        self.result = NormalizedRule(register=rule.register, source_text=str(rule))
+        self.result = NormalizedRule(register=rule.register, source=rule)
         self._fresh_counter = 0
         #: Maps (variable, path-prefix) to the variable holding that prefix,
         #: deduplicating shared prefixes (paper, Section 3.3.1 example).
@@ -502,7 +509,7 @@ class _Normalizer:
 def normalize_rule(
     rule: Rule,
     schema: Schema,
-    named_extension_types: dict[str, str] | None = None,
+    named_extension_types: Mapping[str, str] | None = None,
 ) -> list[NormalizedRule]:
     """Normalize a parsed rule.
 

@@ -37,17 +37,19 @@ class _Parser:
         try:
             self.tokens = tokenize(text)
         except RuleSyntaxError as exc:
-            raise self.error_class(str(exc)) from None
+            error = self.error_class(str(exc))
+            error.position = exc.position
+            raise error from None
         self.index = 0
+        #: ``tokens[index]``; the token list always ends in ``END``,
+        #: which no production consumes.
+        self.current: Token = self.tokens[0]
 
     # -- cursor helpers -------------------------------------------------
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
-
     def advance(self) -> Token:
         token = self.current
         self.index += 1
+        self.current = self.tokens[self.index]
         return token
 
     def fail(self, message: str) -> RuleSyntaxError:
@@ -56,12 +58,12 @@ class _Parser:
         )
 
     def expect_keyword(self, word: str) -> None:
-        if not self.current.is_keyword(word):
+        if not self.accept_keyword(word):
             raise self.fail(f"expected {word!r}")
-        self.advance()
 
     def accept_keyword(self, word: str) -> bool:
-        if self.current.is_keyword(word):
+        token = self.current
+        if token.type is TokenType.KEYWORD and token.text == word:
             self.advance()
             return True
         return False

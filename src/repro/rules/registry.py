@@ -23,9 +23,10 @@ from __future__ import annotations
 import json
 import sqlite3
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import SubscriptionError
 from repro.rules.atoms import AtomNode, JoinAtom, TriggeringAtom
@@ -44,6 +45,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
 
 __all__ = [
     "RuleRegistry",
+    "CreatedAtom",
     "RegisteredSubscription",
     "RuleMutation",
     "Subscription",
@@ -57,6 +59,13 @@ __all__ = [
 #: only caps memory, never correctness.
 MUTATION_LOG_LIMIT = 4096
 
+
+_ADD_SUBSCRIPTION_RULE = (
+    "INSERT INTO subscription_rules (sub_id, rule_id) VALUES (?, ?)"
+)
+_ADD_REFERENCE = (
+    "UPDATE atomic_rules SET refcount = refcount + 1 WHERE rule_id = ?"
+)
 
 #: Names the triggering index tables holding a row of ``:rule_id`` —
 #: one primary-key probe per table.
@@ -90,6 +99,20 @@ class Subscription:
     end_rule: int
 
 
+class CreatedAtom(NamedTuple):
+    """An atom a registration inserted, with the ids a join reads.
+
+    ``left_rule``, ``right_rule`` and ``group_id`` are a join's inputs
+    and rule group, ``None`` for a triggering atom.
+    """
+
+    rule_id: int
+    atom: AtomNode
+    left_rule: int | None = None
+    right_rule: int | None = None
+    group_id: int | None = None
+
+
 @dataclass
 class RegisteredSubscription:
     """Result of registering a subscription.
@@ -103,11 +126,16 @@ class RegisteredSubscription:
     subscription: Subscription
     end_rule: int
     all_rule_ids: list[int] = field(default_factory=list)
-    created: list[tuple[int, AtomNode]] = field(default_factory=list)
+    created: list[CreatedAtom] = field(default_factory=list)
 
     @property
     def reused_existing_atoms(self) -> bool:
         return len(self.created) < len(self.all_rule_ids)
+
+    @property
+    def end_is_new(self) -> bool:
+        """Whether the end rule is one of the created atoms (the last)."""
+        return bool(self.created) and self.created[-1].rule_id == self.end_rule
 
 
 class RuleRegistry:
@@ -157,41 +185,70 @@ class RuleRegistry:
         self.mutation_log: deque[RuleMutation] = deque(
             maxlen=MUTATION_LOG_LIMIT
         )
+        #: Named rules for rule compilation: read from the store once,
+        #: then kept up to date by :meth:`register_named_rule` (see
+        #: :meth:`forget_named_rules` for a rollback).
+        self._named_types: dict[str, str] | None = None
+        self._named_producers: dict[str, AtomNode] | None = None
 
     # ------------------------------------------------------------------
     # Atom persistence (dependency-graph merge)
     # ------------------------------------------------------------------
     def ensure_atoms(
         self, decomposed: DecomposedRule
-    ) -> tuple[int, list[int], list[tuple[int, AtomNode]]]:
+    ) -> tuple[int, list[int], list[CreatedAtom]]:
         """Persist all atoms of a decomposition, deduplicating by key.
 
         Returns ``(end_rule_id, all_rule_ids, created)`` where ``created``
-        holds ``(rule_id, atom)`` for newly inserted atoms in
-        children-first order.
+        holds the newly inserted atoms in children-first order.  A new
+        atom starts with no references.
         """
-        ids: dict[str, int] = {}
-        created: list[tuple[int, AtomNode]] = []
         with self._db.transaction():
-            for atom in decomposed.atoms:
-                existing = (
-                    self._lookup(atom.key) if self.deduplicate else None
+            return self._ensure_atoms(decomposed, refcount=0)
+
+    def _ensure_atoms(  # mdv: allow(MDV065): runs inside caller's transaction
+        self, decomposed: DecomposedRule, refcount: int
+    ) -> tuple[int, list[int], list[CreatedAtom]]:
+        """:meth:`ensure_atoms`, new atoms inserted with ``refcount``."""
+        atoms = decomposed.atoms
+        created: list[CreatedAtom] = []
+        ids = self._lookup_keys(atoms) if self.deduplicate else {}
+        for atom in atoms:
+            if atom.key in ids:
+                continue
+            if isinstance(atom, TriggeringAtom):
+                entry = CreatedAtom(
+                    self._insert_triggering(atom, refcount), atom
                 )
-                if existing is not None:
-                    ids[atom.key] = existing
-                    continue
-                rule_id = self._insert_atom(atom, ids)
-                ids[atom.key] = rule_id
-                created.append((rule_id, atom))
+            else:
+                # Children come first, so both inputs have ids.
+                entry = self._insert_join(
+                    atom, ids[atom.left.key], ids[atom.right.key], refcount
+                )
+            ids[atom.key] = entry.rule_id
+            created.append(entry)
         end_id = ids[decomposed.end.key]
-        all_ids = [ids[atom.key] for atom in decomposed.atoms]
+        all_ids = [ids[atom.key] for atom in atoms]
         return end_id, all_ids, created
+
+    def _lookup_keys(self, atoms: list[AtomNode]) -> dict[str, int]:
+        """Stored rule id per key, for those of ``atoms`` already stored
+        (one statement: a ``rule_text`` probe per key)."""
+        if len(atoms) == 1:
+            rule_id = self._lookup(atoms[0].key)
+            return {} if rule_id is None else {atoms[0].key: rule_id}
+        rows = self._db.query_all(
+            "SELECT rule_text, rule_id FROM atomic_rules WHERE rule_text "
+            "IN (SELECT value FROM json_each(?))",
+            (json.dumps([atom.key for atom in atoms]),),
+        )
+        return {row[0]: int(row[1]) for row in rows}
 
     def bulk_register_triggering(
         self,
         subscriber: str,
         rules: "Iterable[tuple[str, TriggeringAtom]]",
-    ) -> list[tuple[int, AtomNode]]:
+    ) -> list[CreatedAtom]:
         """Register many single-atom subscriptions in one transaction.
 
         The scale harness's fast path (the matcher benchmark and the
@@ -205,7 +262,7 @@ class RuleRegistry:
         callers building a rule base over an *empty* metadata store may
         skip initialization — there is nothing to materialize.
         """
-        created: list[tuple[int, AtomNode]] = []
+        created: list[CreatedAtom] = []
         with self._db.transaction():
             for rule_text, atom in rules:
                 existing = (
@@ -213,25 +270,17 @@ class RuleRegistry:
                 )
                 if existing is not None:
                     rule_id = existing
+                    self._db.execute(_ADD_REFERENCE, (rule_id,))
                 else:
-                    rule_id = self._insert_triggering(atom)
-                    created.append((rule_id, atom))
+                    rule_id = self._insert_triggering(atom, refcount=1)
+                    created.append(CreatedAtom(rule_id, atom))
                 cursor = self._db.execute(
                     "INSERT INTO subscriptions (subscriber, rule_text, "
                     "end_rule) VALUES (?, ?, ?)",
                     (subscriber, rule_text, rule_id),
                 )
                 sub_id = int(cursor.lastrowid)
-                self._db.execute(
-                    "INSERT INTO subscription_rules (sub_id, rule_id) "
-                    "VALUES (?, ?)",
-                    (sub_id, rule_id),
-                )
-                self._db.execute(
-                    "UPDATE atomic_rules SET refcount = refcount + 1 "
-                    "WHERE rule_id = ?",
-                    (rule_id,),
-                )
+                self._db.execute(_ADD_SUBSCRIPTION_RULE, (sub_id, rule_id))
         return created
 
     def _lookup(self, key: str) -> int | None:
@@ -255,36 +304,40 @@ class RuleRegistry:
         )
         return f"{atom.key}~!{salt}"
 
-    def _insert_atom(self, atom: AtomNode, ids: dict[str, int]) -> int:
-        if isinstance(atom, TriggeringAtom):
-            return self._insert_triggering(atom)
-        return self._insert_join(atom, ids)
+    def _execute_rows(
+        self, sql: str, rows: Sequence[tuple[object, ...]]
+    ) -> None:
+        """One statement for ``rows``: ``execute`` for a single row."""
+        if len(rows) == 1:
+            self._db.execute(sql, rows[0])
+        elif rows:
+            self._db.executemany(sql, rows)
 
-    def _insert_triggering(self, atom: TriggeringAtom) -> int:  # mdv: allow(MDV065): runs inside caller's transaction
+    def _insert_triggering(self, atom: TriggeringAtom, refcount: int) -> int:  # mdv: allow(MDV065): runs inside caller's transaction
         self.mutation_version += 1
         cursor = self._db.execute(
-            "INSERT INTO atomic_rules (kind, rule_text, class) "
-            "VALUES ('triggering', ?, ?)",
-            (self._stored_key(atom), atom.rdf_class),
+            "INSERT INTO atomic_rules (kind, rule_text, class, refcount) "
+            "VALUES ('triggering', ?, ?, ?)",
+            (self._stored_key(atom), atom.rdf_class, refcount),
         )
         rule_id = int(cursor.lastrowid)
         self.mutation_log.append(
             RuleMutation(self.mutation_version, rule_id)
         )
         if atom.is_class_only:
-            self._db.executemany(
+            self._execute_rows(
                 "INSERT INTO filter_rules_class (rule_id, class) VALUES (?, ?)",
-                ((rule_id, cls) for cls in atom.extension_classes),
+                [(rule_id, cls) for cls in atom.extension_classes],
             )
         else:
             table = filter_rules_table(str(atom.operator))
-            self._db.executemany(
+            self._execute_rows(
                 f"INSERT INTO {table} (rule_id, class, property, value, "
                 f"numeric) VALUES (?, ?, ?, ?, ?)",
-                (
+                [
                     (rule_id, cls, atom.prop, atom.value, int(atom.numeric))
                     for cls in atom.extension_classes
-                ),
+                ],
             )
         self._insert_semantic_rows(rule_id, atom)
         return rule_id
@@ -342,14 +395,18 @@ class RuleRegistry:
                     inserted += max(cursor.rowcount, 0)
         metrics.counter("semantics.atoms_out").inc(inserted)
 
-    def _insert_join(self, atom: JoinAtom, ids: dict[str, int]) -> int:  # mdv: allow(MDV065): runs inside caller's transaction
-        left_id = ids.get(atom.left.key) or self._require(atom.left.key)
-        right_id = ids.get(atom.right.key) or self._require(atom.right.key)
+    def _insert_join(  # mdv: allow(MDV065): runs inside caller's transaction
+        self, atom: JoinAtom, left_id: int, right_id: int, refcount: int
+    ) -> CreatedAtom:
         group_id = self._ensure_group(atom)
         cursor = self._db.execute(
             "INSERT INTO atomic_rules (kind, rule_text, class, left_rule, "
-            "right_rule, group_id) VALUES ('join', ?, ?, ?, ?, ?)",
-            (self._stored_key(atom), atom.rdf_class, left_id, right_id, group_id),
+            "right_rule, group_id, refcount) "
+            "VALUES ('join', ?, ?, ?, ?, ?, ?)",
+            (
+                self._stored_key(atom), atom.rdf_class, left_id, right_id,
+                group_id, refcount,
+            ),
         )
         rule_id = int(cursor.lastrowid)
         dependency_rows = [
@@ -361,13 +418,7 @@ class RuleRegistry:
             "group_id) VALUES (?, ?, ?, ?)",
             dependency_rows,
         )
-        return rule_id
-
-    def _require(self, key: str) -> int:
-        rule_id = self._lookup(key)
-        if rule_id is None:
-            raise SubscriptionError(f"missing child atom for key {key!r}")
-        return rule_id
+        return CreatedAtom(rule_id, atom, left_id, right_id, group_id)
 
     def _ensure_group(self, atom: JoinAtom) -> int:
         signature = atom.group_signature
@@ -404,34 +455,37 @@ class RuleRegistry:
         rule_text: str,
         decomposed: DecomposedRule,
     ) -> RegisteredSubscription:
-        """Register a subscription and merge its atoms into the graph."""
-        end_id, all_ids, created = self.ensure_atoms(decomposed)
+        """Register a subscription and merge its atoms into the graph.
+
+        One transaction.  A new atom counts this subscription's
+        reference from its insert on; only reused atoms are updated.
+        """
         with self._db.transaction():
-            duplicate = self._db.query_one(
-                "SELECT sub_id FROM subscriptions WHERE subscriber = ? AND "
-                "rule_text = ?",
-                (subscriber, rule_text),
+            end_id, all_ids, created = self._ensure_atoms(
+                decomposed, refcount=1
             )
-            if duplicate is not None:
+            # The UNIQUE (subscriber, rule_text) constraint is the
+            # duplicate check; any other constraint still raises.
+            cursor = self._db.execute(
+                "INSERT INTO subscriptions (subscriber, rule_text, end_rule) "
+                "VALUES (?, ?, ?) "
+                "ON CONFLICT (subscriber, rule_text) DO NOTHING",
+                (subscriber, rule_text, end_id),
+            )
+            if cursor.rowcount != 1:
                 raise SubscriptionError(
                     f"subscriber {subscriber!r} already registered this rule"
                 )
-            cursor = self._db.execute(
-                "INSERT INTO subscriptions (subscriber, rule_text, end_rule) "
-                "VALUES (?, ?, ?)",
-                (subscriber, rule_text, end_id),
-            )
             sub_id = int(cursor.lastrowid)
             unique_ids = sorted(set(all_ids))
-            self._db.executemany(
-                "INSERT INTO subscription_rules (sub_id, rule_id) "
-                "VALUES (?, ?)",
-                ((sub_id, rule_id) for rule_id in unique_ids),
+            self._execute_rows(
+                _ADD_SUBSCRIPTION_RULE,
+                [(sub_id, rule_id) for rule_id in unique_ids],
             )
-            self._db.executemany(
-                "UPDATE atomic_rules SET refcount = refcount + 1 "
-                "WHERE rule_id = ?",
-                ((rule_id,) for rule_id in unique_ids),
+            new = {entry.rule_id for entry in created}
+            self._execute_rows(
+                _ADD_REFERENCE,
+                [(rule_id,) for rule_id in unique_ids if rule_id not in new],
             )
         subscription = Subscription(sub_id, subscriber, rule_text, end_id)
         return RegisteredSubscription(subscription, end_id, all_ids, created)
@@ -633,16 +687,31 @@ class RuleRegistry:
         """Register a rule under a name usable as a search extension."""
         if self.named_rule(name) is not None:
             raise SubscriptionError(f"named rule {name!r} already exists")
-        registration = self.register_subscription(
-            f"~named~{name}", rule_text, decomposed
-        )
         with self._db.transaction():
+            registration = self.register_subscription(
+                f"~named~{name}", rule_text, decomposed
+            )
             self._db.execute(
                 "INSERT INTO named_rules (name, rule_text, end_rule, class) "
                 "VALUES (?, ?, ?, ?)",
                 (name, rule_text, registration.end_rule, decomposed.rdf_class),
             )
+        # Committed, or joined to the caller's transaction: a caller
+        # that rolls it back calls forget_named_rules().
+        if self._named_types is not None:
+            self._named_types[name] = decomposed.rdf_class
+        if self._named_producers is not None:
+            self._named_producers[name] = decomposed.end
         return registration
+
+    def forget_named_rules(self) -> None:
+        """Drop the named-rule memo; the next lookup reads the store.
+
+        For a caller whose transaction rolled back a
+        :meth:`register_named_rule` (the provider's operations do).
+        """
+        self._named_types = None
+        self._named_producers = None
 
     def named_rule(self, name: str) -> tuple[int, str] | None:
         """``(end_rule_id, class)`` of a named rule, or ``None``."""
@@ -653,22 +722,31 @@ class RuleRegistry:
             return None
         return int(row["end_rule"]), str(row["class"])
 
-    def named_rule_types(self) -> dict[str, str]:
-        """Extension name → registered class, for rule normalization."""
-        rows = self._db.query_all("SELECT name, class FROM named_rules")
-        return {row["name"]: row["class"] for row in rows}
+    def named_rule_types(self) -> Mapping[str, str]:
+        """Extension name → registered class, for rule normalization
+        (read-only; the store is read once)."""
+        if self._named_types is None:
+            rows = self._db.query_all("SELECT name, class FROM named_rules")
+            self._named_types = {row["name"]: row["class"] for row in rows}
+        return MappingProxyType(self._named_types)
 
     def named_rule_definitions(self) -> dict[str, str]:
         """Extension name → defining rule text, for query inlining."""
         rows = self._db.query_all("SELECT name, rule_text FROM named_rules")
         return {row["name"]: row["rule_text"] for row in rows}
 
-    def named_producers(self) -> dict[str, AtomNode]:
-        """Extension name → end atom node, for rule decomposition."""
-        rows = self._db.query_all("SELECT name, end_rule FROM named_rules")
-        return {
-            row["name"]: self.load_atom(int(row["end_rule"])) for row in rows
-        }
+    def named_producers(self) -> Mapping[str, AtomNode]:
+        """Extension name → end atom node, for rule decomposition
+        (read-only; the store is read once)."""
+        if self._named_producers is None:
+            rows = self._db.query_all(
+                "SELECT name, end_rule FROM named_rules"
+            )
+            self._named_producers = {
+                row["name"]: self.load_atom(int(row["end_rule"]))
+                for row in rows
+            }
+        return MappingProxyType(self._named_producers)
 
     # ------------------------------------------------------------------
     # Lookups used by the filter and the publisher

@@ -8,12 +8,18 @@ with predicates of the form ``X o Y`` where ``X`` and ``Y`` are constants
 or path expressions and ``o`` is one of ``= != < <= > >= contains``.
 Keywords are matched case-insensitively.  String constants use single
 quotes (``'uni-passau.de'``), doubling the quote to escape it.
+
+Character sets: an identifier starts with a Unicode letter or ``_`` and
+goes on with Unicode letters, digits and ``_`` (``str.isalnum``); a
+number is ``-?[0-9]+(\\.[0-9]+)?`` in ASCII digits only.  Whitespace is
+any Unicode whitespace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
 
 from repro.errors import RuleSyntaxError
 
@@ -42,8 +48,7 @@ KEYWORDS = frozenset({"search", "register", "where", "and", "or", "contains"})
 OPERATORS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     text: str
     position: int
@@ -57,6 +62,32 @@ class Token:
         return repr(self.text)
 
 
+#: One token after optional whitespace.  Every non-space character
+#: starts some alternative, so a scan never skips input: what no token
+#: accepts lands in ``bad``.  A string is closed by a quote that is not
+#: the first of an escape pair.  ``word`` starts at any ``\w`` but a
+#: decimal digit; a start that is not a letter or ``_`` (``²``, ``½``)
+#: is rejected after the match.
+_TOKEN = re.compile(
+    r"\s*(?:"
+    r"(?P<word>[^\W\d]\w*)"
+    r"|(?P<number>-?[0-9]+(?:\.[0-9]+)?)"
+    r"|'(?P<string>[^']*(?:''[^']*)*)'(?!')"
+    r"|(?P<operator>[!<>]=|[<>=])"
+    r"|(?P<punct>[.,?()])"
+    r"|(?P<bad>\S)"
+    r")"
+)
+
+_PUNCTUATION = {
+    ".": TokenType.DOT,
+    ",": TokenType.COMMA,
+    "?": TokenType.QUESTION,
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+}
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize a rule or query string.
 
@@ -65,98 +96,37 @@ def tokenize(text: str) -> list[Token]:
     unexpected characters.
     """
     tokens: list[Token] = []
-    index = 0
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char.isspace():
-            index += 1
-            continue
-        if char == "'":
-            tokens.append(_read_string(text, index))
-            index += len(tokens[-1].text) + 2 + tokens[-1].text.count("'")
-            continue
-        if char.isdigit() or (
-            char == "-" and index + 1 < length and text[index + 1].isdigit()
-        ):
-            token = _read_number(text, index)
-            tokens.append(token)
-            index = token.position + len(token.text)
-            continue
-        if char.isalpha() or char == "_":
-            token = _read_word(text, index)
-            tokens.append(token)
-            index = token.position + len(token.text)
-            continue
-        if char in "!<>=":
-            if char == "!" and text[index : index + 2] != "!=":
-                raise RuleSyntaxError("expected '!=' after '!'", index)
-            two = text[index : index + 2]
-            if two in ("!=", "<=", ">="):
-                tokens.append(Token(TokenType.OPERATOR, two, index))
-                index += 2
+    append = tokens.append
+    # Trailing whitespace is cut off, so every match ends in a token.
+    for match in _TOKEN.finditer(text, 0, len(text.rstrip())):
+        kind = match.lastgroup
+        assert kind is not None  # every alternative is a named group
+        value = match[kind]
+        start = match.start(kind)
+        if kind == "word":
+            lowered = value.lower()
+            if lowered in KEYWORDS:
+                append(Token(TokenType.KEYWORD, lowered, start))
+            elif value[0].isalpha() or value[0] == "_":
+                append(Token(TokenType.IDENT, value, start))
             else:
-                tokens.append(Token(TokenType.OPERATOR, char, index))
-                index += 1
-            continue
-        simple = {
-            ".": TokenType.DOT,
-            ",": TokenType.COMMA,
-            "?": TokenType.QUESTION,
-            "(": TokenType.LPAREN,
-            ")": TokenType.RPAREN,
-        }.get(char)
-        if simple is not None:
-            tokens.append(Token(simple, char, index))
-            index += 1
-            continue
-        raise RuleSyntaxError(f"unexpected character {char!r}", index)
-    tokens.append(Token(TokenType.END, "", length))
+                raise RuleSyntaxError(
+                    f"unexpected character {value[0]!r}", start
+                )
+        elif kind == "number":
+            append(Token(TokenType.NUMBER, value, start))
+        elif kind == "string":
+            append(Token(TokenType.STRING, value.replace("''", "'"),
+                         start - 1))
+        elif kind == "operator":
+            append(Token(TokenType.OPERATOR, value, start))
+        elif kind == "punct":
+            append(Token(_PUNCTUATION[value], value, start))
+        elif value == "'":
+            raise RuleSyntaxError("unterminated string constant", start)
+        elif value == "!":
+            raise RuleSyntaxError("expected '!=' after '!'", start)
+        else:
+            raise RuleSyntaxError(f"unexpected character {value!r}", start)
+    append(Token(TokenType.END, "", len(text)))
     return tokens
-
-
-def _read_string(text: str, start: int) -> Token:
-    """Read a single-quoted string constant starting at ``start``.
-
-    A doubled quote (``''``) inside the string denotes a literal quote.
-    The token's ``text`` holds the *unescaped* value.
-    """
-    parts: list[str] = []
-    index = start + 1
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char == "'":
-            if index + 1 < length and text[index + 1] == "'":
-                parts.append("'")
-                index += 2
-                continue
-            return Token(TokenType.STRING, "".join(parts), start)
-        parts.append(char)
-        index += 1
-    raise RuleSyntaxError("unterminated string constant", start)
-
-
-def _read_number(text: str, start: int) -> Token:
-    index = start
-    if text[index] == "-":
-        index += 1
-    while index < len(text) and text[index].isdigit():
-        index += 1
-    if index < len(text) and text[index] == "." and (
-        index + 1 < len(text) and text[index + 1].isdigit()
-    ):
-        index += 1
-        while index < len(text) and text[index].isdigit():
-            index += 1
-    return Token(TokenType.NUMBER, text[start:index], start)
-
-
-def _read_word(text: str, start: int) -> Token:
-    index = start
-    while index < len(text) and (text[index].isalnum() or text[index] == "_"):
-        index += 1
-    word = text[start:index]
-    if word.lower() in KEYWORDS:
-        return Token(TokenType.KEYWORD, word.lower(), start)
-    return Token(TokenType.IDENT, word, start)

@@ -5,8 +5,8 @@ notifications make it, through updates, deletions and strong-reference
 closure (paper, Sections 2.4 and 3.5), whatever evaluator, delivery
 path or failure sits in between.  Three parts check it:
 
-- **One seeded scenario** (:func:`scenario`): vocabulary, subscriptions
-  over two LMRs, publishes, late vocabulary and subscriptions, updates,
+- **One seeded scenario** (:func:`scenario`): vocabulary, a named rule
+  with subscriptions over it, subscriptions over two LMRs, publishes, late vocabulary and subscriptions, updates,
   a batch that repeats a URI, unsubscriptions, deletions, the counting
   merge's role changes, a provider restart and an LMR that catches up
   from a snapshot.  :data:`HOSTS`, :data:`NEEDLES` and
@@ -93,7 +93,9 @@ __all__ = [
     "JOINER",
     "KillReport",
     "LONE",
+    "NAMED",
     "OVER_BOTH",
+    "OVER_NAMED",
     "Run",
     "SEMANTIC_RULES",
     "SweepReport",
@@ -260,6 +262,16 @@ BOTH = _INFO + "s.memory > 64"
 OVER_BOTH = _HOST + "c.serverInformation.memory > 64"
 LONE = _INFO + "s.cpu > 950"
 JOINER = _HOST + "c.serverInformation.cpu > 950"
+#: A named rule (paper, Section 2.3: an extension may be "another
+#: subscription rule"), registered before content, and the rules over
+#: it: subscribed before content, after content, and before content
+#: and unsubscribed later.  The last one's end rule is the named rule's.
+NAMED = ("UniHosts", _HOST + "c.serverHost contains 'uni'")
+OVER_NAMED = (
+    "search UniHosts u register u where u.serverInformation.memory > 64",
+    "search UniHosts u register u where u.serverInformation.cpu <= 500",
+    "search UniHosts u register u",
+)
 
 
 def harness_schema() -> Schema:
@@ -313,8 +325,8 @@ def scenario(seed: int, documents: int = 2) -> list[tuple]:
 
     ``documents`` is how many documents (and rules) of each family the
     seed draws beyond the hand-placed ones.  Operations are
-    ``("vocab", method, args)``, ``("subscribe" | "unsubscribe", lmr,
-    rule)``, ``("publish", document)``, ``("batch", documents)``,
+    ``("vocab", method, args)``, ``("named", name, rule)``,
+    ``("subscribe" | "unsubscribe", lmr, rule)``, ``("publish", document)``, ``("batch", documents)``,
     ``("delete", uri)``, ``("restart",)`` and ``("catch_up", lmr)``.
     """
     rng = random.Random(seed)
@@ -359,10 +371,19 @@ def scenario(seed: int, documents: int = 2) -> list[tuple]:
 
     half, market_half = len(current) // 2, len(listings) // 2
     ops: list[tuple] = [("vocab", *entry) for entry in _EARLY_VOCABULARY]
+    ops += [
+        ("named", *NAMED),
+        subscribe(OVER_NAMED[0], "lmr-a"),
+        subscribe(OVER_NAMED[2], "lmr-b"),
+    ]
     ops += [subscribe(rule) for rule in rules + list(SEMANTIC_RULES[:-1])]
     ops += [("publish", doc) for doc in current[:half] + listings[:market_half]]
     ops += [("vocab", *entry) for entry in _LATE_VOCABULARY]
-    ops += [subscribe(late_rule), subscribe(SEMANTIC_RULES[-1])]
+    ops += [
+        subscribe(late_rule),
+        subscribe(SEMANTIC_RULES[-1]),
+        subscribe(OVER_NAMED[1], "lmr-b"),
+    ]
     ops += [("publish", doc) for doc in current[half:] + listings[market_half:]]
     # Updates move a host across the needle pool and a listing across
     # categories and price thresholds.
@@ -386,6 +407,7 @@ def scenario(seed: int, documents: int = 2) -> list[tuple]:
     ops += [
         ("unsubscribe", owner[rules[-1]], rules[-1]),
         ("unsubscribe", owner[SEMANTIC_RULES[5]], SEMANTIC_RULES[5]),
+        ("unsubscribe", "lmr-b", OVER_NAMED[2]),
         ("publish", host(cpu())),
         ("delete", current[3].uri),
         ("delete", listings[1].uri),
@@ -657,8 +679,8 @@ class Run:
     Over ``socket`` the provider is a served node, as ``python -m
     repro.mdv serve`` runs one: a forked process that owns the store and
     serves its own transport on its one thread.  The LMRs stay here, and
-    what the wire protocol lacks (batches, vocabulary, restart,
-    snapshot, the end-state facts) travels as ``harness`` requests.
+    what the wire protocol lacks (batches, vocabulary, named rules,
+    restart, snapshot, the end-state facts) travels as ``harness`` requests.
     """
 
     def __init__(self, config: dict | None = None, transport: str = "direct"):
@@ -854,6 +876,8 @@ class Run:
         kind, lmrs = op[0], self.lmrs
         if kind == "vocab":
             self._at_provider(op[1], *op[2])
+        elif kind == "named":
+            self._at_provider("register_named_rule", *op[1:])
         elif kind == "subscribe":
             lmrs[op[1]].subscribe(op[2])
         elif kind == "unsubscribe":
@@ -882,9 +906,10 @@ class Run:
 
         A retry of an operation the crashed attempt had already
         committed is redundant by design: re-registration is an empty
-        diff, a re-delete, re-subscribe or re-unsubscribe raises, and
-        that error is absorbed only after a crash.  A batch is read back
-        instead: one that registers a URI twice is no such no-op.
+        diff, a re-delete, re-subscribe, re-unsubscribe or repeated named
+        rule raises, and that error is absorbed only after a crash.  A
+        batch is read back instead: one that registers a URI twice is no
+        such no-op.
         """
         crashed = False
         while True:
@@ -1180,6 +1205,9 @@ def run_chaos(seed: int, config: dict | None = None, faulty: bool = True,
         if kind == "vocab":
             for provider in backbone.providers.values():
                 getattr(provider, op[1])(*op[2])
+        elif kind == "named":
+            for provider in backbone.providers.values():
+                provider.register_named_rule(*op[1:])
         elif kind in ("subscribe", "unsubscribe"):
             _retry(getattr(lmrs[op[1]], kind), op[2])
         elif kind == "publish":
@@ -1300,8 +1328,9 @@ def served_ops(ops: list[tuple]) -> list[tuple]:
 
     A served node knows the objectglobe schema and the service protocol
     only: the objectglobe subscriptions of both LMRs go to one served
-    LMR, a batch becomes single registrations, and vocabulary, restart
-    and catch-up are left out (the kill is the restart).
+    LMR, a batch becomes single registrations, and vocabulary, the named
+    rule and the rules over it, restart and catch-up are left out (the
+    kill is the restart).
     """
     served = []
     for op in ops:

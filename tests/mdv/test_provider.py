@@ -6,6 +6,7 @@ from repro.errors import (
     DocumentNotFoundError,
     SchemaValidationError,
     SubscriptionError,
+    UnknownClassError,
 )
 from repro.mdv.provider import MetadataProvider
 from repro.rdf.model import Document, URIRef
@@ -236,6 +237,51 @@ class TestNamedRules:
             collector.name, "search PassauHosts p register p"
         )
         assert len(collector.batches) == 1
+
+    def test_a_named_rule_is_read_once_and_then_kept(self, mdp, monkeypatch):
+        """The named rules are read from the store by the first compile;
+        a later registration updates what compilation sees in place."""
+        collector = CollectingSubscriber(mdp)
+        mdp.subscribe(collector.name, "search CycleProvider c register c")
+        mdp.register_named_rule("Passau", self.PASSAU)
+        reads = []
+        query_all = mdp.db.query_all
+
+        def logged(sql, *args):
+            if "FROM named_rules" in sql:
+                reads.append(sql)
+            return query_all(sql, *args)
+
+        monkeypatch.setattr(mdp.db, "query_all", logged)
+        mdp.subscribe(collector.name, "search Passau p register p")
+        assert reads == []
+        assert mdp.registry.named_rule_types() == {"Passau": "CycleProvider"}
+
+    def test_a_rolled_back_named_rule_leaves_compilation(
+        self, mdp, monkeypatch
+    ):
+        collector = CollectingSubscriber(mdp)
+        mdp.subscribe(collector.name, "search CycleProvider c register c")
+
+        def fail(created):
+            raise RuntimeError("initialization failed")
+
+        monkeypatch.setattr(mdp.engine, "initialize_rules", fail)
+        with pytest.raises(RuntimeError):
+            mdp.register_named_rule("Passau", self.PASSAU)
+        monkeypatch.undo()
+        assert mdp.registry.named_rule("Passau") is None
+        assert "Passau" not in mdp.registry.named_rule_types()
+        with pytest.raises(UnknownClassError):
+            mdp.subscribe(collector.name, "search Passau p register p")
+        mdp.register_named_rule("Passau", self.PASSAU)
+        mdp.register_document(make_doc(1))
+        mdp.subscribe(collector.name, "search Passau p register p")
+        assert mdp.browse("search Passau p")[0].uri == URIRef("doc1.rdf#host")
+
+    PASSAU = (
+        "search CycleProvider c register c where c.serverHost contains 'passau'"
+    )
 
     def test_or_in_named_rule_rejected(self, mdp):
         with pytest.raises(SubscriptionError):

@@ -311,7 +311,7 @@ class TestNamedRules:
             "lmr", "derived", derived
         )
         # The named rule's atom is shared, not re-created.
-        created_keys = {atom.key for __, atom in registration.created}
+        created_keys = {entry.atom.key for entry in registration.created}
         assert producers["PassauHosts"].key not in created_keys
 
 
@@ -404,7 +404,7 @@ class TestBulkRegisterTriggering:
         versions = [m.version for m in registry.mutation_log]
         assert versions == sorted(versions)
         logged = {m.rule_id for m in registry.mutation_log}
-        assert {rule_id for rule_id, __ in created} <= logged
+        assert {entry.rule_id for entry in created} <= logged
 
     def test_dedupe_shares_rules(self, db, schema):
         registry = RuleRegistry(db)

@@ -1,9 +1,14 @@
 """Unit tests for the rule-language tokenizer."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.errors import RuleSyntaxError
+from repro.rules.parser import parse_rule
 from repro.rules.tokens import Token, TokenType, tokenize
+
+from tests.conftest import prop_settings
+from tests.rules.tokenizer_reference import reference_tokenize
 
 
 def kinds(text):
@@ -115,3 +120,82 @@ def test_full_rule_tokenizes():
     tokens = tokenize(text)
     assert tokens[-1].type is TokenType.END
     assert sum(1 for t in tokens if t.type is TokenType.DOT) == 3
+
+
+def test_unicode_letters_form_identifiers():
+    assert texts("c.sérverPort x٣ _ß") == ["c", ".", "sérverPort", "x٣", "_ß"]
+
+
+RULE = "search CycleProvider c register c where c.serverPort = "
+
+
+@pytest.mark.parametrize(
+    "constant, offset",
+    [
+        ("²", 0),   # a digit (str.isdigit) that int() refuses
+        ("1²", 1),  # the same after an ASCII digit
+        ("٣", 0),   # a decimal digit int() would read as 3
+        ("-٣", 0),  # '-' before a non-ASCII digit starts no number
+        ("5.٣", 2),
+        ("§", 0),   # never a digit: the same error as ever
+    ],
+)
+def test_number_tokens_take_ascii_digits_only(constant, offset):
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rule(RULE + constant)
+    assert err.value.position == len(RULE) + offset
+    assert "unexpected character" in str(err.value)
+
+
+#: Fragments of the rule alphabet, the tricky ones included: quotes and
+#: ``''`` escapes, ``!`` without ``=``, ``-`` before a digit and before a
+#: space, ``5.x``, Unicode letters, digits and spaces.
+FRAGMENTS = [
+    "search", "REGISTER", "Where", "and", "or", "contains", "c", "_x",
+    "serverPort", "sérver", "ß", "Ω", "x1", "0", "7", "42", "-", "-1",
+    "- 1", "5.x", "3.25", "5.", ".", ",", "?", "(", ")", "'", "''",
+    "'it''s'", "'a'", "!", "!=", "=", "<", "<=", ">", ">=", "<>", " ",
+    "  ", "\t", " ", "٣", "²", "½", "§", "@",
+]
+
+rule_alphabet_text = st.lists(
+    st.sampled_from(FRAGMENTS), max_size=14
+).map("".join) | st.text(
+    alphabet=st.sampled_from(list("ab_1-.'!=< ٣²é")), max_size=12
+)
+
+
+def _non_ascii_number(triples):
+    """The first number token the reference read non-ASCII digits into."""
+    for kind, text, position in triples:
+        if kind is TokenType.NUMBER and not text.isascii():
+            return text, position
+    return None
+
+
+@prop_settings(400)
+@given(text=rule_alphabet_text)
+@example(text="'a''")
+@example(text="'''")
+@example(text="a ! b")
+@example(text="5.x - 1")
+@example(text="c = 1²")
+@example(text="  x  ")
+def test_tokenizer_agrees_with_the_character_loop(text):
+    """Same ``(type, text, position)`` list or the same error position as
+    the loop the scan replaced — except where that loop read non-ASCII
+    digits into a number (it crashed the parser or parsed ``٣`` as 3):
+    there the scan raises inside that number."""
+    expected, reference_error = reference_tokenize(text)
+    bad_number = _non_ascii_number(expected)
+    if bad_number is not None:
+        number, position = bad_number
+        with pytest.raises(RuleSyntaxError) as err:
+            tokenize(text)
+        assert position <= err.value.position < position + len(number)
+    elif reference_error is not None:
+        with pytest.raises(RuleSyntaxError) as err:
+            tokenize(text)
+        assert err.value.position == reference_error.position
+    else:
+        assert [tuple(token) for token in tokenize(text)] == expected

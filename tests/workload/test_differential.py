@@ -13,7 +13,9 @@ from repro.workload.differential import (
     DIMENSIONS,
     JOINER,
     LONE,
+    NAMED,
     OVER_BOTH,
+    OVER_NAMED,
     TRANSPORTS,
     covering_array,
     scenario,
@@ -33,6 +35,7 @@ CASES = (
     "end rule that becomes a join input and stops being one",
     "update of a document matched only off result_objects",
     "delete of a document matched only off result_objects",
+    "rules over a named rule: before content, after it and unsubscribed",
 )
 
 
@@ -73,6 +76,9 @@ def _cases(ops) -> set[str]:
     published = [op[1].uri for op in ops if op[0] == "publish"]
     deleted = {op[1] for op in ops if op[0] == "delete"}
     unsubscribed = {op[2] for op in ops if op[0] == "unsubscribe"}
+    first_publish = next(i for i, op in enumerate(ops) if op[0] == "publish")
+    named_at = {op[1:]: i for i, op in enumerate(ops) if op[0] == "named"}
+    subscribed_at = {op[2]: i for i, op in enumerate(ops) if op[0] == "subscribe"}
 
     def needle(text: str) -> bool:
         return any(f"contains '{text}'" in rule for rule in rules)
@@ -99,6 +105,16 @@ def _cases(ops) -> set[str]:
         found.add("update of a document matched only off result_objects")
     if "brief.rdf" in published and "brief.rdf" in deleted:
         found.add("delete of a document matched only off result_objects")
+    before, after, dropped = (subscribed_at.get(rule) for rule in OVER_NAMED)
+    if (
+        named_at.get(NAMED, first_publish) < first_publish
+        and None not in (before, after, dropped)
+        and before < first_publish < after
+        and OVER_NAMED[2] in unsubscribed
+    ):
+        found.add(
+            "rules over a named rule: before content, after it and unsubscribed"
+        )
     return found
 
 
@@ -109,7 +125,7 @@ def test_scenario_holds_every_targeted_case(seed):
 
 def test_scenario_exercises_every_operation_kind():
     kinds = {op[0] for op in scenario(1)}
-    assert kinds == {"vocab", "subscribe", "unsubscribe", "publish",
+    assert kinds == {"vocab", "named", "subscribe", "unsubscribe", "publish",
                      "batch", "delete", "restart", "catch_up"}
     (batch,) = [op[1] for op in scenario(1) if op[0] == "batch"]
     uris = [document.uri for document in batch]
