@@ -237,10 +237,11 @@ class RuleRegistry:
         if len(atoms) == 1:
             rule_id = self._lookup(atoms[0].key)
             return {} if rule_id is None else {atoms[0].key: rule_id}
+        # One variable per atom of one rule, never per rule of the base.
         rows = self._db.query_all(
             "SELECT rule_text, rule_id FROM atomic_rules WHERE rule_text "
-            "IN (SELECT value FROM json_each(?))",
-            (json.dumps([atom.key for atom in atoms]),),
+            f"IN ({', '.join('?' * len(atoms))})",
+            [atom.key for atom in atoms],
         )
         return {row[0]: int(row[1]) for row in rows}
 
