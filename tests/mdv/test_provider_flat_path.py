@@ -176,7 +176,10 @@ def test_no_operation_scans_a_persistent_table(monkeypatch):
     mdp.register_documents([make_doc(i, memory=60 + i % 8) for i in range(20)])
 
     log = StatementLog(mdp.db, monkeypatch)
-    for rule in five_type_rules(10)[-5:]:                     # subscribe
+    # Subscribe a new rule of each type, and a PATH rule whose new join
+    # initialises from inputs that match stored documents.
+    fed = HEAD + "c.serverInformation.cpu = 600"
+    for rule in [*five_type_rules(10)[-5:], fed]:
         lmrs[0].subscribe(rule)
     mdp.register_document(make_doc(100, memory=63))           # publish
     mdp.register_document(make_doc(3, memory=61, synth=2))    # update
@@ -192,6 +195,7 @@ def test_no_operation_scans_a_persistent_table(monkeypatch):
     mdp.register_document(make_doc(101, memory=63))
 
     assert len(log.seen) > 40  # the log really saw the operations
+    assert join_initializations(log)  # ... a join initialised from data
     # ... the group discovery of the join iterations among them: the
     # one CycleProvider class atom feeds all eight PATH members, and one
     # seek per (source rule, group) finds their group.
