@@ -140,9 +140,6 @@ class Schema:
         #: class → names of its strong reference properties, filled on
         #: demand by :meth:`strong_reference_names`.
         self._strong_names: dict[str, frozenset[str]] = {}
-        #: class → its extension, filled on demand by
-        #: :meth:`subclasses_of` (every rule compilation asks).
-        self._extensions: dict[str, tuple[str, ...]] = {}
         for class_def in classes:
             self.add_class(class_def)
 
@@ -155,7 +152,6 @@ class Schema:
             raise SchemaError(f"class {class_def.name!r} already defined")
         self._classes[class_def.name] = class_def
         self._strong_names.clear()
-        self._extensions.clear()
         return class_def
 
     def define_class(
@@ -221,15 +217,12 @@ class Schema:
 
         Includes ``name`` itself and every direct or transitive subclass.
         """
-        extension = self._extensions.get(name)
-        if extension is None:
-            self.class_def(name)  # raise early on unknown classes
-            extension = self._extensions[name] = tuple(
-                candidate
-                for candidate in self._classes
-                if name in self.superclass_chain(candidate)
-            )
-        return list(extension)
+        self.class_def(name)  # raise early on unknown classes
+        return [
+            candidate
+            for candidate in self._classes
+            if name in self.superclass_chain(candidate)
+        ]
 
     # Kept as an alias that reads well at rule-compilation call sites.
     extension_classes = subclasses_of

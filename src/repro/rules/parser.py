@@ -30,14 +30,16 @@ __all__ = ["parse_rule", "parse_query"]
 class _Parser:
     """Shared cursor machinery for rules and queries."""
 
-    error_class: type[RuleSyntaxError] = RuleSyntaxError
-
-    def __init__(self, text: str):
+    def __init__(
+        self, text: str, error_class: type[RuleSyntaxError] = RuleSyntaxError
+    ):
         self.text = text
+        #: Raised for every syntax error, lexical ones included.
+        self.error_class = error_class
         try:
             self.tokens = tokenize(text)
         except RuleSyntaxError as exc:
-            error = self.error_class(str(exc))
+            error = error_class(str(exc))
             error.position = exc.position
             raise error from None
         self.index = 0
@@ -62,8 +64,7 @@ class _Parser:
             raise self.fail(f"expected {word!r}")
 
     def accept_keyword(self, word: str) -> bool:
-        token = self.current
-        if token.type is TokenType.KEYWORD and token.text == word:
+        if self.current.is_keyword(word):
             self.advance()
             return True
         return False
@@ -208,8 +209,7 @@ def parse_query(text: str) -> Query:
 
     The first search variable is the query result.
     """
-    parser = _Parser(text)
-    parser.error_class = QuerySyntaxError
+    parser = _Parser(text, QuerySyntaxError)
     parser.expect_keyword("search")
     extensions = parser.extensions()
     where: BoolExpr | None = None

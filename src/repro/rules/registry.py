@@ -211,15 +211,24 @@ class RuleRegistry:
     ) -> tuple[int, list[int], list[CreatedAtom]]:
         """:meth:`ensure_atoms`, new atoms inserted with ``refcount``."""
         atoms = decomposed.atoms
+        ids: dict[str, int] = {}
+        if self.deduplicate:
+            single = atoms[0] if len(atoms) == 1 else None
+            if isinstance(single, TriggeringAtom):
+                # Insert first; a stored atom is looked up only when the
+                # UNIQUE (rule_text) constraint finds it.
+                rule_id = self._insert_triggering(single, refcount)
+                if rule_id is not None:
+                    return rule_id, [rule_id], [CreatedAtom(rule_id, single)]
+            ids = self._lookup_keys(atoms)
         created: list[CreatedAtom] = []
-        ids = self._lookup_keys(atoms) if self.deduplicate else {}
         for atom in atoms:
             if atom.key in ids:
                 continue
             if isinstance(atom, TriggeringAtom):
-                entry = CreatedAtom(
-                    self._insert_triggering(atom, refcount), atom
-                )
+                rule_id = self._insert_triggering(atom, refcount)
+                assert rule_id is not None, "looked up above: not stored"
+                entry = CreatedAtom(rule_id, atom)
             else:
                 # Children come first, so both inputs have ids.
                 entry = self._insert_join(
@@ -234,9 +243,6 @@ class RuleRegistry:
     def _lookup_keys(self, atoms: list[AtomNode]) -> dict[str, int]:
         """Stored rule id per key, for those of ``atoms`` already stored
         (one statement: a ``rule_text`` probe per key)."""
-        if len(atoms) == 1:
-            rule_id = self._lookup(atoms[0].key)
-            return {} if rule_id is None else {atoms[0].key: rule_id}
         # One variable per atom of one rule, never per rule of the base.
         rows = self._db.query_all(
             "SELECT rule_text, rule_id FROM atomic_rules WHERE rule_text "
@@ -266,14 +272,11 @@ class RuleRegistry:
         created: list[CreatedAtom] = []
         with self._db.transaction():
             for rule_text, atom in rules:
-                existing = (
-                    self._lookup(atom.key) if self.deduplicate else None
-                )
-                if existing is not None:
-                    rule_id = existing
+                rule_id = self._insert_triggering(atom, refcount=1)
+                if rule_id is None:
+                    rule_id = self._lookup_keys([atom])[atom.key]
                     self._db.execute(_ADD_REFERENCE, (rule_id,))
                 else:
-                    rule_id = self._insert_triggering(atom, refcount=1)
                     created.append(CreatedAtom(rule_id, atom))
                 cursor = self._db.execute(
                     "INSERT INTO subscriptions (subscriber, rule_text, "
@@ -283,11 +286,6 @@ class RuleRegistry:
                 sub_id = int(cursor.lastrowid)
                 self._db.execute(_ADD_SUBSCRIPTION_RULE, (sub_id, rule_id))
         return created
-
-    def _lookup(self, key: str) -> int | None:
-        return self._db.scalar(
-            "SELECT rule_id FROM atomic_rules WHERE rule_text = ?", (key,)
-        )
 
     def _stored_key(self, atom: AtomNode) -> str:
         """The rule text persisted for ``atom``.
@@ -314,14 +312,20 @@ class RuleRegistry:
         elif rows:
             self._db.executemany(sql, rows)
 
-    def _insert_triggering(self, atom: TriggeringAtom, refcount: int) -> int:  # mdv: allow(MDV065): runs inside caller's transaction
-        self.mutation_version += 1
+    def _insert_triggering(  # mdv: allow(MDV065): runs inside caller's transaction
+        self, atom: TriggeringAtom, refcount: int
+    ) -> int | None:
+        """Insert ``atom`` with its index rows; ``None`` if it is stored."""
         cursor = self._db.execute(
             "INSERT INTO atomic_rules (kind, rule_text, class, refcount) "
-            "VALUES ('triggering', ?, ?, ?)",
+            "VALUES ('triggering', ?, ?, ?) "
+            "ON CONFLICT (rule_text) DO NOTHING",
             (self._stored_key(atom), atom.rdf_class, refcount),
         )
+        if cursor.rowcount != 1:
+            return None
         rule_id = int(cursor.lastrowid)
+        self.mutation_version += 1
         self.mutation_log.append(
             RuleMutation(self.mutation_version, rule_id)
         )

@@ -36,7 +36,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import contextmanager
 from typing import Any
 
 from repro.errors import CrashError, StorageError
@@ -44,24 +44,6 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.storage.durability import CrashPlan, pragmas_for
 
 __all__ = ["Database"]
-
-
-class _Joined:
-    """A nested :meth:`Database.transaction` block: it joins the open
-    transaction and, if it raises, marks it rollback-only."""
-
-    __slots__ = ("_db",)
-
-    def __init__(self, db: Database):
-        self._db = db
-
-    def __enter__(self) -> Database:
-        return self._db
-
-    def __exit__(self, exc_type: object, *__: object) -> bool:
-        if exc_type is not None:
-            self._db._rollback_only = True
-        return False
 
 
 class Database:
@@ -96,7 +78,6 @@ class Database:
         self._transaction_owner: int | None = None
         #: Set when a nested block raised: the outermost block rolls back.
         self._rollback_only = False
-        self._joined = _Joined(self)
         self._crash_plan: CrashPlan | None = None
         # Instrument handles are resolved once; every statement then
         # pays one attribute-add, keeping the hot path hot.
@@ -238,7 +219,8 @@ class Database:
         except sqlite3.Error as exc:
             raise StorageError(f"{exc}\nscript: {script[:200]}...") from exc
 
-    def transaction(self) -> AbstractContextManager[Database]:
+    @contextmanager
+    def transaction(self) -> Iterator[Database]:
         """Run a block atomically.
 
         The top-level block opens one SQLite transaction, committed on
@@ -261,12 +243,12 @@ class Database:
                     f"{self._transaction_owner}; serialize access or give "
                     "each thread its own Database (docs/CONCURRENCY.md)"
                 )
-            return self._joined
-        return self._outermost()
-
-    @contextmanager
-    def _outermost(self) -> Iterator[Database]:
-        """The top-level block of :meth:`transaction`."""
+            try:
+                yield self
+            except BaseException:
+                self._rollback_only = True
+                raise
+            return
         self._m_transactions.inc()
         self._in_transaction = True
         self._rollback_only = False

@@ -6,10 +6,10 @@ closure (paper, Sections 2.4 and 3.5), whatever evaluator, delivery
 path or failure sits in between.  Three parts check it:
 
 - **One seeded scenario** (:func:`scenario`): vocabulary, a named rule
-  with subscriptions over it, subscriptions over two LMRs, publishes, late vocabulary and subscriptions, updates,
-  a batch that repeats a URI, unsubscriptions, deletions, the counting
-  merge's role changes, a provider restart and an LMR that catches up
-  from a snapshot.  :data:`HOSTS`, :data:`NEEDLES` and
+  with subscriptions over it, subscriptions over two LMRs, publishes,
+  late vocabulary and subscriptions, updates, a batch that repeats a
+  URI, unsubscriptions, deletions, the counting merge's role changes, a
+  provider restart and an LMR that catches up from a snapshot.  :data:`HOSTS`, :data:`NEEDLES` and
   :data:`TARGETED_RULES` hold the cases matchers get wrong.
 - **One digest** (:meth:`Run.digest`): the notification stream each
   LMR applied, each unsubscribed rule's matches as it was dropped, the
@@ -20,7 +20,8 @@ path or failure sits in between.  Three parts check it:
   engine and registry before the first operation.  The transport is
   ``direct``, ``bus`` (:class:`~repro.net.bus.NetworkBus`) or
   ``socket`` (a served provider process).  The fault plan is none, a
-  crash sweep (:func:`run_crash_sweep`), link chaos over a two-MDP
+  crash sweep (:func:`run_crash_sweep`; the provider restarts after
+  each crash, or keeps running on the rolled-back store), link chaos over a two-MDP
   backbone (:func:`run_chaos`) or ``kill -9`` of a served MDP
   (:func:`run_kill`).
 
@@ -326,7 +327,8 @@ def scenario(seed: int, documents: int = 2) -> list[tuple]:
     ``documents`` is how many documents (and rules) of each family the
     seed draws beyond the hand-placed ones.  Operations are
     ``("vocab", method, args)``, ``("named", name, rule)``,
-    ``("subscribe" | "unsubscribe", lmr, rule)``, ``("publish", document)``, ``("batch", documents)``,
+    ``("subscribe" | "unsubscribe", lmr, rule)``, ``("publish",
+    document)``, ``("batch", documents)``,
     ``("delete", uri)``, ``("restart",)`` and ``("catch_up", lmr)``.
     """
     rng = random.Random(seed)
@@ -636,6 +638,20 @@ def provider_facts(provider: MetadataProvider) -> dict:
     }
 
 
+def memory_failures(provider: MetadataProvider) -> list[str]:
+    """Where the provider's in-memory named rules, which rule
+    compilation reads, disagree with its store's."""
+    registry = provider.registry
+    rows = provider.db.query_all("SELECT name, end_rule, class FROM named_rules")
+    failures = []
+    if dict(registry.named_rule_types()) != {r["name"]: r["class"] for r in rows}:
+        failures.append("the named-rule classes differ from the store's")
+    stored = {r["name"]: registry.load_atom(r["end_rule"]).key for r in rows}
+    if {n: a.key for n, a in registry.named_producers().items()} != stored:
+        failures.append("the named-rule producers differ from the store's")
+    return failures
+
+
 def lmr_failures(facts: dict, lmrs: dict[str, LocalMetadataRepository]) -> list[str]:
     """Each LMR caches exactly the resources its subscriptions match,
     with the provider's content, and counts each batch it did not apply
@@ -674,13 +690,17 @@ class Run:
     filter pass's triggering hits and join iterations.  With a crash
     plan armed on :attr:`db` (direct transport) a
     :class:`~repro.errors.CrashError` restarts the provider and the
-    operation is retried.
+    operation is retried.  With :attr:`restart_on_crash` off the
+    provider keeps running on the rolled-back store instead, and its
+    in-memory named rules must agree with the store
+    (:func:`memory_failures`) before the retry.
 
     Over ``socket`` the provider is a served node, as ``python -m
     repro.mdv serve`` runs one: a forked process that owns the store and
     serves its own transport on its one thread.  The LMRs stay here, and
     what the wire protocol lacks (batches, vocabulary, named rules,
-    restart, snapshot, the end-state facts) travels as ``harness`` requests.
+    restart, snapshot, the end-state facts) travels as ``harness``
+    requests.
     """
 
     def __init__(self, config: dict | None = None, transport: str = "direct"):
@@ -704,6 +724,7 @@ class Run:
         self._replacements = dict.fromkeys(LMRS, 0)
         self.failures: list[str] = []
         self.recoveries = 0
+        self.restart_on_crash = True
         self._recording = True
         self._facts: dict = {}
         #: The served node's pid here, 0 inside the node, else None.
@@ -920,8 +941,14 @@ class Run:
                 crashed = True
                 self.recoveries += 1
                 self.db.clear_crash_plan()
-                self.failures += [f"at restart: {f}" for f in audit_failures(self.db)]
-                self._restart()
+                self.failures += [f"after a crash: {f}" for f in audit_failures(self.db)]
+                if self.restart_on_crash:
+                    self._restart()
+                else:
+                    self.failures += [
+                        f"after a rollback: {f}"
+                        for f in memory_failures(self.provider)
+                    ]
                 if op[0] == "batch" and self._stored(op[1]):
                     return
             except (SubscriptionError, DocumentNotFoundError):
@@ -1056,12 +1083,14 @@ class SweepReport:
         )
 
 
-def crash_run(ops: list[tuple], config: dict,
-              point: CrashPoint | None = None) -> tuple[Run, CrashPlan]:
+def crash_run(ops: list[tuple], config: dict, point: CrashPoint | None = None,
+              restart: bool = True) -> tuple[Run, CrashPlan]:
     """One direct run of ``ops`` (a :func:`scenario` or a prefix of
     one) with ``point``'s crash plan armed (without a point, a plan
-    that only counts boundaries)."""
+    that only counts boundaries); ``restart`` is the run's
+    :attr:`Run.restart_on_crash`."""
     run = Run(config)
+    run.restart_on_crash = restart
     plan = point.plan() if point is not None else CrashPlan()
     run.db.install_crash_plan(plan)
     try:
@@ -1075,11 +1104,12 @@ def crash_run(ops: list[tuple], config: dict,
 
 
 def run_crash_sweep(ops: list[tuple], config: dict | None = None,
-                    stride: int = 5) -> SweepReport:
+                    stride: int = 5, restart: bool = True) -> SweepReport:
     """Kill ``ops`` at every commit boundary and every ``stride``-th
-    statement boundary; each restarted and resumed run must reproduce
-    the never-crashed run's digest and delivery stamps and audit clean
-    after every crash and at the end."""
+    statement boundary; each resumed run, restarted or (``restart``
+    off) rolled back in place, must reproduce the never-crashed run's
+    digest and delivery stamps and audit clean after every crash and at
+    the end."""
     config = {"durable_delivery": True, **(config or {})}
     baseline, plan = crash_run(ops, config)
     report = SweepReport(config, plan.statements_seen, plan.commits_seen)
@@ -1087,7 +1117,7 @@ def run_crash_sweep(ops: list[tuple], config: dict | None = None,
     for point in enumerate_crash_points(
         plan.statements_seen, plan.commits_seen, stride
     ):
-        run, crash = crash_run(ops, config, point)
+        run, crash = crash_run(ops, config, point, restart)
         report.points_tested += 1
         if not crash.fired:
             report.failures.append(f"{point}: plan never fired")

@@ -139,3 +139,21 @@ def test_crash_at_every_commit_of_each_later_operation_kind():
         assert crashed.failures == []
         assert crashed.digest() == baseline.digest()
         assert crashed.stamps == baseline.stamps
+
+
+def test_a_rollback_in_place_leaves_memory_as_the_store_holds_it():
+    """Without a restart the provider keeps its memory over the
+    rolled-back store.  At every commit and every 5th statement up to
+    the first publish (the named rule and the rules over it included)
+    its named rules must read as the store holds them, and the resumed
+    run must reproduce the never-crashed one."""
+    ops = scenario(1)
+    first = next(i for i, op in enumerate(ops) if op[0] == "publish")
+    assert "named" in {op[0] for op in ops[:first]}
+    report = run_crash_sweep(
+        ops[:first + 1], {"durable_delivery": True}, 5, restart=False
+    )
+    assert report.ok, report.failures
+    assert report.points_tested == report.commits + len(
+        range(1, report.statements + 1, 5)
+    )

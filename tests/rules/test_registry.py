@@ -60,6 +60,33 @@ class TestEnsureAtoms:
         )
         assert registration.created == []
 
+    def test_a_stored_single_atom_is_shared_and_counted(
+        self, registry, schema, db
+    ):
+        """A single-atom rule is inserted first; the UNIQUE (rule_text)
+        conflict makes a stored atom a reference, not a new row."""
+        rule = "search CycleProvider c register c where c.serverPort = 80"
+        first = registry.register_subscription(
+            "lmr1", rule, decomposed(rule, schema)
+        )
+        version = registry.mutation_version
+        second = registry.register_subscription(
+            "lmr2", rule, decomposed(rule, schema)
+        )
+        assert second.created == []
+        assert second.end_rule == first.end_rule
+        assert registry.mutation_version == version
+        with pytest.raises(SubscriptionError):
+            registry.register_subscription(
+                "lmr2", rule, decomposed(rule, schema)
+            )
+        refcount = "SELECT refcount FROM atomic_rules WHERE rule_id = ?"
+        assert db.scalar(refcount, (first.end_rule,)) == 2
+        assert registry.unsubscribe("lmr1", rule) == []
+        assert db.scalar(refcount, (first.end_rule,)) == 1
+        assert registry.unsubscribe("lmr2", rule) == [first.end_rule]
+        assert registry.atom_count() == 0
+
     def test_duplicate_subscription_rejected(self, registry, schema):
         registry.register_subscription(
             "lmr", PATH_MEMORY, decomposed(PATH_MEMORY, schema)

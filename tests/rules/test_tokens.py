@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.errors import RuleSyntaxError
-from repro.rules.parser import parse_rule
+from repro.errors import QuerySyntaxError, RuleSyntaxError
+from repro.rules.parser import parse_query, parse_rule
 from repro.rules.tokens import Token, TokenType, tokenize
 
 from tests.conftest import prop_settings
@@ -145,6 +145,17 @@ def test_number_tokens_take_ascii_digits_only(constant, offset):
         parse_rule(RULE + constant)
     assert err.value.position == len(RULE) + offset
     assert "unexpected character" in str(err.value)
+
+
+QUERY = "search CycleProvider c where c.serverPort = "
+
+
+@pytest.mark.parametrize("constant", ["²", "§", "= 1"])
+def test_query_syntax_errors_are_query_errors(constant):
+    """A query's lexical errors raise the same class as its grammar errors."""
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(QUERY + constant)
+    assert err.value.position == len(QUERY)
 
 
 #: Fragments of the rule alphabet, the tricky ones included: quotes and
