@@ -9,8 +9,9 @@ path or failure sits in between.  Three parts check it:
   with subscriptions over it, subscriptions over two LMRs, publishes,
   late vocabulary and subscriptions, updates, a batch that repeats a
   URI, unsubscriptions, deletions, the counting merge's role changes, a
-  provider restart and an LMR that catches up from a snapshot.  :data:`HOSTS`, :data:`NEEDLES` and
-  :data:`TARGETED_RULES` hold the cases matchers get wrong.
+  provider restart and an LMR that catches up from a snapshot.
+  :data:`HOSTS`, :data:`NEEDLES` and :data:`TARGETED_RULES` hold the
+  cases matchers get wrong.
 - **One digest** (:meth:`Run.digest`): the notification stream each
   LMR applied, each unsubscribed rule's matches as it was dropped, the
   provider's documents and match sets, each LMR cache.
@@ -21,9 +22,9 @@ path or failure sits in between.  Three parts check it:
   ``direct``, ``bus`` (:class:`~repro.net.bus.NetworkBus`) or
   ``socket`` (a served provider process).  The fault plan is none, a
   crash sweep (:func:`run_crash_sweep`; the provider restarts after
-  each crash, or keeps running on the rolled-back store), link chaos over a two-MDP
-  backbone (:func:`run_chaos`) or ``kill -9`` of a served MDP
-  (:func:`run_kill`).
+  each crash, or keeps running on the rolled-back store), link chaos
+  over a two-MDP backbone (:func:`run_chaos`) or ``kill -9`` of a
+  served MDP (:func:`run_kill`).
 
 Every fault-free run must reproduce the baseline configuration's direct
 run at its ``semantics`` degree (:func:`check`; a run that differs from
