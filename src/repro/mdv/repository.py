@@ -242,6 +242,11 @@ class LocalMetadataRepository:
         kept: the restarted provider resumes its sequence stream from
         the persisted watermark, so already-applied batches that get
         redelivered are recognised and ignored.
+
+        A provider that keeps running after a failed call needs the
+        same rebuild: a call can fail after the provider committed it
+        (its outbox flush failed), so only the registry knows whether a
+        subscription was stored.
         """
         self.provider = provider
         if self.bus is None:

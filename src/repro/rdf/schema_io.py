@@ -25,7 +25,6 @@ property-based test pins this down over random schemas.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape
 
 from repro.errors import DocumentParseError, SchemaError
 from repro.rdf.namespaces import MDV_NS, RDF_NS, RDFS_NS, split_qualified
@@ -36,6 +35,7 @@ from repro.rdf.schema import (
     RefStrength,
     Schema,
 )
+from repro.rdf.serializer import escape_xml
 
 __all__ = ["schema_to_rdfxml", "parse_schema"]
 
@@ -50,7 +50,7 @@ _XSD_TO_KIND = {uri: kind for kind, uri in _KIND_TO_XSD.items()}
 
 
 def _attr(value: str) -> str:
-    return escape(value, {'"': "&quot;"})
+    return escape_xml(value, quote=True)
 
 
 def schema_to_rdfxml(schema: Schema) -> str:
@@ -82,7 +82,7 @@ def schema_to_rdfxml(schema: Schema) -> str:
 def _property_element(class_name: str, prop: PropertyDef) -> list[str]:
     identity = f"{class_name}.{prop.name}"
     lines = [f'  <rdf:Property rdf:ID="{_attr(identity)}">']
-    lines.append(f"    <mdv:name>{escape(prop.name)}</mdv:name>")
+    lines.append(f"    <mdv:name>{escape_xml(prop.name)}</mdv:name>")
     lines.append(
         f'    <rdfs:domain rdf:resource="#{_attr(class_name)}"/>'
     )

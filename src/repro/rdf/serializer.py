@@ -13,30 +13,41 @@ Two formats are provided:
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape
 
 from repro.rdf.model import Document, Literal, Resource, URIRef
 from repro.rdf.namespaces import MDV_NS, RDF_NS
 
-__all__ = ["to_rdfxml", "to_ntriples"]
+__all__ = ["escape_xml", "to_rdfxml", "to_ntriples"]
+
+
+def escape_xml(text: str, quote: bool = False) -> str:
+    """Escape ``&``, ``<`` and ``>``, and with ``quote`` also ``"``.
+
+    The output of ``xml.sax.saxutils.escape`` (with ``{'"': "&quot;"}``
+    for ``quote``), without importing that module: it loads
+    ``urllib.request`` and with it ``http.client``, ``ssl`` and
+    ``email``, several MB in every process that writes RDF/XML.
+    """
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return text.replace('"', "&quot;") if quote else text
 
 
 def _rdfxml_resource(resource: Resource, lines: list[str]) -> None:
     local = resource.uri.local_name
     if local and resource.uri.document_uri:
-        identity = f'rdf:ID="{escape(local, {chr(34): "&quot;"})}"'
+        identity = f'rdf:ID="{escape_xml(local, quote=True)}"'
         # rdf:ID only encodes the local part; rely on the enclosing
         # document URI for reconstruction (handled by the parser).
     else:
-        identity = f'rdf:about="{escape(str(resource.uri), {chr(34): "&quot;"})}"'
+        identity = f'rdf:about="{escape_xml(str(resource.uri), quote=True)}"'
     lines.append(f"  <{resource.rdf_class} {identity}>")
     for name in resource.property_names():
         for value in resource.get(name):
             if isinstance(value, URIRef):
-                target = escape(str(value), {'"': "&quot;"})
+                target = escape_xml(str(value), quote=True)
                 lines.append(f'    <{name} rdf:resource="{target}"/>')
             else:
-                lines.append(f"    <{name}>{escape(str(value))}</{name}>")
+                lines.append(f"    <{name}>{escape_xml(str(value))}</{name}>")
     lines.append(f"  </{resource.rdf_class}>")
 
 

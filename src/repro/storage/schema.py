@@ -61,8 +61,9 @@ __all__ = [
 
 #: The store layout this tree reads and writes, stamped into
 #: ``PRAGMA user_version``.  Stores written before the stamp existed
-#: read 0 (they kept each document's RDF/XML text in ``documents``).
-STORE_VERSION = 1
+#: read 0 (they kept each document's RDF/XML text in ``documents``);
+#: version 1 kept ``outbox_messages`` as a ``WITHOUT ROWID`` table.
+STORE_VERSION = 2
 
 #: Comparison operators of the rule language that have their own
 #: triggering-rule index table, mapped to the table name suffix.
@@ -234,7 +235,10 @@ CREATE INDEX IF NOT EXISTS idx_sr_rule ON subscription_rules(rule_id);
 -- outbox: notification batches are written here in the same transaction
 -- as the filter run that produced them, then delivered (and marked)
 -- after commit — a crash between commit and delivery re-sends them,
--- never invents or loses them.  ``dedup_entries`` persists a receiver's
+-- never invents or loses them.  Its rows hold a pickled batch (about
+-- 1.3 KB each), so it is a rowid table: a WITHOUT ROWID b-tree keeps
+-- only about 1 KB of a row in its page and would give every row an
+-- overflow page of its own.  ``dedup_entries`` persists a receiver's
 -- (source, seq) exactly-once index.
 CREATE TABLE IF NOT EXISTS doc_versions (
     document_uri TEXT PRIMARY KEY,
@@ -249,7 +253,7 @@ CREATE TABLE IF NOT EXISTS outbox_messages (
     payload     BLOB NOT NULL,
     delivered   INTEGER NOT NULL DEFAULT 0,
     PRIMARY KEY (destination, seq)
-) WITHOUT ROWID;
+);
 CREATE INDEX IF NOT EXISTS idx_om_undelivered
     ON outbox_messages(destination, seq) WHERE delivered = 0;
 

@@ -39,7 +39,9 @@ applied twice.  CLI::
     python -m repro.workload.differential --faults none|crash|chaos|kill --seed N [--stride K]
 
 ``none`` runs the full lattice; ``--triggering`` and
-``--[no-]durable-delivery`` pin those dimensions.
+``--[no-]durable-delivery`` pin those dimensions; ``--in-place`` makes
+a crash sweep roll back on the running provider instead of restarting
+it.
 """
 
 from __future__ import annotations
@@ -694,7 +696,8 @@ class Run:
     operation is retried.  With :attr:`restart_on_crash` off the
     provider keeps running on the rolled-back store instead, and its
     in-memory named rules must agree with the store
-    (:func:`memory_failures`) before the retry.
+    (:func:`memory_failures`) before the retry; then, as after a
+    restart, the LMRs reattach and the outbox sends what it holds.
 
     Over ``socket`` the provider is a served node, as ``python -m
     repro.mdv serve`` runs one: a forked process that owns the store and
@@ -868,6 +871,12 @@ class Run:
         """Discard the provider object; a new one opens the same store."""
         self.provider.close()
         self.provider = self._new_provider()
+        self._reattach()
+
+    def _reattach(self) -> None:
+        """Rebind every LMR to the provider as its store holds it, then
+        send the batches its outbox holds undelivered: a crash after an
+        operation's commit leaves both to do."""
         for lmr in self.lmrs.values():
             lmr.reattach(self.provider)
         self.provider.deliver_pending()
@@ -950,6 +959,7 @@ class Run:
                         f"after a rollback: {f}"
                         for f in memory_failures(self.provider)
                     ]
+                    self._reattach()
                 if op[0] == "batch" and self._stored(op[1]):
                     return
             except (SubscriptionError, DocumentNotFoundError):
@@ -1497,6 +1507,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--triggering", choices=("sql", "counting"), default=None)
     parser.add_argument("--durable-delivery",
                         action=argparse.BooleanOptionalAction, default=None)
+    parser.add_argument("--in-place", action="store_true",
+                        help="crash: roll back on the running provider "
+                             "instead of restarting it")
     args = parser.parse_args(argv)
     pinned = {
         name: value
@@ -1510,10 +1523,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lattice seed={args.seed}: {len(rows)} runs")
     elif args.faults == "crash":
         report = run_crash_sweep(
-            scenario(args.seed, args.documents), pinned, args.stride
+            scenario(args.seed, args.documents), pinned, args.stride,
+            restart=not args.in_place,
         )
         failures = report.failures
-        print(f"crash seed={args.seed} {report.summary()}")
+        arm = " in-place" if args.in_place else ""
+        print(f"crash{arm} seed={args.seed} {report.summary()}")
     elif args.faults == "chaos":
         failures = chaos_failures(args.seed, pinned, args.documents)
         print(f"chaos seed={args.seed} {pinned}")

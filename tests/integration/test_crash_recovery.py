@@ -157,3 +157,33 @@ def test_a_rollback_in_place_leaves_memory_as_the_store_holds_it():
     assert report.points_tested == report.commits + len(
         range(1, report.statements + 1, 5)
     )
+
+
+def test_a_crash_in_the_flush_after_a_subscribe_commits_rolls_forward():
+    """The first commit after a subscription's own is the outbox
+    marking its initial batch delivered.  A crash there makes the
+    subscribe raise although the store holds it.  Rolled back in place,
+    the LMR reattaches and holds the subscription (before, its later
+    unsubscribe raised "not subscribed"), and the run reproduces the
+    never-crashed one."""
+    config = {"durable_delivery": True}
+    ops = scenario(1)
+    seen = list(boundaries(ops, config))
+    first = next(i for i, op in enumerate(ops) if op[0] == "publish")
+    commit = next(
+        before + 2
+        for i, (op, (__, before), (__, after)) in enumerate(
+            zip(ops, [(0, 0)] + seen, seen)
+        )
+        if i > first and op[0] == "subscribe" and after - before >= 2
+        and ("unsubscribe", *op[1:]) in ops
+    )
+    baseline, __ = crash_run(ops, config)
+    crashed, plan = crash_run(
+        ops, config, CrashPoint("commit", commit), restart=False
+    )
+    assert plan.fired
+    assert crashed.recoveries == 1
+    assert crashed.failures == []
+    assert crashed.digest() == baseline.digest()
+    assert crashed.stamps == baseline.stamps

@@ -2,6 +2,7 @@
 process restart, redrive of persisted dead letters, durable dedup."""
 
 import os
+import pickle
 
 from repro.errors import NetworkError
 from repro.mdv.outbox import DedupIndex, Outbox, OutboxStore, RetryPolicy
@@ -42,6 +43,23 @@ class TestOutboxStore:
         ]
         # Payloads survive the pickle roundtrip intact.
         assert left[0].payload == {"n": 2}
+        db.close()
+
+    def test_a_batch_sized_payload_stays_in_its_page(self):
+        """A pickled notification batch is about 1.3 KB.  A WITHOUT
+        ROWID b-tree keeps only about 1 KB of a row in its page, so
+        there each entry took an overflow page of its own; a rowid
+        table packs about three entries into one leaf page."""
+        db = Database()
+        create_all(db)
+        outbox = Outbox("src", RecordingTransport(), store=OutboxStore(db))
+        payload = "x" * 1290
+        assert 1280 <= len(pickle.dumps(payload)) <= 1320
+        before = db.scalar("PRAGMA page_count")
+        for __ in range(200):
+            outbox.enqueue("dst", "notifications", payload)
+        grown = db.scalar("PRAGMA page_count") - before
+        assert grown <= 0.5 * 200
         db.close()
 
     def test_entries_since_filters_by_destination_and_seq(self):

@@ -150,6 +150,18 @@ class TestStoreVersion:
                 MetadataProvider(schema, db=db)
             assert user_version(db) == 0
 
+    def test_a_store_of_layout_1_is_refused(self, schema, tmp_path):
+        """Layout 1 kept ``outbox_messages`` WITHOUT ROWID, an overflow
+        page per batch; the tables are the same, so only the stamp
+        tells them apart."""
+        path = str(tmp_path / "v1.db")
+        with Database(path) as old:
+            create_all(old)
+            old.executescript("PRAGMA user_version = 1;")
+        with Database(path) as db:
+            with pytest.raises(StorageError, match="layout version 1, but"):
+                MetadataProvider(schema, db=db)
+
 
 class TestDocumentTable:
     def test_upsert_keeps_one_narrow_row_per_document(self, db):

@@ -142,3 +142,25 @@ def test_tiers_do_not_import_the_analyzer():
         check=True,
     )
     assert completed.stdout.strip() == "[]"
+
+
+def test_a_served_node_loads_no_network_mail_or_tls_stack():
+    """A daemon serves over its own sockets and writes RDF/XML with
+    :func:`repro.rdf.serializer.escape_xml`; ``xml.sax.saxutils`` would
+    load ``urllib.request`` and with it these modules, several MB of
+    RSS in every node."""
+    root = Path(__file__).resolve().parent.parent
+    heavy = ["email", "hashlib", "http.client", "ssl", "urllib.request"]
+    probe = (
+        "import sys, repro.mdv.daemon; "
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert completed.stdout.strip() == "[]"
