@@ -19,8 +19,6 @@ review:
   ``obs`` instrumentation: a function on the list has to touch a
   metrics/tracer handle (``self._m_*``, ``metrics``, ``tracer``)
   somewhere in its body, so filter cost stays attributable.
-- **MDV064** — every module must declare ``__all__`` as a literal list
-  or tuple of strings naming top-level definitions.
 - **MDV065** — durability hygiene for the write path
   (:data:`DURABILITY_SCOPE`: ``repro/mdv``, ``repro/rules``): no raw
   ``.commit()`` calls (atomicity belongs to ``with db.transaction()``
@@ -175,7 +173,11 @@ def _call_target(node: ast.Call, origins: dict[str, str]) -> str | None:
 
 
 def lint_file(path: Path, relative_to: Path | None = None) -> AnalysisReport:
-    """Run every MDV06x check over one Python source file."""
+    """Run every MDV06x check over one Python source file.
+
+    A file that does not parse raises :class:`SyntaxError`: the pack
+    checks source, and there is none to check.
+    """
     report = AnalysisReport()
     source = path.read_text(encoding="utf-8")
     source_lines = source.splitlines()
@@ -184,16 +186,7 @@ def lint_file(path: Path, relative_to: Path | None = None) -> AnalysisReport:
         if relative_to is not None and path.is_relative_to(relative_to)
         else path.as_posix()
     )
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        report.add(
-            Severity.ERROR,
-            "MDV064",
-            f"file does not parse: {exc.msg}",
-            source=label,
-        )
-        return report
+    tree = ast.parse(source, filename=str(path))
 
     origins_visitor = _ImportOrigins()
     origins_visitor.visit(tree)
@@ -247,7 +240,6 @@ def lint_file(path: Path, relative_to: Path | None = None) -> AnalysisReport:
                 )
 
     _check_hot_paths(report, tree, path, label)
-    _check_exports(report, tree, label)
     if durability_scoped:
         _check_multi_table_mutations(report, tree, source_lines, label)
     if _suffix_match(path, LOCK_SCOPE):
@@ -616,72 +608,6 @@ def _check_hot_paths(
                 "(no metrics/tracer reference in its body)",
                 source=label,
             )
-
-
-def _check_exports(
-    report: AnalysisReport, tree: ast.Module, label: str
-) -> None:
-    top_level: set[str] = set()
-    exported: list[str] | None = None
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            top_level.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                top_level.add(
-                    alias.asname or alias.name.split(".")[0]
-                )
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    top_level.add(target.id)
-                    if target.id == "__all__":
-                        exported = _literal_strings(node.value)
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name):
-                top_level.add(node.target.id)
-        elif isinstance(node, (ast.If, ast.Try)):
-            for sub in ast.walk(node):
-                if isinstance(
-                    sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    top_level.add(sub.name)
-                elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-                    for alias in sub.names:
-                        top_level.add(alias.asname or alias.name.split(".")[0])
-                elif isinstance(sub, ast.Assign):
-                    for target in sub.targets:
-                        if isinstance(target, ast.Name):
-                            top_level.add(target.id)
-    if exported is None:
-        report.add(
-            Severity.ERROR,
-            "MDV064",
-            "module does not declare __all__ as a literal list/tuple",
-            source=label,
-        )
-        return
-    for name in exported:
-        if name not in top_level:
-            report.add(
-                Severity.ERROR,
-                "MDV064",
-                f"__all__ exports {name!r} which is not defined at the "
-                "top level",
-                source=label,
-            )
-
-
-def _literal_strings(node: ast.expr) -> list[str]:
-    if isinstance(node, (ast.List, ast.Tuple)):
-        values = []
-        for element in node.elts:
-            if isinstance(element, ast.Constant) and isinstance(
-                element.value, str
-            ):
-                values.append(element.value)
-        return values
-    return []
 
 
 def lint_paths(

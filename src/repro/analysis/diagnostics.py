@@ -1,23 +1,21 @@
-"""Structured diagnostics emitted by the subscription-rule analyzer.
+"""Structured diagnostics emitted by the store audit and the lint pack.
 
-Every finding of the static analyzer — linter, subsumption checker and
-storage auditor alike — is a :class:`Diagnostic`: a severity, a stable
-``MDV0xx`` code, an optional character span into the analyzed rule text,
-a human-readable message and an optional fix hint.  Codes are stable API
-(documented in ``docs/RULE_ANALYSIS.md``); messages are not.
+Every finding of the analyzers — storage auditor and source lint pack
+alike — is a :class:`Diagnostic`: a severity, a stable ``MDV0xx`` code,
+an optional ``(start, end)`` span, a human-readable message and an
+optional fix hint.  Codes are stable API (documented in
+``docs/RULE_ANALYSIS.md``); messages are not.
 
 Code blocks:
 
-- ``MDV00x`` — schema and typing errors found by the linter;
-- ``MDV01x`` — satisfiability findings (contradictions, redundancies);
-- ``MDV02x`` — subsumption/duplication against the live registry;
 - ``MDV03x`` — storage/graph invariant violations found by the auditor;
 - ``MDV04x`` — document-store violations found by the auditor;
 - ``MDV06x`` — source-code lint pack (connection affinity, wall-clock
-  discipline, instrumentation and export hygiene);
-- ``MDV07x`` — semantic-tier findings (unknown concepts, cyclic
-  taxonomy edges, invalid mapping functions, unsatisfiable mapped
-  atoms).
+  discipline, instrumentation and durability hygiene);
+- ``MDV07x`` — semantic-tier findings: a cyclic taxonomy or a stored
+  closure that disagrees with its edges (the auditor and the
+  vocabulary store), a non-invertible or type-mismatched mapping
+  function (raised by the vocabulary store at registration).
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ __all__ = [
     "EXIT_ERRORS",
 ]
 
-#: CLI exit-code semantics (also used by the registration policies).
+#: CLI exit-code semantics.
 EXIT_CLEAN = 0
 EXIT_WARNINGS = 1
 EXIT_ERRORS = 2
@@ -57,22 +55,6 @@ class Severity(IntEnum):
 #: single source of truth: the CLI ``codes`` command prints it and the
 #: docs are generated from the same wording.
 CODES: dict[str, str] = {
-    # -- linter: syntax / schema / typing (MDV00x) ---------------------
-    "MDV001": "rule text could not be parsed",
-    "MDV002": "unknown class or extension name in the search clause",
-    "MDV003": "unknown property in a path expression",
-    "MDV004": "invalid use of the any operator '?'",
-    "MDV005": "set-valued property compared without the any operator '?'",
-    "MDV006": "operator/type mismatch between property and constant",
-    "MDV007": "malformed predicate (constants, paths or operator misuse)",
-    "MDV008": "variable not join-connected to the register variable",
-    # -- linter: satisfiability (MDV01x) -------------------------------
-    "MDV010": "conjunct can never be satisfied (contradictory predicates)",
-    "MDV011": "predicate is implied by the rest of its conjunct (always true)",
-    # -- subsumption against the registry (MDV02x) ---------------------
-    "MDV020": "rule duplicates an already registered subscription",
-    "MDV021": "rule is subsumed by a more general registered subscription",
-    "MDV022": "rule subsumes (is more general than) a registered subscription",
     # -- storage / graph invariants (MDV03x) ---------------------------
     "MDV030": "dependency graph contains a cycle",
     "MDV031": "atom refcount disagrees with its subscription references",
@@ -92,20 +74,16 @@ CODES: dict[str, str] = {
     "thread/executor creation outside the concurrency allowlist)",
     "MDV062": "wall-clock call outside the clock abstraction",
     "MDV063": "registered hot path lacks obs instrumentation",
-    "MDV064": "module lacks __all__ or exports an undefined name",
     "MDV065": "raw commit or multi-table mutation outside a "
     "transaction() block in the durability scope",
     "MDV066": "counting-index mutation outside a `with self._lock:` "
     "block in the lock scope",
     # -- semantic matching tier (MDV07x) -------------------------------
-    "MDV070": "semantic construct references an unknown concept "
-    "(property, class or value never seen by the schema or registry)",
-    "MDV071": "taxonomy edge would create a cycle (or a self-edge)",
+    "MDV071": "taxonomy edge would create a cycle (or a self-edge), or "
+    "the stored closure disagrees with the edges",
     "MDV072": "mapping function is not invertible (zero scale or "
     "duplicate enum source values)",
     "MDV073": "mapping function is type-mismatched for its properties",
-    "MDV074": "mapped atom is unsatisfiable (no publishable source "
-    "value can reach the subscribed constant)",
 }
 
 
@@ -113,9 +91,10 @@ CODES: dict[str, str] = {
 class Diagnostic:
     """One analyzer finding.
 
-    ``span`` is a ``(start, end)`` character range into the analyzed rule
-    text (``None`` for database-level findings); ``hint`` suggests a fix;
-    ``source`` names what was analyzed (a rule text, a table, …).
+    ``span`` is a ``(start, end)`` character range into the analyzed
+    source file (``None`` for database-level findings); ``hint``
+    suggests a fix; ``source`` names what was analyzed (a file, a
+    table, …).
     """
 
     severity: Severity

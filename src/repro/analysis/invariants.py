@@ -18,11 +18,14 @@ code maintains but never re-checks:
 - the document store of record agrees with itself: every ``resources``
   row has its ``rdf#subject`` atom in ``filter_data`` and every stored
   subject its ``resources`` row, because a document is rebuilt from
-  exactly those rows (docs/DURABILITY.md).
+  exactly those rows (docs/DURABILITY.md);
+- the stored taxonomy closure equals the transitive closure of the
+  taxonomy edges, and the edges are acyclic (docs/SEMANTICS.md): the
+  semantic expansion of every rule reads the closure, never the edges.
 
 ``audit_database`` re-checks all of them and reports violations as
-``MDV03x`` (filter state) and ``MDV04x`` (document store) diagnostics;
-it never mutates the database.
+``MDV03x`` (filter state), ``MDV04x`` (document store) and ``MDV071``
+(taxonomy) diagnostics; it never mutates the database.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ def audit_database(db: Database) -> AnalysisReport:
     if acyclic:
         _check_depth_bound(db, graph, report)
     _check_document_store(db, report)
+    _check_closure(db, report)
     return report
 
 
@@ -395,4 +399,63 @@ def _check_document_store(db: Database, report: AnalysisReport) -> None:
             f"document (no resources row)",
             hint="no document lists it, yet rules still match it",
             source="filter_data",
+        )
+
+
+def _check_closure(db: Database, report: AnalysisReport) -> None:
+    """The stored closure must equal the naive one and be acyclic."""
+    parents: dict[str, set[str]] = {}
+    for row in db.query_all(
+        "SELECT narrower, broader FROM semantic_taxonomy_edges"
+    ):
+        parents.setdefault(row["narrower"], set()).add(row["broader"])
+
+    expected: set[tuple[str, str]] = set()
+    cyclic: set[str] = set()
+    for start in parents:
+        seen: set[str] = set()
+        frontier = [start]
+        while frontier:
+            node = frontier.pop()
+            for parent in parents.get(node, ()):
+                if parent == start:
+                    cyclic.add(start)
+                    continue
+                if parent not in seen:
+                    seen.add(parent)
+                    expected.add((parent, start))
+                    frontier.append(parent)
+    for concept in sorted(cyclic):
+        report.add(
+            Severity.ERROR,
+            "MDV071",
+            f"taxonomy edges form a cycle through {concept!r} — the "
+            "closure is unsound and expansion would not terminate",
+            hint="delete one edge of the cycle and re-register the rules",
+            source="semantic_taxonomy_edges",
+        )
+
+    stored = {
+        (row["ancestor"], row["descendant"])
+        for row in db.query_all(
+            "SELECT ancestor, descendant FROM semantic_taxonomy_closure"
+        )
+    }
+    for ancestor, descendant in sorted(expected - stored):
+        report.add(
+            Severity.ERROR,
+            "MDV071",
+            f"closure is missing the entailed pair "
+            f"{ancestor!r} -> {descendant!r}",
+            hint="rebuild the closure from the edge list",
+            source="semantic_taxonomy_closure",
+        )
+    for ancestor, descendant in sorted(stored - expected):
+        report.add(
+            Severity.ERROR,
+            "MDV071",
+            f"closure contains {ancestor!r} -> {descendant!r}, which "
+            "no edge path entails",
+            hint="rebuild the closure from the edge list",
+            source="semantic_taxonomy_closure",
         )

@@ -61,11 +61,18 @@ class Backbone:
         self._m_recoveries = self.metrics.counter("backbone.recoveries")
         self._g_lag = self.metrics.gauge("backbone.replication_lag")
 
-    def add_provider(self, name: str) -> MetadataProvider:
-        """Create and wire a new MDP into the backbone."""
+    def add_provider(self, name: str, **options: Any) -> MetadataProvider:
+        """Create and wire a new MDP into the backbone.
+
+        ``options`` are :class:`MetadataProvider` keyword arguments
+        (``db``, ``metrics``, ``triggering``, …); the backbone supplies
+        the schema, the name and the bus.
+        """
         if name in self.providers:
             raise MDVError(f"provider {name!r} already exists")
-        provider = MetadataProvider(self.schema, name=name, bus=self.bus)
+        provider = MetadataProvider(
+            self.schema, name=name, bus=self.bus, **options
+        )
         provider.set_replication_hook(
             lambda uri, doc, version, origin=name: self._replicate(
                 origin, uri, doc, version

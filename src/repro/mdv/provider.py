@@ -41,6 +41,7 @@ from repro.errors import (
     SubscriptionError,
 )
 from repro.filter.engine import FilterEngine
+from repro.filter.joins import initialize_join_rule, load_group
 from repro.filter.matcher import initialize_triggering_rule
 from repro.filter.results import PublishOutcome
 from repro.mdv.outbox import (
@@ -74,6 +75,19 @@ _BUMP_VERSION = (
     "INSERT INTO doc_versions (document_uri, counter, origin) "
     "VALUES (?, 1, ?) ON CONFLICT (document_uri) DO UPDATE SET "
     "counter = counter + 1, origin = excluded.origin"
+)
+
+#: The atoms that read the given rules, directly or through joins, and
+#: the rules themselves, children first: an atom's inputs exist when it
+#: is inserted, and ``AUTOINCREMENT`` ids only grow.
+_DEPENDENCY_CONE = (
+    "WITH RECURSIVE cone (rule_id) AS ("
+    "SELECT value FROM json_each(?) UNION "
+    "SELECT d.target_rule FROM rule_dependencies d "
+    "JOIN cone c ON d.source_rule = c.rule_id) "
+    "SELECT a.rule_id, a.kind, a.left_rule, a.right_rule, a.group_id "
+    "FROM cone c JOIN atomic_rules a ON a.rule_id = c.rule_id "
+    "ORDER BY a.rule_id"
 )
 
 
@@ -561,39 +575,56 @@ class MetadataProvider:
     def _reinitialize_semantics(
         self, affected: list[int] | None = None
     ) -> None:
-        """Rematerialize triggering rules after a vocabulary change.
+        """Re-run the rules a vocabulary change widened, and notify.
 
-        Vocabulary registered after subscriptions widens already-stored
-        rules, so their materialized result sets must be recomputed
-        against the existing metadata — future publications resync via
-        the registry's mutation log, but stored state does not.  A
+        Vocabulary registered after subscriptions widens stored
+        triggering rules (``affected``; every triggering rule when
+        ``None``) and with them each join that reads them, directly or
+        through other joins: the dependency cone.  The cone's result sets
+        are recomputed over the stored metadata, children first, as a new
+        subscription's are.  A vocabulary change never narrows a rule, so
+        a re-run only adds rows, and a join runs again only when one of
+        its inputs gained some; it then reads both inputs whole.  A
         subscription whose end rule gains matches is notified of them,
         as a publish would notify it.
         """
         if self.registry.semantics == "off":
             return
-        rule_ids = affected
-        if rule_ids is None:
+        if affected is None:
             rows = self.db.query_all(
-                "SELECT rule_id FROM atomic_rules "
-                "WHERE kind = 'triggering' ORDER BY rule_id"
+                "SELECT rule_id FROM atomic_rules WHERE kind = 'triggering'"
             )
-            rule_ids = [int(row["rule_id"]) for row in rows]
-        subscribed = {
-            int(row["end_rule"])
-            for row in self.db.query_all(
-                "SELECT DISTINCT end_rule FROM subscriptions"
-            )
-        }
+            affected = [int(row["rule_id"]) for row in rows]
+        cone = self.db.query_all(_DEPENDENCY_CONE, (json.dumps(affected),))
+        subscribed = self.registry.end_rules_among(
+            {int(row["rule_id"]) for row in cone}
+        )
+        grown: set[int] = set()
         outcome = PublishOutcome()
-        for rule_id in rule_ids:
-            if rule_id not in subscribed:
-                initialize_triggering_rule(self.db, rule_id)
+        for row in cone:
+            rule_id = int(row["rule_id"])
+            join = row["kind"] == "join"
+            if join and not {row["left_rule"], row["right_rule"]} & grown:
                 continue
-            before = set(self.engine.current_matches(rule_id))
-            initialize_triggering_rule(self.db, rule_id)
-            for uri in set(self.engine.current_matches(rule_id)) - before:
-                outcome.add_matched(rule_id, uri)
+            before = (
+                set(self.engine.current_matches(rule_id))
+                if rule_id in subscribed
+                else set()
+            )
+            if join:
+                added = initialize_join_rule(
+                    self.db, rule_id, int(row["left_rule"]),
+                    int(row["right_rule"]),
+                    load_group(self.db, int(row["group_id"])),
+                )
+            else:
+                added = initialize_triggering_rule(self.db, rule_id)
+            if not added:
+                continue
+            grown.add(rule_id)
+            if rule_id in subscribed:
+                for uri in set(self.engine.current_matches(rule_id)) - before:
+                    outcome.add_matched(rule_id, uri)
         self._publish(outcome)
 
     def unsubscribe(self, subscriber: str, rule_text: str) -> None:

@@ -757,8 +757,8 @@ class RuleRegistry:
     # Lookups used by the filter and the publisher
     # ------------------------------------------------------------------
     def end_rule_ids(self) -> set[int]:
-        """Every end rule: a scan of ``subscriptions``, for analysis and
-        the ablation strategies — the publish path asks
+        """Every end rule: a scan of ``subscriptions``, for tests and the
+        end-to-end benchmark's wrap point — the publish path asks
         :meth:`end_rules_among` about the rules a run produced."""
         rows = self._db.query_all("SELECT DISTINCT end_rule FROM subscriptions")
         return {int(row["end_rule"]) for row in rows}

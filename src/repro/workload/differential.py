@@ -1209,19 +1209,12 @@ def run_chaos(seed: int, config: dict | None = None, faulty: bool = True,
     backbone = Backbone(schema, bus=bus, metrics=metrics)
     names = ("mdp-a", "mdp-b")
     for name in names:
-        provider = MetadataProvider(
-            schema, name=name, bus=bus, metrics=metrics,
+        provider = backbone.add_provider(
+            name, metrics=metrics,
             db=Database(durability=config.get("durability", "fast")), **config,
         )
         for attribute, value in attributes.items():
             setattr(getattr(provider, _ATTRIBUTES[attribute]), attribute, value)
-        # Backbone.add_provider builds default providers only.
-        provider.set_replication_hook(
-            lambda uri, doc, version, origin=name: backbone._replicate(
-                origin, uri, doc, version
-            )
-        )
-        backbone.providers[name] = provider
     lmrs = {
         lmr: LocalMetadataRepository(lmr, backbone.provider(mdp), bus=bus,
                                      metrics=metrics)

@@ -7,16 +7,6 @@ from repro.mdv.provider import MetadataProvider
 from repro.rdf.schema import objectglobe_schema
 from repro.storage.engine import Database
 
-CLEAN_RULE = "search CycleProvider c register c"
-UNSAT_RULE = (
-    "search CycleProvider c register c "
-    "where c.serverPort < 5 and c.serverPort > 9"
-)
-REDUNDANT_RULE = (
-    "search CycleProvider c register c "
-    "where c.serverPort > 5 and c.serverPort > 3"
-)
-
 
 @pytest.fixture()
 def mdp_db(tmp_path):
@@ -28,75 +18,6 @@ def mdp_db(tmp_path):
     )
     provider.db.commit()
     return path
-
-
-class TestLint:
-    def test_clean_rule_exits_zero(self, capsys):
-        assert main(["lint", "--rule", CLEAN_RULE]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_warnings_exit_one(self, capsys):
-        assert main(["lint", "--rule", REDUNDANT_RULE]) == 1
-        assert "MDV011" in capsys.readouterr().out
-
-    def test_errors_exit_two(self, capsys):
-        assert main(["lint", "--rule", UNSAT_RULE]) == 2
-        out = capsys.readouterr().out
-        assert "MDV010" in out
-        assert "^" in out  # span caret rendering
-
-    def test_schema_error_has_distinct_code(self, capsys):
-        assert main(["lint", "--rule", "search Bogus b register b"]) == 2
-        assert "MDV002" in capsys.readouterr().out
-
-    def test_rule_file_paragraphs_and_comments(self, tmp_path, capsys):
-        rules = tmp_path / "rules.txt"
-        rules.write_text(
-            "# first rule: clean\n"
-            "search CycleProvider c register c\n"
-            "where c.serverPort > 5\n"
-            "\n"
-            "# second rule: unsatisfiable\n"
-            f"{UNSAT_RULE}\n"
-        )
-        assert main(["lint", str(rules)]) == 2
-        out = capsys.readouterr().out
-        assert f"{rules}:2" in out
-        assert "2 input(s)" in out
-
-    def test_missing_file_exits_two(self, capsys):
-        assert main(["lint", "/no/such/rules.txt"]) == 2
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_no_input_exits_two(self, capsys):
-        assert main(["lint"]) == 2
-        assert "nothing to lint" in capsys.readouterr().err
-
-    def test_lint_against_database_flags_duplicate(self, mdp_db, capsys):
-        code = main([
-            "lint",
-            "--rule",
-            "search CycleProvider c register c where c.serverPort > 5",
-            "--db",
-            mdp_db,
-        ])
-        assert code == 1
-        assert "MDV020" in capsys.readouterr().out
-
-    def test_lint_against_database_flags_subsumed(self, mdp_db, capsys):
-        code = main([
-            "lint",
-            "--rule",
-            "search CycleProvider c register c where c.serverPort > 9",
-            "--db",
-            mdp_db,
-        ])
-        assert code == 1
-        assert "MDV021" in capsys.readouterr().out
-
-    def test_lint_missing_database_exits_two(self, capsys):
-        code = main(["lint", "--rule", CLEAN_RULE, "--db", "/no/such.db"])
-        assert code == 2
 
 
 class TestAudit:
@@ -126,6 +47,12 @@ class TestAudit:
     def test_missing_database_exits_two(self, capsys):
         assert main(["audit", "--db", "/no/such.db"]) == 2
         assert "no such database" in capsys.readouterr().err
+
+
+def test_only_the_audit_and_the_lint_pack_remain(capsys):
+    with pytest.raises(SystemExit):
+        main(["lint", "--rule", "search CycleProvider c register c"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCodes:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.code import (
     CONCURRENCY_ALLOWLIST,
     CONNECT_ALLOWLIST,
@@ -183,32 +185,6 @@ class TestHotPathRule:
         report = lint_file(path)
         assert _codes(report) == ["MDV063"]
         assert report.diagnostics[0].severity.name == "WARNING"
-
-
-class TestExportsRule:
-    def test_missing_all_flagged(self, tmp_path):
-        path = _write(tmp_path, "mod.py", "def f():\n    return 1\n")
-        assert _codes(lint_file(path)) == ["MDV064"]
-
-    def test_phantom_export_flagged(self, tmp_path):
-        path = _write(tmp_path, "mod.py", "__all__ = ['missing']\n")
-        assert _codes(lint_file(path)) == ["MDV064"]
-
-    def test_syntax_error_reported_not_raised(self, tmp_path):
-        path = _write(tmp_path, "mod.py", "def broken(:\n")
-        report = lint_file(path)
-        assert _codes(report) == ["MDV064"]
-        assert report.has_errors
-
-    def test_conditional_definitions_counted(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            "__all__ = ['f']\n\n"
-            "try:\n    import json\nexcept ImportError:\n    json = None\n\n"
-            "if True:\n    def f():\n        return 1\n",
-        )
-        assert _codes(lint_file(path)) == []
 
 
 class TestDurabilityRule:
@@ -399,6 +375,11 @@ class TestLintPaths:
         report, checked = lint_paths([tmp_path / "pkg"], root=tmp_path / "pkg")
         assert checked == 2
         assert _codes(report) == ["MDV062"]
+
+    def test_syntax_error_raises(self, tmp_path):
+        path = _write(tmp_path, "mod.py", "def broken(:\n")
+        with pytest.raises(SyntaxError):
+            lint_file(path)
 
     def test_shipped_tree_lints_clean(self):
         # The CI gate: the real source tree carries zero findings (all

@@ -195,3 +195,57 @@ def test_audit_clean_after_publishing(mdp):
 
     mdp.register_document(figure1_document())
     assert audit_database(mdp.db).is_clean
+
+
+@pytest.fixture()
+def marketplace_mdp():
+    from repro.workload.marketplace import (
+        SUBSCRIPTIONS,
+        listings,
+        marketplace_schema,
+        seed_vocabulary,
+    )
+
+    provider = MetadataProvider(
+        marketplace_schema(), name="audit", semantics="mappings"
+    )
+    seed_vocabulary(provider)
+    for subscriber, rule_text in SUBSCRIPTIONS:
+        provider.subscribe(subscriber, rule_text)
+    for doc in listings():
+        provider.register_document(doc)
+    yield provider
+    provider.close()
+
+
+def test_healthy_vocabulary_is_clean(marketplace_mdp):
+    assert audit_database(marketplace_mdp.db).is_clean
+
+
+def test_mdv071_corrupted_closure(marketplace_mdp):
+    db = marketplace_mdp.db
+    # A pair no edge path entails…
+    db.execute(
+        "INSERT INTO semantic_taxonomy_closure (ancestor, descendant) "
+        "VALUES ('vehicle', 'boat')"
+    )
+    # …and a missing entailed pair (pickup ->* vehicle is registered).
+    db.execute(
+        "DELETE FROM semantic_taxonomy_closure "
+        "WHERE ancestor = 'vehicle' AND descendant = 'pickup'"
+    )
+    report = audit_database(db)
+    assert codes(report) == ["MDV071"]
+    assert len(report) == 2
+    assert all(d.is_error for d in report)
+
+
+def test_mdv071_cyclic_taxonomy_edges(marketplace_mdp):
+    db = marketplace_mdp.db
+    db.execute(
+        "INSERT INTO semantic_taxonomy_edges (narrower, broader) "
+        "VALUES ('vehicle', 'pickup')"
+    )
+    report = audit_database(db)
+    assert "MDV071" in codes(report)
+    assert any("cycle" in d.message for d in report)
